@@ -79,6 +79,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def render_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -382,9 +392,11 @@ def run_batch(cmd: str, path: str, seed: int, tol, jobs) -> tuple:
     if not entries:
         raise UsageError("batch file holds no inputs")
     build_config(seed, tol)        # validate once, outside the workers
-    workers = jobs or min(8, os.cpu_count() or 1)
+    # the pool starts all its workers at once: never more than there are
+    # entries to hand out or cores to run them
+    workers = min(jobs or 8, len(entries), os.cpu_count() or 1)
     jobs_arg = [(cmd, e, seed, tol) for e in entries]
-    if workers == 1 or len(entries) == 1:
+    if workers == 1:
         results = [_batch_worker(j) for j in jobs_arg]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -421,8 +433,9 @@ def build_parser() -> _Parser:
             sp.add_argument("--batch", metavar="FILE",
                             help="file of inputs, one per line ('-' for "
                                  "stdin); results come back in input order")
-            sp.add_argument("--jobs", type=int, default=None,
-                            help="parallel workers for --batch")
+            sp.add_argument("--jobs", type=_positive_int, default=None,
+                            help="parallel workers for --batch (at most "
+                                 "one per entry and per core)")
 
     sp = sub.add_parser("classify", help="deformation class of a surface")
     sp.add_argument("--surface", help="cubic in x,y,z (affine) or x,y,z,w")

@@ -10,12 +10,6 @@ from dataclasses import dataclass, field
 
 
 @dataclass
-class RootConfig:
-    aberth_tol: float = 1e-12
-    aberth_max_iter: int = 200
-
-
-@dataclass
 class LineSolveConfig:
     residual_tol: float = 1e-10          # relative backward error per line
     dedupe_tol: float = 1e-6             # Plucker distance for merging paths
@@ -31,7 +25,6 @@ class LineSolveConfig:
 @dataclass
 class SweepConfig:
     chart_attempts: int = 200             # shear/rotation retries for the curve
-    refine_bits: int = 60                # dyadic refinement for point location
 
 
 @dataclass
@@ -44,7 +37,6 @@ class ClassifyConfig:
 
 @dataclass
 class Config:
-    roots: RootConfig = field(default_factory=RootConfig)
     lines: LineSolveConfig = field(default_factory=LineSolveConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     classify: ClassifyConfig = field(default_factory=ClassifyConfig)

@@ -5,8 +5,12 @@ pivots: rows (e_i + a e_k + b e_l) and (e_j + c e_k + d e_l) span it.
 Restricting the cubic to the span and reading off the four coefficients of
 the binary cubic gives four polynomial equations in (a, b, c, d), solved by
 a total-degree homotopy (81 paths per chart, all tracked as one numpy
-batch).  Charts are tried in order until 27 distinct lines survive the
-backward-error filter.
+batch).  The equations and their 16 partial derivatives are all written in
+the 35 monomials of degree <= 3 in (a, b, c, d), so one (35 x 20)
+coefficient matrix per chart evaluates the whole system and its Jacobian:
+each homotopy step builds a power table of the points, multiplies out the
+monomials and applies a single matmul.  Charts are tried in order until 27
+distinct lines survive the backward-error filter.
 
 Line bookkeeping is done on normalized Pluecker vectors: the canonical
 representative divides by the largest-modulus coordinate, which also makes
@@ -79,37 +83,35 @@ def chart_system(F: Poly, pair: tuple) -> list:
     return eqs
 
 
-def _abcd_arrays(eqs: list):
-    """Equations and their Jacobian as exponent/coefficient arrays over
-    the four unknowns (a, b, c, d)."""
-    unknowns = ("a", "b", "c", "d")
-    sys_arr = []
-    jac_arr = []
-    for eq in eqs:
-        # drop the s, t slots (always exponent zero by construction)
-        terms = {}
+# every chart equation and each of its partial derivatives is a combination
+# of the 35 monomials of degree <= 3 in (a, b, c, d)
+_MONOMIALS = np.array([e for e in itertools.product(range(4), repeat=4)
+                       if sum(e) <= 3])
+_MONOMIAL_INDEX = {e: m for m, e in enumerate(map(tuple, _MONOMIALS.tolist()))}
+
+
+def _chart_matrix(eqs: list) -> np.ndarray:
+    """(35, 20) coefficient matrix over _MONOMIALS: column m holds equation
+    m, column 4 + 4 m + n its partial derivative in unknown n."""
+    C = np.zeros((len(_MONOMIALS), 20), dtype=complex)
+    for m, eq in enumerate(eqs):
         for e, cf in eq.terms.items():
+            # drop the s, t slots (always exponent zero by construction)
             assert e[0] == 0 and e[1] == 0
-            terms[e[2:]] = cf
-        q = Poly(unknowns, terms)
-        sys_arr.append(poly_arrays(q))
-        jac_arr.append([poly_arrays(q.derivative(v)) for v in unknowns])
-    return sys_arr, jac_arr
+            e = e[2:]
+            C[_MONOMIAL_INDEX[e], m] = complex(cf)
+            for n in range(4):
+                if e[n]:
+                    d = e[:n] + (e[n] - 1,) + e[n + 1:]
+                    C[_MONOMIAL_INDEX[d], 4 + 4 * m + n] = complex(cf * e[n])
+    return C
 
 
-def _eval_system(sys_arr, X):
-    out = np.empty((len(X), 4), dtype=complex)
-    for m, (expo, coeff) in enumerate(sys_arr):
-        out[:, m] = eval_many(expo, coeff, X)
-    return out
-
-
-def _eval_jacobian(jac_arr, X):
-    out = np.empty((len(X), 4, 4), dtype=complex)
-    for m in range(4):
-        for n, (expo, coeff) in enumerate(jac_arr[m]):
-            out[:, m, n] = eval_many(expo, coeff, X)
-    return out
+def _monomial_values(X: np.ndarray) -> np.ndarray:
+    """Points (n, 4) -> the values of _MONOMIALS at them, (n, 35)."""
+    P = X[:, :, None] ** np.arange(4)
+    return (P[:, 0, _MONOMIALS[:, 0]] * P[:, 1, _MONOMIALS[:, 1]]
+            * P[:, 2, _MONOMIALS[:, 2]] * P[:, 3, _MONOMIALS[:, 3]])
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +155,9 @@ def _solve_batched(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _track_chart(sys_arr, jac_arr, cfg: LineSolveConfig, rng) -> np.ndarray:
-    """Track the 81 total-degree paths; returns converged solutions (n, 4)."""
+def _track_chart(C: np.ndarray, cfg: LineSolveConfig, rng) -> np.ndarray:
+    """Track the 81 total-degree paths of the chart system whose
+    `_chart_matrix` is C; returns converged solutions (n, 4)."""
     gamma = np.exp(2j * np.pi * rng.random())
     rho = np.exp(2j * np.pi * rng.random(4)) * (0.7 + 0.8 * rng.random(4))
     X = _start_points(rho)
@@ -163,19 +166,24 @@ def _track_chart(sys_arr, jac_arr, cfg: LineSolveConfig, rng) -> np.ndarray:
     dt = np.full(npaths, 0.05)
     alive = np.ones(npaths, dtype=bool)
 
-    scale = max(max(np.abs(cf).max() if len(cf) else 0.0 for _, cf in sys_arr), 1.0)
+    CF = C[:, :4]                 # the equations alone, for residuals
+    scale = max(np.abs(CF).max(), 1.0)
+    diag = np.arange(4)
 
     def H_and_J(Xv, tv):
-        FX = _eval_system(sys_arr, Xv)
+        V = _monomial_values(Xv) @ C
+        FX = V[:, :4]
         GX = Xv ** 3 - rho[None, :]
         H = tv[:, None] * FX + (1 - tv)[:, None] * gamma * GX
-        JF = _eval_jacobian(jac_arr, Xv)
-        JG = np.zeros_like(JF)
-        idx = np.arange(4)
-        JG[:, idx, idx] = 3 * Xv ** 2
-        J = tv[:, None, None] * JF + (1 - tv)[:, None, None] * gamma * JG
+        J = tv[:, None, None] * V[:, 4:].reshape(-1, 4, 4)
+        J[:, diag, diag] += (1 - tv)[:, None] * gamma * (3 * Xv ** 2)
         dHdt = FX - gamma * GX
         return H, J, dHdt
+
+    def H_only(Xv, tv):
+        FX = _monomial_values(Xv) @ CF
+        GX = Xv ** 3 - rho[None, :]
+        return tv[:, None] * FX + (1 - tv)[:, None] * gamma * GX
 
     max_steps = 2000
     for _ in range(max_steps):
@@ -193,7 +201,7 @@ def _track_chart(sys_arr, jac_arr, cfg: LineSolveConfig, rng) -> np.ndarray:
             H2, J2, _ = H_and_J(X2, t2)
             step = _solve_batched(J2, -H2)
             X2 = X2 + step
-        H2, _, _ = H_and_J(X2, t2)
+        H2 = H_only(X2, t2)
         mag = np.maximum(1.0, np.abs(X2).max(axis=1)) ** 3
         ok = (np.abs(H2).max(axis=1) < 1e-6 * scale * mag)
         ok &= np.isfinite(X2).all(axis=1)
@@ -213,13 +221,12 @@ def _track_chart(sys_arr, jac_arr, cfg: LineSolveConfig, rng) -> np.ndarray:
     # endgame: plain Newton on the target system
     Xe = X[done]
     for _ in range(cfg.newton_steps):
-        FX = _eval_system(sys_arr, Xe)
-        JX = _eval_jacobian(jac_arr, Xe)
-        step = _solve_batched(JX, -FX)
+        V = _monomial_values(Xe) @ C
+        step = _solve_batched(V[:, 4:].reshape(-1, 4, 4), -V[:, :4])
         Xe = Xe + step
         if np.abs(step).max() < 1e-14 * max(1.0, np.abs(Xe).max()):
             break
-    FX = _eval_system(sys_arr, Xe)
+    FX = _monomial_values(Xe) @ CF
     mag = np.maximum(1.0, np.abs(Xe).max(axis=1)) ** 3
     keep = np.abs(FX).max(axis=1) < 1e-9 * scale * mag
     keep &= np.isfinite(Xe).all(axis=1)
@@ -351,9 +358,7 @@ def solve_lines(F: Poly, cfg: LineSolveConfig = None) -> LineSet:
     charts_used = 0
     for pair in PAIR_ORDER[: cfg.max_charts]:
         charts_used += 1
-        eqs = chart_system(F, pair)
-        sys_arr, jac_arr = _abcd_arrays(eqs)
-        sols = _track_chart(sys_arr, jac_arr, cfg, rng)
+        sols = _track_chart(_chart_matrix(chart_system(F, pair)), cfg, rng)
         for sol in sols:
             try_add(_line_from_solution(sol, pair, F_arrays, cfg.imag_tol))
         if len(found) >= 27:
@@ -397,7 +402,10 @@ def _conjugate_pairs(lines: list, tol: float) -> list:
                 used.update((i, j))
                 break
         else:
-            raise InternalInconsistency(
+            # a real surface's complex lines come in conjugate pairs; a
+            # missing partner means the numeric lines cannot be trusted,
+            # as happens next to the discriminant
+            raise NearDiscriminant(
                 f"complex line {i} has no conjugate partner")
     return pairs
 

@@ -17,7 +17,6 @@ from realcubic.arrangements import load_extremal, polotovsky_closure
 from realcubic.classify import (
     as_projective_cubic,
     classify_surface,
-    load_witnesses,
     parse_plane,
 )
 from realcubic.combinat import (
@@ -58,12 +57,6 @@ AV = ("x", "y")
 
 def verdict(n: int, text: str) -> None:
     print(f"criterion {n}: PASS - {text}")
-
-
-@pytest.fixture(scope="module")
-def witness_reports():
-    return [(w, classify_surface(w["surface"], w["plane"]))
-            for w in load_witnesses()]
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +410,9 @@ _EXTRA_PLANES = [
 ]
 
 
-def _affine_invariance(witness_reports, transforms: int) -> int:
+def _affine_invariance(witness_reports, transforms: int) -> tuple:
+    """Classify `transforms` affine images of each pool entry; returns the
+    number checked and the number of maps redrawn after a typed failure."""
     by_id = {w["class_id"]: (w, rep) for w, rep in witness_reports}
     pool = [(w["surface"], w["plane"], rep.class_id)
             for w, rep in witness_reports]
@@ -427,7 +422,7 @@ def _affine_invariance(witness_reports, transforms: int) -> int:
         pool.append((w["surface"], plane, baseline.class_id))
     assert len(pool) == 20
 
-    checked = 0
+    checked = redrawn = 0
     for idx, (surface, plane, want) in enumerate(pool):
         F = as_projective_cubic(surface)
         C = _plane_adapted(parse_plane(plane))
@@ -441,11 +436,12 @@ def _affine_invariance(witness_reports, transforms: int) -> int:
                 rep = classify_surface(_transformed(F, N), "w")
             except (ComputationFailure, MathematicalRejection):
                 # solver budget miss on a skewed chart: draw a fresh map
+                redrawn += 1
                 continue
             assert rep.class_id == want, (surface, plane, done)
             done += 1
             checked += 1
-    return checked
+    return checked, redrawn
 
 
 def test_criterion_9_property_suites(witness_reports):
@@ -455,7 +451,8 @@ def test_criterion_9_property_suites(witness_reports):
     assert n2 == 50
     n3 = _root_count_consistency(1000)
     assert n3 == 1000
-    n4 = _affine_invariance(witness_reports, 5)
+    n4, redrawn = _affine_invariance(witness_reports, 5)
     assert n4 == 100
     verdict(9, "drop-one recovery 100/100, group-sum identity 50/50, "
-               "root counts 1000/1000, affine invariance 20x5")
+               "root counts 1000/1000, affine invariance 20x5 "
+               f"({redrawn} maps redrawn after a typed failure)")

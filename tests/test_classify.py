@@ -21,11 +21,15 @@ from realcubic.lines import solve_lines
 WITNESSES = load_witnesses()
 AMB = ("x", "y", "z", "w")
 
+# a nodal surface w*f2 + f3 smoothed by 1e-6*w^3: so close to the
+# discriminant that one complex line comes out without a conjugate partner
+NEAR_WALL = ("w*(-x^2-2*x*y+2*x*z+3*z^2) + x^3+2*x^2*y-3*x*y^2-x*y*z"
+             "+2*x*z^2+2*y^3+3*y^2*z+2*y*z^2+z^3 + (1/1000000)*w^3")
+
 
 @pytest.fixture(scope="module")
-def reports():
-    return {w["class_id"]: classify_surface(w["surface"], plane=w["plane"])
-            for w in WITNESSES}
+def reports(witness_reports):
+    return {w["class_id"]: rep for w, rep in witness_reports}
 
 
 class TestWitnessSuite:
@@ -132,6 +136,10 @@ class TestRejections:
     def test_reducible_surface_rejected(self):
         with pytest.raises(MathematicalRejection):
             classify_surface("w*(x^2+y^2+z^2-w^2)", plane=(1, 0, 0, 0))
+
+    def test_near_wall_surface_fails_closed(self):
+        with pytest.raises(MathematicalRejection):
+            classify_surface(NEAR_WALL, plane="w")
 
 
 class TestStability:

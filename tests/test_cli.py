@@ -39,6 +39,17 @@ class TestExitCodes:
         assert out == ""
         assert "NotTransversal" in err
 
+    def test_near_wall_surface_is_two(self, capsys):
+        # smoothing of a nodal surface by 1e-6*w^3: fails closed as a
+        # rejection, not as an internal failure
+        surface = ("w*(-x^2-2*x*y+2*x*z+3*z^2) + x^3+2*x^2*y-3*x*y^2-x*y*z"
+                   "+2*x*z^2+2*y^3+3*y^2*z+2*y*z^2+z^3 + (1/1000000)*w^3")
+        code, out, err = run(capsys, "classify", "--surface", surface,
+                             "--plane", "w")
+        assert code == 2
+        assert out == ""
+        assert "NearDiscriminant" in err
+
     def test_singular_curve_is_two(self, capsys):
         code, out, err = run(capsys, "curve", "--cubic", "y^2 - x^3")
         assert code == 2
@@ -217,6 +228,52 @@ class TestBatch:
         batch.write_text('{"surface": \n')
         code, _, _ = run(capsys, "classify", "--batch", str(batch))
         assert code == 64
+
+    @pytest.mark.parametrize("jobs, cores, want", [
+        (None, 16, 3),           # default: one worker per entry
+        (10 ** 6, 16, 3),        # never more workers than entries
+        (10 ** 6, 2, 2),         # nor more than cores
+        (2, 16, 2),
+    ])
+    def test_jobs_clamped(self, capsys, monkeypatch, tmp_path, jobs, cores,
+                          want):
+        started = []
+
+        class RecordingPool:
+            # stands in for ProcessPoolExecutor and starts no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        batch = tmp_path / "curves.txt"
+        batch.write_text(f"{CUBIC2}\ny^2 - x^3 + x\ny^2 - x^3 - 1\n")
+        argv = ["curve", "--batch", str(batch)]
+        if jobs is not None:
+            argv += ["--jobs", str(jobs)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(json.loads(out)) == 3
+        assert started == [want]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_is_usage_error(self, capsys, tmp_path, jobs):
+        batch = tmp_path / "one.txt"
+        batch.write_text(f"{CUBIC2}\n")
+        code, out, err = run(capsys, "curve", "--batch", str(batch),
+                             "--jobs", jobs)
+        assert code == 64
+        assert out == ""
+        assert "--jobs" in err
 
     def test_batch_format_text_is_usage_error(self, capsys, tmp_path):
         batch = tmp_path / "t.txt"

@@ -11,7 +11,11 @@ import pytest
 from realcubic.algebra import CANONICAL_VARS, Poly
 from realcubic.errors import LineInPlane, NearDiscriminant
 from realcubic.lines import (
+    PAIR_ORDER,
     LineSet,
+    _chart_matrix,
+    _monomial_values,
+    chart_system,
     clebsch_surface,
     eval_many,
     fermat_lines_closed_form,
@@ -238,6 +242,31 @@ class TestRandomSurfaces:
             solve_lines(Poly.parse("x^2 + y^2"))
         with pytest.raises(ValueError):
             solve_lines(Poly.parse("x^3 + y"))
+
+
+class TestFusedEvaluation:
+    """The tracker evaluates each chart's 4 equations and 16 Jacobian
+    entries through one monomial basis and one coefficient matrix; each
+    column must agree with the polynomial it stands for."""
+
+    @pytest.mark.parametrize("pair", PAIR_ORDER,
+                             ids=[f"chart{i}{j}" for i, j in PAIR_ORDER])
+    @pytest.mark.parametrize("F", [clebsch_surface(), random_cubic(7)],
+                             ids=["clebsch", "random7"])
+    def test_matches_eval_many(self, F, pair):
+        eqs = chart_system(F, pair)
+        rng = np.random.default_rng(17)
+        X = (rng.normal(size=(40, 4)) + 1j * rng.normal(size=(40, 4))) \
+            * rng.uniform(0.1, 3.0, size=(40, 1))
+        got = _monomial_values(X) @ _chart_matrix(eqs)
+        assert got.shape == (40, 20)
+        # the equations carry the s, t slots with exponent zero
+        pts = np.hstack([np.ones((40, 2)), X])
+        polys = eqs + [eq.derivative(v) for eq in eqs for v in "abcd"]
+        for col, poly in enumerate(polys):
+            want = eval_many(*poly_arrays(poly), pts)
+            err = np.abs(got[:, col] - want).max()
+            assert err <= 1e-12 * np.abs(want).max(), col
 
 
 class TestLinePlanePoint:
