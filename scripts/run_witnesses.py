@@ -2,7 +2,9 @@
 """Re-derive the full report for every shipped witness surface.
 
 Prints one line per witness comparing the computed report against the
-expected fields stored alongside it, and exits nonzero on any mismatch.
+expected fields stored alongside it, then every warning the report
+carries, and exits nonzero on any mismatch or warning: a warning means the
+classifier found something suspect.
 Useful after touching the classifier: the witness file is the frozen
 ground truth, this script is the fast way to re-check all 15 classes.
 """
@@ -36,17 +38,18 @@ def main() -> int:
         for key, want in w["expected"].items():
             if key in got and got[key] != want:
                 bad.append(f"{key} {got[key]!r} != {want!r}")
+        if rep.warnings:
+            bad.append(f"{len(rep.warnings)} warning(s)")
         status = "ok" if not bad else "FAIL " + "; ".join(bad)
         print(f"class {w['class_id']:2d}  {w['name']:45s} {dt:5.1f}s  {status}")
         if ns.verbose:
             for k in sorted(got):
                 print(f"    {k}: {got[k]}")
-        if rep.warnings and ns.verbose:
-            for msg in rep.warnings:
-                print(f"    warning: {msg}")
+        for msg in rep.warnings:
+            print(f"    warning: {msg}")
         failures += bool(bad)
     if failures:
-        print(f"{failures} witness(es) disagree", file=sys.stderr)
+        print(f"{failures} witness(es) disagree or warn", file=sys.stderr)
     return 1 if failures else 0
 
 

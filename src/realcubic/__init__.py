@@ -12,7 +12,10 @@ from .combinat import (
     class_id_for, cremona_orbits, line_catalog, load_wall_graph,
     oval_line_count, polotovsky_closure, validate_wall_graph, wall_table,
 )
-from .curve import analyze_cubic, conic_cubic_intersection, locate
+from .curve import (
+    analyze_cubic, conic_cubic_intersection, conic_cubic_meet, locate,
+    plane_form,
+)
 from .lines import solve_lines, tritangent_triples
 
 __all__ = [
@@ -22,7 +25,7 @@ __all__ = [
     "class_id_for", "cremona_orbits", "line_catalog", "load_wall_graph",
     "oval_line_count", "polotovsky_closure", "validate_wall_graph",
     "wall_table",
-    "analyze_cubic", "conic_cubic_intersection", "locate", "solve_lines",
-    "tritangent_triples",
+    "analyze_cubic", "conic_cubic_intersection", "conic_cubic_meet", "locate",
+    "plane_form", "solve_lines", "tritangent_triples",
     "__version__",
 ]

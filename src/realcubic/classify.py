@@ -17,35 +17,23 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (
-    Poly,
-    quadric_triple_resultant,
-    real_roots,
-    refine_root,
-    resultant,
-    strip_high,
-    univ_degree,
-)
+from .algebra import Poly, quadric_triple_resultant, real_roots, refine_root
 from .combinat import CLASSES, PROJECTIVE_CLASSES, class_id_for
 from .config import DEFAULT, Config
 from .curve import (
     PLANE_VARS,
     CurveAnalysis,
-    _apply_chart,
-    _chart_candidates,
-    _dehomogenize,
     _fibre_dense,
-    _is_squarefree,
     analyze_cubic,
-    conic_cubic_intersection,
+    conic_cubic_meet,
     locate,
+    plane_form,
 )
 from .errors import (
     DegenerateConfiguration,
     InternalInconsistency,
     NotTransversal,
     SamplingInconclusive,
-    SharedComponent,
     Undecided,
 )
 from .lines import LineSet, eval_many, line_plane_point, poly_arrays, solve_lines, tritangent_triples
@@ -367,49 +355,6 @@ def _line_section_tally(lineset: LineSet, restriction: PlaneRestriction,
 
 
 # ---------------------------------------------------------------------------
-# complement sampling cross check
-# ---------------------------------------------------------------------------
-
-def complement_components_estimate(probe: _SurfaceProbe, n: int) -> int:
-    """Union-find estimate of the affine complement component count.
-
-    Only segments with zero surface crossings join samples, so the result
-    can only overcount.  Advisory: feeds a warning, never a decision.
-    """
-    rng = probe.rng
-    pts = []
-    half = n // 2
-    for i in range(n):
-        r = 2.5 if i < half else 8.0
-        p = np.append(rng.uniform(-r, r, 3), 1.0)
-        mag = max(1.0, float(np.abs(p).max())) ** 3
-        if abs(probe.eval(p[None, :])[0]) > 1e-5 * probe.scale * mag:
-            pts.append(p)
-    parent = list(range(len(pts)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            c = probe.segment_coeffs(pts[i], pts[j])
-            r = np.roots(c[::-1]) if abs(c[3]) > 1e-12 * np.abs(c).max() \
-                else np.array([2.0])
-            real = r[np.abs(r.imag) <= 1e-9 * (1 + np.abs(r.real))].real
-            margin = 1e-9
-            if ((real > margin) & (real < 1 - margin)).any():
-                continue
-            if (np.abs(real) <= margin).any() or \
-                    (np.abs(real - 1) <= margin).any():
-                continue                 # grazing, skip the edge
-            parent[find(i)] = find(j)
-    return len({find(i) for i in range(len(pts))})
-
-
-# ---------------------------------------------------------------------------
 # top level
 # ---------------------------------------------------------------------------
 
@@ -484,16 +429,6 @@ def classify_surface(surface, plane=(0, 0, 0, 1),
     if cls == "C3b":
         oval_lines = None               # count left open for these classes
 
-    info = CLASSES[class_id]
-    if class_id not in (2, 3) and cfg.classify.sample_points > 0:
-        probe = _SurfaceProbe(F, cfg.classify.seed)
-        est = complement_components_estimate(probe,
-                                             cfg.classify.sample_points)
-        if est != info["b0"]:
-            warnings.append(
-                f"complement sampling found {est} components, "
-                f"table value is {info['b0']}")
-
     return SurfaceReport(
         nonsingular=True,
         transversal=True,
@@ -501,7 +436,7 @@ def classify_surface(surface, plane=(0, 0, 0, 1),
         projective_class=cls,
         curve_components=components,
         oval_line_count=oval_lines,
-        b0_complement=info["b0"],
+        b0_complement=CLASSES[class_id]["b0"],
         oval_in_sphere=sphere_flag,
         class_id=class_id,
         warnings=warnings,
@@ -548,34 +483,6 @@ class WallLabel:
         }
 
 
-def _plane_form(p, degree: int, what: str) -> Poly:
-    """Coerce text or Poly input to a homogeneous ternary form.
-
-    Affine input in x, y is homogenized with z; ternary input must already
-    be homogeneous of the requested degree.
-    """
-    if isinstance(p, str):
-        p = Poly.parse(p, vars=PLANE_VARS)
-    if not isinstance(p, Poly):
-        raise TypeError(f"{what} must be text or a Poly")
-    if tuple(p.vars) == ("x", "y"):
-        p = Poly(PLANE_VARS, {(e[0], e[1], 0): c for e, c in p.terms.items()})
-    if tuple(p.vars) != PLANE_VARS:
-        raise ValueError(f"{what} must use variables x, y[, z]")
-    if not p.is_exact():
-        raise ValueError(f"{what} needs exact rational coefficients")
-    if p.homogeneous_degree() == degree:
-        return p
-    if p.degree("z") > 0:
-        raise ValueError(
-            f"{what} must be homogeneous of degree {degree} when it uses z")
-    if p.is_zero() or p.total_degree() > degree:
-        raise ValueError(f"{what} must have degree {degree}")
-    return Poly(PLANE_VARS,
-                {e[:2] + (degree - e[0] - e[1],): c
-                 for e, c in p.terms.items()})
-
-
 def wall_label(f2, f3) -> WallLabel:
     """Label of the nodal wall spanned by a conic and a transversal cubic.
 
@@ -586,8 +493,8 @@ def wall_label(f2, f3) -> WallLabel:
     SingularCurve.  Counts the real intersections per component of the
     cubic and packages them with the one-nodal surface w*f2 + f3.
     """
-    B = _plane_form(f2, 2, "conic")
-    C = _plane_form(f3, 3, "cubic")
+    B = plane_form(f2, 2, "conic")
+    C = plane_form(f3, 3, "cubic")
     t = B.terms
     # nondegeneracy of the quadratic form: a rank-drop conic would give the
     # surface a singularity worse than a node
@@ -598,29 +505,9 @@ def wall_label(f2, f3) -> WallLabel:
     if det == 0:
         raise DegenerateConfiguration("conic is degenerate")
     analysis = analyze_cubic(C)
-
-    # chart where all six intersections are affine with distinct x: the
-    # resultant in y then has degree exactly 6 and is squarefree
-    for M in _chart_candidates(60):
-        b_aff = _dehomogenize(_apply_chart(B, M))
-        c_aff = _dehomogenize(_apply_chart(C, M))
-        res = resultant(b_aff, c_aff, "y")
-        if res.is_zero():
-            raise SharedComponent("conic and cubic share a component")
-        dense = strip_high([q.constant_value() for q in res.coeffs_in("x")])
-        if univ_degree(dense) != 6 or not _is_squarefree(dense):
-            continue
-        points = conic_cubic_intersection(b_aff, c_aff)
-        break
-    else:
-        raise NotTransversal("conic and cubic meet non-transversally")
-
     on = {"oval": 0, "pseudoline": 0}
-    for u, v in points:
-        original = tuple(
-            float(M[i][0]) * u + float(M[i][1]) * v + float(M[i][2])
-            for i in range(3))
-        on[locate(analysis, original)] += 1
+    for point in conic_cubic_meet(B, C).real_points:
+        on[locate(analysis, point)] += 1
     if on["pseudoline"] % 2 or on["oval"] % 2:
         raise InternalInconsistency("odd crossing count against a conic")
 

@@ -20,17 +20,9 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
 from . import __version__
-from .algebra import complex_roots, resultant, strip_high, univ_degree
 from .arrangements import load_extremal, polotovsky_closure
-from .classify import (
-    _plane_form,
-    classify_surface,
-    as_projective_cubic,
-    wall_label,
-)
+from .classify import as_projective_cubic, classify_surface, wall_label
 from .combinat import (
     TOTAL_EXTENDED_WALLS,
     TOTAL_ORDINARY_WALLS,
@@ -45,20 +37,12 @@ from .combinat import (
     wall_table,
 )
 from .config import Config
-from .curve import (
-    _apply_chart,
-    _chart_candidates,
-    _dehomogenize,
-    _is_squarefree,
-    analyze_cubic,
-    conic_cubic_intersection,
-    locate,
-)
+from .curve import analyze_cubic, conic_cubic_meet, locate, plane_form
 from .errors import (
     InternalInconsistency,
     MathematicalRejection,
+    NotTransversal,
     RealcubicError,
-    SharedComponent,
 )
 from .lines import solve_lines
 
@@ -134,25 +118,8 @@ def _normalized_triple(v) -> list:
     return [[float(t.real), float(t.imag)] for t in vals]
 
 
-def _fibre_y(b_aff, c_aff, x0: complex) -> complex:
-    """The y over an isolated conic-cubic intersection at complex x0."""
-    bq = [complex(sum(float(c) * x0 ** e[0] for e, c in p.terms.items()))
-          for p in b_aff.coeffs_in("y")]
-    cq = [complex(sum(float(c) * x0 ** e[0] for e, c in p.terms.items()))
-          for p in c_aff.coeffs_in("y")]
-    roots = np.roots(list(reversed(bq)))
-    best, score = None, float("inf")
-    for r in roots:
-        val = abs(sum(c * r ** k for k, c in enumerate(cq)))
-        if val < score:
-            best, score = complex(r), val
-    if best is None:
-        raise InternalInconsistency("conic fibre has no roots")
-    return best
-
-
 def curve_payload(cubic: str, conic, cfg: Config) -> dict:
-    C = _plane_form(cubic, 3, "cubic")
+    C = plane_form(cubic, 3, "cubic")
     analysis = analyze_cubic(C, cfg.sweep)
     payload = {
         "components": analysis.components,
@@ -162,49 +129,19 @@ def curve_payload(cubic: str, conic, cfg: Config) -> dict:
     }
     if conic is None:
         return payload
-    B = _plane_form(conic, 2, "conic")
-
-    for M in _chart_candidates(60):
-        b_aff = _dehomogenize(_apply_chart(B, M))
-        c_aff = _dehomogenize(_apply_chart(C, M))
-        res = resultant(b_aff, c_aff, "y")
-        if res.is_zero():
-            raise SharedComponent("conic and cubic share a component")
-        dense = strip_high([q.constant_value() for q in res.coeffs_in("x")])
-        if univ_degree(dense) != 6 or not _is_squarefree(dense):
-            continue
-        break
-    else:
+    try:
+        meet = conic_cubic_meet(plane_form(conic, 2, "conic"), C)
+    except NotTransversal:
         payload["transversal"] = False
         return payload
     payload["transversal"] = True
 
-    entries = []
-    real_points = conic_cubic_intersection(b_aff, c_aff)
-    for u, v in real_points:
-        original = tuple(
-            float(M[i][0]) * u + float(M[i][1]) * v + float(M[i][2])
-            for i in range(3))
-        entries.append({
-            "point": _normalized_triple(original),
-            "component": locate(analysis, original),
-            "real": True,
-        })
-    complex_xs = sorted(complex_roots([float(c) for c in dense]),
-                        key=lambda r: -abs(r.imag))[:6 - len(real_points)]
-    if complex_xs and min(abs(r.imag) for r in complex_xs) < 1e-9:
-        raise InternalInconsistency("real/complex root split disagrees "
-                                    "with the exact real count")
-    for x0 in complex_xs:
-        y0 = _fibre_y(b_aff, c_aff, x0)
-        original = tuple(
-            complex(M[i][0]) * x0 + complex(M[i][1]) * y0 + complex(M[i][2])
-            for i in range(3))
-        entries.append({
-            "point": _normalized_triple(original),
-            "component": None,
-            "real": False,
-        })
+    entries = [{"point": _normalized_triple(p),
+                "component": locate(analysis, p),
+                "real": True} for p in meet.real_points]
+    entries += [{"point": _normalized_triple(p),
+                 "component": None,
+                 "real": False} for p in meet.complex_points()]
     entries.sort(key=lambda rec: (not rec["real"],
                                   tuple(map(tuple, rec["point"]))))
     payload["intersections"] = entries

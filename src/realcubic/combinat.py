@@ -159,29 +159,33 @@ def move_images(label: Label, mu: int) -> dict:
     return out
 
 
+class UnionFind:
+    """Disjoint sets over hashable items, each a singleton until joined."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, a):
+        p = self.parent.setdefault(a, a)
+        if p != a:
+            self.parent[a] = p = self.find(p)
+        return p
+
+    def union(self, a, b):
+        self.parent[self.find(a)] = self.find(b)
+
+
 def cremona_orbits(mu: int) -> list:
     """Orbits of point labels under the moves, as sorted tuples of labels,
     ordered by their smallest member."""
     labels = point_labels(mu)
-    parent = {lab: lab for lab in labels}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
+    uf = UnionFind()
     for lab in labels:
         for img in move_images(lab, mu).values():
-            union(lab, img)
+            uf.union(lab, img)
     groups: dict = {}
     for lab in labels:
-        groups.setdefault(find(lab), []).append(lab)
+        groups.setdefault(uf.find(lab), []).append(lab)
     orbits = [tuple(sorted(g)) for g in groups.values()]
     orbits.sort(key=lambda o: o[0])
     return orbits
@@ -280,12 +284,6 @@ def oval_line_count_incidence(label: Label, mu: int) -> int:
     if b % 2 == 0:
         return meets_b
     return real_line_total(mu) - meets_b
-
-
-def wall_node_line_count(label: Label, mu: int) -> int:
-    """Lines through the node of the wall curve with this label; equals the
-    oval count of the smooth curves on either side."""
-    return oval_line_count(label, mu)
 
 
 # ---------------------------------------------------------------------------

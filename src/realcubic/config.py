@@ -31,7 +31,6 @@ class SweepConfig:
 class ClassifyConfig:
     probe_lines: int = 24                # random lines for the sphere probe
     probe_extra: int = 16                # escalation when the first round ties
-    sample_points: int = 120             # complement sampling cross-check
     seed: int = 0
 
 

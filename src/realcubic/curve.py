@@ -19,13 +19,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
-
 import numpy as np
 
 from .algebra import (
     Interval,
     Poly,
+    complex_roots,
     count_roots_below,
     discriminant,
     quadric_triple_resultant,
@@ -39,7 +38,9 @@ from .algebra import (
     univ_divmod,
     univ_eval,
     univ_gcd,
+    univ_mul,
 )
+from .combinat import UnionFind
 from .config import DEFAULT, SweepConfig
 from .errors import (
     ChartDegenerate,
@@ -47,6 +48,7 @@ from .errors import (
     InternalInconsistency,
     MultiplicityAmbiguity,
     NotOnCurve,
+    NotTransversal,
     SharedComponent,
     SingularCurve,
 )
@@ -185,20 +187,12 @@ class CurveAnalysis:
     cell_counts: list
     components: int
     oval_cells: dict = field(default_factory=dict)   # cell -> (lo, hi) branch
-    oval_interior: Optional[tuple] = None            # rational (x, y) in chart
-
-    def oval_interior_plane_point(self):
-        """A rational point of the input plane strictly inside the oval."""
-        if self.oval_interior is None:
-            raise ValueError("curve has no oval")
-        x0, y0 = self.oval_interior
-        return _mat_mul_vec(self.transform, (x0, y0, Fraction(1)))
 
 
 def _fold_sign(fold_iv: Interval, A: list, N: list, disc_dense: list,
                c3: Fraction, max_bits: int = 512):
     """Exact sign of (y_survivor - y_double) at the fold."""
-    P = _dense_mul(A, N)
+    P = univ_mul(A, N)
     if _is_zero_dense(P):
         raise InternalInconsistency("degenerate subresultant at a fold")
     iv = fold_iv
@@ -228,33 +222,9 @@ def _fold_sign(fold_iv: Interval, A: list, N: list, disc_dense: list,
     return sign, iv
 
 
-def _dense_mul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
 def _coeffs_in_x(p: Poly) -> list:
     dense = [q.constant_value() for q in p.coeffs_in("x")]
     return strip_high([Fraction(c) for c in dense]) or [Fraction(0)]
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, a):
-        p = self.parent.setdefault(a, a)
-        if p != a:
-            self.parent[a] = p = self.find(p)
-        return p
-
-    def union(self, a, b):
-        self.parent[self.find(a)] = self.find(b)
 
 
 def analyze_cubic(G: Poly, cfg: SweepConfig = None) -> CurveAnalysis:
@@ -332,7 +302,7 @@ def _sweep(G: Poly, M, f: Poly, disc_dense: list) -> CurveAnalysis:
     c2x = _coeffs_in_x(c2)
     # N/ (c3 A) gives y_survivor - y_double up to positive factors
     N = [3 * c3 * t for t in B]
-    M2 = _dense_mul(c2x, A)
+    M2 = univ_mul(c2x, A)
     n_len = max(len(N), len(M2))
     N = [
         (N[i] if i < len(N) else 0) - (M2[i] if i < len(M2) else 0)
@@ -351,7 +321,7 @@ def _sweep(G: Poly, M, f: Poly, disc_dense: list) -> CurveAnalysis:
         pair_low = 0 if sign > 0 else 1
         folds.append(FoldPoint(x=iv, birth=birth, pair_low=pair_low))
 
-    uf = _UnionFind()
+    uf = UnionFind()
     ncells = len(samples)
     for k, fp in enumerate(folds):
         left, right = k, k + 1
@@ -400,19 +370,6 @@ def _sweep(G: Poly, M, f: Poly, disc_dense: list) -> CurveAnalysis:
         survivor = 2 if fp.pair_low == 0 else 0
         fp.survivor_component = comp_of((side, survivor))
 
-    oval_interior = None
-    if components == 2:
-        span = sorted(oval_cells)
-        mid_cell = span[len(span) // 2]
-        x0 = samples[mid_cell]
-        lo_b, hi_b = oval_cells[mid_cell]
-        fy = [univ_eval(_coeffs_in_x(c), x0) for c in (c0, c1, c2, c3p)]
-        roots = real_roots(fy)
-        assert len(roots) == 3
-        a, b = roots[lo_b], roots[hi_b]
-        y0 = Fraction(a.hi + b.lo, 2)
-        oval_interior = (x0, y0)
-
     return CurveAnalysis(
         ternary=G,
         transform=M,
@@ -424,7 +381,6 @@ def _sweep(G: Poly, M, f: Poly, disc_dense: list) -> CurveAnalysis:
         cell_counts=counts,
         components=components,
         oval_cells=oval_cells,
-        oval_interior=oval_interior,
     )
 
 
@@ -443,6 +399,8 @@ def _cell_of(analysis: CurveAnalysis, x: Fraction):
             if iv.lo < x:
                 below += 1
             continue
+        if x in iv and univ_eval(analysis.disc_dense, x) == 0:
+            return ("fold", k)
         while x in iv:
             if iv.width < Fraction(1, 1 << 600):
                 raise MultiplicityAmbiguity(
@@ -627,6 +585,35 @@ def _fibre_dense(p: Poly, x0: Fraction) -> list:
     return strip_high([Fraction(t) for t in out]) or [Fraction(0)]
 
 
+def plane_form(p, degree: int, what: str) -> Poly:
+    """Coerce text or Poly input to a homogeneous ternary form.
+
+    Affine input in x, y is homogenized with z; ternary input must already
+    be homogeneous of the requested degree.  `what` names the input in
+    error messages.
+    """
+    if isinstance(p, str):
+        p = Poly.parse(p, vars=PLANE_VARS)
+    if not isinstance(p, Poly):
+        raise TypeError(f"{what} must be text or a Poly")
+    if tuple(p.vars) == AFFINE_VARS:
+        p = Poly(PLANE_VARS, {(e[0], e[1], 0): c for e, c in p.terms.items()})
+    if tuple(p.vars) != PLANE_VARS:
+        raise ValueError(f"{what} must use variables x, y[, z]")
+    if not p.is_exact():
+        raise ValueError(f"{what} needs exact rational coefficients")
+    if p.homogeneous_degree() == degree:
+        return p
+    if p.degree("z") > 0:
+        raise ValueError(
+            f"{what} must be homogeneous of degree {degree} when it uses z")
+    if p.is_zero() or p.total_degree() > degree:
+        raise ValueError(f"{what} must have degree {degree}")
+    return Poly(PLANE_VARS,
+                {e[:2] + (degree - e[0] - e[1],): c
+                 for e, c in p.terms.items()})
+
+
 def conic_cubic_intersection(conic: Poly, cubic: Poly) -> list:
     """Real intersection points of an affine conic and cubic.
 
@@ -652,41 +639,109 @@ def conic_cubic_intersection(conic: Poly, cubic: Poly) -> list:
             return []
         if not _is_squarefree(dense):
             continue
-        out = []
-        for iv in real_roots(dense):
-            iv = iv if iv.is_point() else refine_root(
-                dense, iv, Fraction(1, 10 ** 14))
-            xs = float(iv.mid)
-            ys = _common_y(cq, cc, iv)
-            out.append((xs + k * ys, ys))
-        return out
+        return [(xs + k * ys, ys)
+                for xs, ys in _real_points_over(cq, cc, dense)]
     raise DegenerateConfiguration("no shear separated the intersection")
 
 
-def _common_y(p: Poly, q: Poly, x_iv: Interval) -> float:
-    """The y over an isolated intersection x, exactly at rational x and to
-    float accuracy otherwise."""
-    if x_iv.is_point():
-        g = univ_gcd(_fibre_dense(p, x_iv.lo), _fibre_dense(q, x_iv.lo))
-        if univ_degree(g) != 1:
-            raise DegenerateConfiguration("fibre gcd is not a single point")
-        return float(-g[0] / g[1])
-    xf = float(x_iv.mid)
-    pc = [float(univ_eval([float(u) for u in _coeffs_in_x(c)], xf))
+def _real_points_over(p: Poly, q: Poly, dense: list) -> list:
+    """(x, y) float pairs over the real roots of `dense`, the squarefree
+    y-resultant of p and q, when no two common points share an x."""
+    out = []
+    for iv in real_roots(dense):
+        iv = iv if iv.is_point() else refine_root(
+            dense, iv, Fraction(1, 10 ** 14))
+        out.append((float(iv.mid), _common_y(p, q, iv)))
+    return out
+
+
+@dataclass(frozen=True)
+class ConicCubicMeet:
+    """The six distinct intersection points of a conic and a cubic.
+
+    `chart` maps chart coordinates to input coordinates and puts all six
+    points in the affine part with distinct x.  `conic` and `cubic` are the
+    affine curves in that chart, and `resultant`, their y-resultant dense
+    in x, is squarefree of degree 6.  `real_points` holds the real
+    intersections as float triples in input coordinates; their number is
+    exact.
+    """
+
+    chart: tuple
+    conic: Poly
+    cubic: Poly
+    resultant: list
+    real_points: list
+
+    def complex_points(self) -> list:
+        """The non-real intersections as complex triples in input
+        coordinates, to float accuracy."""
+        M = self.chart
+        xs = sorted(complex_roots([float(c) for c in self.resultant]),
+                    key=lambda r: -abs(r.imag))[:6 - len(self.real_points)]
+        if xs and min(abs(r.imag) for r in xs) < 1e-9:
+            raise InternalInconsistency("real/complex root split disagrees "
+                                        "with the exact real count")
+        out = []
+        for x0 in xs:
+            y0 = _common_y(self.conic, self.cubic, x0)
+            out.append(tuple(
+                complex(M[i][0]) * x0 + complex(M[i][1]) * y0
+                + complex(M[i][2]) for i in range(3)))
+        return out
+
+
+def conic_cubic_meet(conic: Poly, cubic: Poly) -> ConicCubicMeet:
+    """Where a ternary conic and cubic meet, when they meet transversally.
+
+    Both inputs are exact homogeneous forms in x, y, z.  Searches for a
+    chart where all six intersections are affine with distinct x, so the
+    y-resultant there has degree exactly 6 and is squarefree.  Raises
+    SharedComponent when the curves share a component and NotTransversal
+    when no chart has six distinct intersections.
+    """
+    for M in _chart_candidates(60):
+        b_aff = _dehomogenize(_apply_chart(conic, M))
+        c_aff = _dehomogenize(_apply_chart(cubic, M))
+        res = resultant(b_aff, c_aff, "y")
+        if res.is_zero():
+            raise SharedComponent("conic and cubic share a component")
+        dense = _coeffs_in_x(res)
+        if univ_degree(dense) == 6 and _is_squarefree(dense):
+            break
+    else:
+        raise NotTransversal("conic and cubic meet non-transversally")
+    points = [tuple(float(M[i][0]) * u + float(M[i][1]) * v + float(M[i][2])
+                    for i in range(3))
+              for u, v in _real_points_over(b_aff, c_aff, dense)]
+    return ConicCubicMeet(M, b_aff, c_aff, dense, points)
+
+
+def _common_y(p: Poly, q: Poly, x):
+    """The y of the common point of p and q over an isolated intersection x.
+
+    `x` is either an isolating Interval of a real x, which gives y exactly
+    at a rational x and as a float otherwise, or a complex number, which
+    gives a complex y to float accuracy.
+    """
+    if isinstance(x, Interval):
+        if x.is_point():
+            g = univ_gcd(_fibre_dense(p, x.lo), _fibre_dense(q, x.lo))
+            if univ_degree(g) != 1:
+                raise DegenerateConfiguration(
+                    "fibre gcd is not a single point")
+            return float(-g[0] / g[1])
+        x = float(x.mid)
+    pc = [univ_eval([float(u) for u in _coeffs_in_x(c)], x)
           for c in p.coeffs_in("y")]
-    qc = [float(univ_eval([float(u) for u in _coeffs_in_x(c)], xf))
+    qc = [univ_eval([float(u) for u in _coeffs_in_x(c)], x)
           for c in q.coeffs_in("y")]
     roots = np.roots(list(reversed(pc)))
-    best, val = None, float("inf")
-    for r in roots:
-        if abs(r.imag) > 1e-6:
-            continue
-        residual = abs(univ_eval(qc, float(r.real)))
-        if residual < val:
-            best, val = float(r.real), residual
-    if best is None:
-        raise InternalInconsistency("no real fibre root over a real x")
-    return best
+    if not isinstance(x, complex):
+        roots = [float(r.real) for r in roots if abs(r.imag) <= 1e-6]
+    if len(roots) == 0:
+        raise InternalInconsistency("no fibre root over an intersection x")
+    return min(roots, key=lambda r: abs(univ_eval(qc, r)))
 
 
 def _is_zero_dense(c):

@@ -58,6 +58,10 @@ class TestWitnessSuite:
         assert reports[2].oval_in_sphere is False
         assert reports[3].oval_in_sphere is True
 
+    def test_witness_reports_carry_no_warnings(self, reports):
+        assert {cid: rep.warnings for cid, rep in reports.items()
+                if rep.warnings} == {}
+
     def test_report_dict_round_trip(self, reports):
         d = reports[15].as_dict()
         assert d["class_id"] == 15

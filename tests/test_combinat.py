@@ -24,7 +24,6 @@ from realcubic.combinat import (
     point_labels,
     real_line_total,
     validate_wall_graph,
-    wall_node_line_count,
     wall_table,
 )
 from realcubic.errors import InvalidArrangement
@@ -139,7 +138,7 @@ def test_node_line_counts_by_rule():
     # zero when b = 0; otherwise 4, 8, or the two mu=0 values 12 and 16
     for mu in range(4):
         for (a, b) in point_labels(mu):
-            n = wall_node_line_count((a, b), mu)
+            n = oval_line_count((a, b), mu)
             if b == 0:
                 assert n == 0
             elif a + b == 2:

@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from realcubic.algebra import Poly
+from realcubic.algebra import Poly, univ_eval
 from realcubic.curve import (
     _null_space,
     analyze_cubic,
     conic_cubic_intersection,
+    conic_cubic_meet,
     conic_through_five,
     locate,
+    plane_form,
     residual_point,
     weierstrass_add,
     weierstrass_chord,
@@ -20,12 +22,17 @@ from realcubic.curve import (
 from realcubic.errors import (
     DegenerateConfiguration,
     NotOnCurve,
+    NotTransversal,
     SharedComponent,
     SingularCurve,
 )
 
 V = ("x", "y", "z")
 AV = ("x", "y")
+
+# a nonsingular cubic whose sweep chart has a rational fold at (1 : 0 : 1)
+FOLD_CUBIC = ("x^3 - 3*x^2*y + x^2*z - 2*x*y^2 + 2*x*y*z - 3*x*z^2 + y^3"
+              " - 2*y^2*z + z^3")
 
 
 def weierstrass_plane_cubic(a: int, b: int) -> Poly:
@@ -42,14 +49,12 @@ class TestAnalyze:
         assert cubic_disc(a, b) > 0
         out = analyze_cubic(weierstrass_plane_cubic(a, b))
         assert out.components == 2
-        assert out.oval_interior is not None
 
     @pytest.mark.parametrize("a,b", [(1, 0), (0, 1), (2, 3), (-1, 1)])
     def test_one_component_when_one_real_root(self, a, b):
         assert cubic_disc(a, b) < 0
         out = analyze_cubic(weierstrass_plane_cubic(a, b))
         assert out.components == 1
-        assert out.oval_interior is None
 
     def test_fermat_plane_cubic_is_connected(self):
         out = analyze_cubic(Poly.parse("x^3 + y^3 + z^3", vars=V))
@@ -60,15 +65,6 @@ class TestAnalyze:
         counts = out.cell_counts
         assert counts[0] == 1 and counts[-1] == 1
         assert all(abs(p - q) == 2 for p, q in zip(counts, counts[1:]))
-
-    def test_oval_interior_point_is_interior(self):
-        out = analyze_cubic(weierstrass_plane_cubic(-25, 0))
-        u, v, w = out.oval_interior_plane_point()
-        assert w != 0
-        x, y = u / w, v / w
-        # inside the oval of y^2 = x^3 - 25 x: -5 < x < 0, y^2 < x^3 - 25 x
-        assert Fraction(-5) < x < 0
-        assert y * y < x ** 3 - 25 * x
 
     @pytest.mark.parametrize("text", [
         "x^3 - y^2*z",                 # cusp
@@ -142,6 +138,15 @@ class TestLocate:
         # (0, 0) and (4, 2*sqrt(17)) ~ rational test point (0,0) only
         assert locate(out, (Fraction(0), Fraction(0), Fraction(1))) \
             == "pseudoline"
+
+    def test_exact_point_over_a_rational_fold(self):
+        # in the sweep chart of this cubic, (1 : 0 : 1) lies over x = 3/14,
+        # which is an exact root of the discriminant: the point is a fold
+        out = analyze_cubic(Poly.parse(FOLD_CUBIC, vars=V))
+        u = [sum(out.inverse[i][j] * t for j, t in enumerate((1, 0, 1)))
+             for i in range(3)]
+        assert univ_eval(out.disc_dense, u[0] / u[2]) == 0
+        assert locate(out, (Fraction(1), Fraction(0), Fraction(1))) == "oval"
 
     def test_scaled_projective_input(self, curve):
         assert locate(curve, (Fraction(-8), Fraction(12), Fraction(2))) \
@@ -266,6 +271,75 @@ class TestConicCubicIntersection:
         cubic = Poly.parse("y^2 - x^3 + 25*x", vars=AV)
         with pytest.raises(DegenerateConfiguration):
             conic_cubic_intersection(conic, cubic)
+
+
+class TestConicCubicMeet:
+    @staticmethod
+    def value(form: Poly, p) -> complex:
+        scale = max(abs(t) for t in p)
+        return complex(form.eval({v: t / scale for v, t in zip(V, p)}))
+
+    @pytest.mark.parametrize("conic,real", [
+        ("x^2 + y^2 - 4", 6),
+        ("x^2 + y^2 - 100", 2),
+        ("x^2 + y^2 + 1", 0),
+    ])
+    def test_six_points_on_both_curves(self, conic, real):
+        C = plane_form("y^2 - x^3 + 3*x - 1", 3, "cubic")
+        B = plane_form(conic, 2, "conic")
+        meet = conic_cubic_meet(B, C)
+        assert len(meet.real_points) == real
+        for p in meet.real_points:
+            assert all(isinstance(t, float) for t in p)
+            assert abs(self.value(B, p)) < 1e-9
+            assert abs(self.value(C, p)) < 1e-9
+        nonreal = meet.complex_points()
+        assert len(nonreal) == 6 - real
+        # y is a root of the conic's fibre over a float root x of the
+        # resultant, so only the conic equation holds to rounding
+        for p in nonreal:
+            assert abs(self.value(B, p)) < 1e-9
+            assert max(abs(t.imag) for t in p) > 0
+
+    def test_points_match_the_affine_intersection(self):
+        C = plane_form("y^2 - x^3 + 3*x - 1", 3, "cubic")
+        B = plane_form("x^2 + y^2 - 4", 2, "conic")
+        affine = conic_cubic_intersection(
+            Poly.parse("x^2 + y^2 - 4", vars=AV),
+            Poly.parse("y^2 - x^3 + 3*x - 1", vars=AV))
+        got = [(u / w, v / w)
+               for u, v, w in conic_cubic_meet(B, C).real_points]
+        assert len(got) == len(affine) == 6
+        for x0, y0 in got:
+            assert min(max(abs(x0 - x1), abs(y0 - y1))
+                       for x1, y1 in affine) < 1e-9
+
+    def test_tangent_conic_not_transversal(self):
+        C = plane_form("y^2 - x^3 + x", 3, "cubic")
+        B = plane_form("(x-2)^2 + y^2 - 1", 2, "conic")
+        with pytest.raises(NotTransversal):
+            conic_cubic_meet(B, C)
+
+    def test_shared_component_detected(self):
+        B = plane_form("y - x^2", 2, "conic")
+        C = plane_form("(y - x^2)*(x + 7)", 3, "cubic")
+        with pytest.raises(SharedComponent):
+            conic_cubic_meet(B, C)
+
+
+class TestPlaneForm:
+    def test_affine_input_is_homogenized(self):
+        assert plane_form("y^2 - x^3 + x", 3, "cubic") == \
+            Poly.parse("y^2*z - x^3 + x*z^2", vars=V)
+
+    def test_homogeneous_input_kept(self):
+        G = Poly.parse("x^2 + y^2 - z^2", vars=V)
+        assert plane_form(G, 2, "conic") == G
+
+    @pytest.mark.parametrize("text", ["x^3 + y", "x^2 + y*z^2", "x*y*z*z"])
+    def test_wrong_degree_rejected(self, text):
+        with pytest.raises(ValueError):
+            plane_form(text, 2, "conic")
 
 
 class TestWeierstrass:
