@@ -23,9 +23,9 @@ from .config import DEFAULT, Config
 from .curve import (
     PLANE_VARS,
     CurveAnalysis,
-    _fibre_dense,
     analyze_cubic,
     conic_cubic_meet,
+    fibre_dense,
     locate,
     plane_form,
 )
@@ -332,7 +332,7 @@ def oval_curve_points(analysis: CurveAnalysis, count: int = 3) -> list:
     pts = []
     for cell in chosen:
         x0 = analysis.cell_samples[cell]
-        fibre = _fibre_dense(analysis.f, x0)
+        fibre = fibre_dense(analysis.f, x0)
         roots = real_roots(fibre)
         for branch in analysis.oval_cells[cell]:
             iv = refine_root(fibre, roots[branch], Fraction(1, 2 ** 48))

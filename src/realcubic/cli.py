@@ -106,9 +106,15 @@ def lines_payload(surface: str, cfg: Config) -> list:
             "real": bool(line.real),
             "residual": float(line.residual),
         })
-    records.sort(key=lambda r: tuple(
-        (round(c[0], 9), round(c[1], 9)) for c in r["plucker"]))
+    records.sort(key=lambda r: _rounded(r["plucker"]))
     return records
+
+
+def _rounded(coords) -> tuple:
+    """Sort key of a list of [re, im] pairs, rounded to 9 digits so that
+    last-bit noise cannot swap two points; conjugates then differ only in
+    the sign of their imaginary parts."""
+    return tuple((round(re, 9), round(im, 9)) for re, im in coords)
 
 
 def _normalized_triple(v) -> list:
@@ -142,8 +148,7 @@ def curve_payload(cubic: str, conic, cfg: Config) -> dict:
     entries += [{"point": _normalized_triple(p),
                  "component": None,
                  "real": False} for p in meet.complex_points()]
-    entries.sort(key=lambda rec: (not rec["real"],
-                                  tuple(map(tuple, rec["point"]))))
+    entries.sort(key=lambda rec: (not rec["real"], _rounded(rec["point"])))
     payload["intersections"] = entries
     return payload
 

@@ -1,7 +1,7 @@
 """Tunable knobs, grouped by the stage that consumes them.
 
-Everything numeric that is not a mathematical constant lives here so tests
-and the CLI can tighten or relax one stage without touching the others.
+The seeds and thresholds that tests and the CLI set, one stage at a time;
+settings no caller changes are constants of the module that uses them.
 """
 
 from __future__ import annotations
@@ -14,11 +14,6 @@ class LineSolveConfig:
     residual_tol: float = 1e-10          # relative backward error per line
     dedupe_tol: float = 1e-6             # Plucker distance for merging paths
     imag_tol: float = 1e-7               # reality threshold after phase fix
-    newton_steps: int = 40
-    max_charts: int = 6
-    dt_min: float = 1e-7
-    dt_max: float = 0.1
-    divergence_cutoff: float = 1e7
     seed: int = 0
 
 

@@ -579,7 +579,7 @@ def _null_space(rows, width):
     return basis
 
 
-def _fibre_dense(p: Poly, x0: Fraction) -> list:
+def fibre_dense(p: Poly, x0: Fraction) -> list:
     """p(x0, y) as a dense univariate in y, exactly."""
     out = [univ_eval(_coeffs_in_x(c), x0) for c in p.coeffs_in("y")]
     return strip_high([Fraction(t) for t in out]) or [Fraction(0)]
@@ -726,7 +726,7 @@ def _common_y(p: Poly, q: Poly, x):
     """
     if isinstance(x, Interval):
         if x.is_point():
-            g = univ_gcd(_fibre_dense(p, x.lo), _fibre_dense(q, x.lo))
+            g = univ_gcd(fibre_dense(p, x.lo), fibre_dense(q, x.lo))
             if univ_degree(g) != 1:
                 raise DegenerateConfiguration(
                     "fibre gcd is not a single point")
@@ -781,7 +781,7 @@ def residual_point(cubic: Poly, points) -> tuple:
         raise DegenerateConfiguration(
             "sixth intersection is at infinity or multiple")
     x6 = -dense[0] / dense[1]
-    g = univ_gcd(_fibre_dense(q_aff, x6), _fibre_dense(cubic, x6))
+    g = univ_gcd(fibre_dense(q_aff, x6), fibre_dense(cubic, x6))
     if univ_degree(g) != 1:
         raise DegenerateConfiguration("sixth point fibre is not simple")
     y6 = -g[0] / g[1]

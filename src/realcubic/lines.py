@@ -1,16 +1,25 @@
-"""The 27 lines of a nonsingular cubic surface, by homotopy continuation.
+"""The 27 lines of a nonsingular cubic surface, by parameter homotopy.
 
-A line is tracked in the Grassmannian chart where two fixed coordinates are
-pivots: rows (e_i + a e_k + b e_l) and (e_j + c e_k + d e_l) span it.
-Restricting the cubic to the span and reading off the four coefficients of
-the binary cubic gives four polynomial equations in (a, b, c, d), solved by
-a total-degree homotopy (81 paths per chart, all tracked as one numpy
-batch).  The equations and their 16 partial derivatives are all written in
-the 35 monomials of degree <= 3 in (a, b, c, d), so one (35 x 20)
-coefficient matrix per chart evaluates the whole system and its Jacobian:
-each homotopy step builds a power table of the points, multiplies out the
-monomials and applies a single matmul.  Charts are tried in order until 27
-distinct lines survive the backward-error filter.
+A line is written in one random affine patch of the Grassmannian: for a
+random unitary 4 x 4 matrix A it is spanned by A0 + a A2 + b A3 and
+A1 + c A2 + d A3 (rows of A).  Restricting the cubic to that span and
+reading off the four coefficients of the binary cubic gives four
+polynomial equations in (a, b, c, d).  The equations and their 16 partial
+derivatives are all written in the 35 monomials of degree <= 3 in
+(a, b, c, d), so one (35 x 20) coefficient matrix C(F) evaluates the whole
+system and its Jacobian, and C(F) is linear in the cubic F.
+
+The 27 lines of the Fermat cubic are known in closed form.  They are mapped
+into the patch and tracked along the coefficient-parameter homotopy
+(1 - t) gamma C(Fermat) + t C(F) with a random complex gamma (Morgan and
+Sommese, Appl. Math. Comput. 29, 1989), all 27 paths as one numpy batch.
+Newton on C(F) finishes every path that did not diverge, also one that
+stalled short of t = 1: on surfaces close to the discriminant the lines
+are ill-conditioned and paths stall or merge near them.  A solution is
+kept when its residual is small and Newton has stopped moving it.  When
+fewer than 27 distinct lines come out, the same 27 paths are tracked again
+in a fresh patch with a fresh gamma, up to ATTEMPTS times.  The 27 lines
+are accepted only when each meets exactly 10 others.
 
 Line bookkeeping is done on normalized Pluecker vectors: the canonical
 representative divides by the largest-modulus coordinate, which also makes
@@ -28,7 +37,12 @@ from .algebra import Poly
 from .config import DEFAULT, LineSolveConfig
 from .errors import InternalInconsistency, LineInPlane, NearDiscriminant
 
-PAIR_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+ATTEMPTS = 6                 # patches tried before NearDiscriminant
+NEWTON_STEPS = 40            # endgame Newton steps on the target system
+NEWTON_SETTLED = 1e-6        # largest last endgame step (relative) kept
+DT_MIN = 1e-7                # a path whose step falls below this dies
+DT_MAX = 0.1
+DIVERGENCE_CUTOFF = 1e7      # patch coordinates past this: path diverged
 
 
 # ---------------------------------------------------------------------------
@@ -51,27 +65,26 @@ def eval_many(expo: np.ndarray, coeff: np.ndarray, pts: np.ndarray) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# chart equations
+# patch equations
 # ---------------------------------------------------------------------------
 
 _CHART_VARS = ("s", "t", "a", "b", "c", "d")
 
 
-def chart_system(F: Poly, pair: tuple) -> list:
-    """The four equations in (a, b, c, d) cutting out lines with pivot
-    columns `pair`.  Returned as Polys over (a, b, c, d) placeholders."""
-    i, j = pair
-    k, l = [m for m in range(4) if m not in pair]
+def chart_system(F: Poly, A: np.ndarray) -> list:
+    """The four equations in (a, b, c, d) cutting out the lines spanned by
+    A0 + a A2 + b A3 and A1 + c A2 + d A3, for the rows of the 4 x 4 patch
+    matrix A.  Returned as Polys over (s, t, a, b, c, d) placeholders, free
+    of s and t.  A permutation matrix gives a coordinate chart."""
+    A = [[complex(v) for v in row] for row in A]
     Fc = Poly(_CHART_VARS, {e + (0, 0): c for e, c in F.terms.items()})
     s, t, a, b, c, d = (Poly.var(v, _CHART_VARS) for v in _CHART_VARS)
-    image = [None] * 4
-    image[i] = s
-    image[j] = t
-    image[k] = s * a + t * c
-    image[l] = s * b + t * d
+    u = [A[0][m] + a * A[2][m] + b * A[3][m] for m in range(4)]
+    v = [A[1][m] + c * A[2][m] + d * A[3][m] for m in range(4)]
     # F lives in slots 0..3 of the extended variable tuple (s, t take the
     # places of x, y after the rename below)
-    restricted = Fc.substitute(dict(zip(_CHART_VARS[:4], image)))
+    restricted = Fc.substitute({_CHART_VARS[m]: s * u[m] + t * v[m]
+                                for m in range(4)})
     eqs = []
     s_coeffs = restricted.coeffs_in("s")       # degree 3 in s exactly
     for m in range(4):
@@ -83,7 +96,7 @@ def chart_system(F: Poly, pair: tuple) -> list:
     return eqs
 
 
-# every chart equation and each of its partial derivatives is a combination
+# every patch equation and each of its partial derivatives is a combination
 # of the 35 monomials of degree <= 3 in (a, b, c, d)
 _MONOMIALS = np.array([e for e in itertools.product(range(4), repeat=4)
                        if sum(e) <= 3])
@@ -114,18 +127,17 @@ def _monomial_values(X: np.ndarray) -> np.ndarray:
             * P[:, 2, _MONOMIALS[:, 2]] * P[:, 3, _MONOMIALS[:, 3]])
 
 
+def _patch_coordinates(bases: list, A: np.ndarray) -> np.ndarray:
+    """Patch coordinates (a, b, c, d) of the lines spanned by the (2, 4)
+    bases: B = W A with W = [[1, 0, a, b], [0, 1, c, d]]."""
+    W = np.array(bases) @ np.linalg.inv(A)
+    W = np.linalg.solve(W[:, :, :2], W)
+    return W[:, :, 2:].reshape(-1, 4)
+
+
 # ---------------------------------------------------------------------------
 # homotopy tracking
 # ---------------------------------------------------------------------------
-
-def _start_points(rho: np.ndarray) -> np.ndarray:
-    """All 81 combinations of cube roots of rho_m."""
-    roots = []
-    for r in rho:
-        base = abs(r) ** (1 / 3) * np.exp(1j * np.angle(r) / 3)
-        roots.append([base * np.exp(2j * np.pi * k / 3) for k in range(3)])
-    return np.array(list(itertools.product(*roots)), dtype=complex)
-
 
 def _solve_batched(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Batched 4x4 linear solve that degrades gracefully on singular or
@@ -155,35 +167,25 @@ def _solve_batched(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _track_chart(C: np.ndarray, cfg: LineSolveConfig, rng) -> np.ndarray:
-    """Track the 81 total-degree paths of the chart system whose
-    `_chart_matrix` is C; returns converged solutions (n, 4)."""
-    gamma = np.exp(2j * np.pi * rng.random())
-    rho = np.exp(2j * np.pi * rng.random(4)) * (0.7 + 0.8 * rng.random(4))
-    X = _start_points(rho)
+def _track(C0: np.ndarray, C1: np.ndarray, gamma: complex,
+           X: np.ndarray) -> np.ndarray:
+    """Track the paths of the homotopy (1 - t) gamma C0 + t C1 from the
+    solutions X (n, 4) of C0 at t = 0; returns the converged solutions of
+    C1, (m, 4).  C0 and C1 are `_chart_matrix` results."""
+    X = X.copy()
     npaths = len(X)
     t = np.zeros(npaths)
     dt = np.full(npaths, 0.05)
     alive = np.ones(npaths, dtype=bool)
 
-    CF = C[:, :4]                 # the equations alone, for residuals
-    scale = max(np.abs(CF).max(), 1.0)
-    diag = np.arange(4)
+    CC = np.hstack([gamma * C0, C1])
+    scale = max(np.abs(C0[:, :4]).max(), np.abs(C1[:, :4]).max())
 
     def H_and_J(Xv, tv):
-        V = _monomial_values(Xv) @ C
-        FX = V[:, :4]
-        GX = Xv ** 3 - rho[None, :]
-        H = tv[:, None] * FX + (1 - tv)[:, None] * gamma * GX
-        J = tv[:, None, None] * V[:, 4:].reshape(-1, 4, 4)
-        J[:, diag, diag] += (1 - tv)[:, None] * gamma * (3 * Xv ** 2)
-        dHdt = FX - gamma * GX
-        return H, J, dHdt
-
-    def H_only(Xv, tv):
-        FX = _monomial_values(Xv) @ CF
-        GX = Xv ** 3 - rho[None, :]
-        return tv[:, None] * FX + (1 - tv)[:, None] * gamma * GX
+        V = _monomial_values(Xv) @ CC
+        Vt = (1 - tv)[:, None] * V[:, :20] + tv[:, None] * V[:, 20:]
+        dHdt = V[:, 20:24] - V[:, :4]
+        return Vt[:, :4], Vt[:, 4:].reshape(-1, 4, 4), dHdt
 
     max_steps = 2000
     for _ in range(max_steps):
@@ -193,15 +195,12 @@ def _track_chart(C: np.ndarray, cfg: LineSolveConfig, rng) -> np.ndarray:
         Xa, ta, dta = X[act], t[act], dt[act]
         t2 = np.minimum(1.0, ta + dta)
         H, J, dHdt = H_and_J(Xa, ta)
-        dX = _solve_batched(J, -dHdt) * (t2 - ta)[:, None]
-        X2 = Xa + dX
+        X2 = Xa + _solve_batched(J, -dHdt) * (t2 - ta)[:, None]
         # Newton correction at t2
-        ok = np.ones(len(Xa), dtype=bool)
         for _ in range(3):
             H2, J2, _ = H_and_J(X2, t2)
-            step = _solve_batched(J2, -H2)
-            X2 = X2 + step
-        H2 = H_only(X2, t2)
+            X2 = X2 + _solve_batched(J2, -H2)
+        H2, _, _ = H_and_J(X2, t2)
         mag = np.maximum(1.0, np.abs(X2).max(axis=1)) ** 3
         ok = (np.abs(H2).max(axis=1) < 1e-6 * scale * mag)
         ok &= np.isfinite(X2).all(axis=1)
@@ -209,31 +208,27 @@ def _track_chart(C: np.ndarray, cfg: LineSolveConfig, rng) -> np.ndarray:
         good, bad = idx[ok], idx[~ok]
         X[good] = X2[ok]
         t[good] = t2[ok]
-        dt[good] = np.minimum(dt[good] * 1.7, cfg.dt_max)
+        dt[good] = np.minimum(dt[good] * 1.7, DT_MAX)
         dt[bad] *= 0.4
-        alive[bad] &= dt[bad] >= cfg.dt_min
-        diverged = np.abs(X).max(axis=1) > cfg.divergence_cutoff
-        alive &= ~diverged
+        alive[bad] &= dt[bad] >= DT_MIN
+        alive &= np.abs(X).max(axis=1) <= DIVERGENCE_CUTOFF
 
-    done = alive & (t >= 1.0)
-    if not done.any():
-        return np.empty((0, 4), dtype=complex)
-    # endgame: plain Newton on the target system
-    Xe = X[done]
-    for _ in range(cfg.newton_steps):
-        V = _monomial_values(Xe) @ C
+    # endgame: plain Newton on the target system, also from paths that
+    # stalled short of t = 1
+    Xe = X[np.abs(X).max(axis=1) <= DIVERGENCE_CUTOFF]
+    for _ in range(NEWTON_STEPS):
+        V = _monomial_values(Xe) @ C1
         step = _solve_batched(V[:, 4:].reshape(-1, 4, 4), -V[:, :4])
         Xe = Xe + step
-        if np.abs(step).max() < 1e-14 * max(1.0, np.abs(Xe).max()):
+        if np.abs(step).max(initial=0) < 1e-14 * np.abs(Xe).max(initial=1):
             break
-    FX = _monomial_values(Xe) @ CF
-    mag = np.maximum(1.0, np.abs(Xe).max(axis=1)) ** 3
-    keep = np.abs(FX).max(axis=1) < 1e-9 * scale * mag
+    FX = _monomial_values(Xe) @ C1[:, :4]
+    mag = np.maximum(1.0, np.abs(Xe).max(axis=1))
+    keep = np.abs(FX).max(axis=1) < 1e-9 * np.abs(C1[:, :4]).max() * mag ** 3
+    # where the patch is ill-conditioned at a line a small residual is not
+    # enough: Newton must also have stopped moving the solution
+    keep &= np.abs(step).max(axis=1) < NEWTON_SETTLED * mag
     keep &= np.isfinite(Xe).all(axis=1)
-    # any line is caught with coordinates <= 1 in the chart of its largest
-    # Pluecker coordinate; far larger solutions are low-accuracy copies of
-    # lines that belong to a later chart
-    keep &= np.abs(Xe).max(axis=1) < 1e4
     return Xe[keep]
 
 
@@ -307,17 +302,12 @@ class LineSet:
     lines: list
     real_count: int
     conj_pairs: list             # index pairs (i, j), i < j, conjugate lines
-    charts_used: int
 
 
-def _line_from_solution(sol: np.ndarray, pair: tuple, F_arrays,
+def _line_from_solution(sol: np.ndarray, A: np.ndarray, F_arrays,
                         imag_tol: float) -> PluckerLine:
-    i, j = pair
-    k, l = [m for m in range(4) if m not in pair]
-    u = np.zeros(4, dtype=complex)
-    v = np.zeros(4, dtype=complex)
-    u[i], u[k], u[l] = 1.0, sol[0], sol[1]
-    v[j], v[k], v[l] = 1.0, sol[2], sol[3]
+    u = np.array([1.0, 0.0, sol[0], sol[1]]) @ A
+    v = np.array([0.0, 1.0, sol[2], sol[3]]) @ A
     p = normalize_plucker(plucker_from_basis(u, v))
     expo, coeff = F_arrays
     samples = np.array([u, v, u + v, u - v, u + 2 * v])
@@ -334,7 +324,8 @@ def _line_from_solution(sol: np.ndarray, pair: tuple, F_arrays,
 def solve_lines(F: Poly, cfg: LineSolveConfig = None) -> LineSet:
     """All 27 lines of the cubic surface F = 0.
 
-    Raises NearDiscriminant when 27 clearly separated lines cannot be
+    Raises NearDiscriminant when 27 clearly separated lines whose meet
+    graph is that of the 27 lines (each meets exactly 10 others) cannot be
     produced, which for exact nonsingular input means the homotopy failed
     and for inexact input usually means the surface is too close to the
     discriminant.
@@ -344,23 +335,21 @@ def solve_lines(F: Poly, cfg: LineSolveConfig = None) -> LineSet:
         raise ValueError("surface must be a homogeneous cubic")
     rng = np.random.default_rng(cfg.seed)
     F_arrays = poly_arrays(F)
+    scale = max(abs(complex(c)) for c in F.terms.values())
+    fermat, starts = fermat_surface(), fermat_lines_closed_form()
     found: list = []
-
-    def try_add(line: PluckerLine) -> bool:
-        if line.residual > cfg.residual_tol:
-            return False
-        for other in found:
-            if plucker_distance(line.plucker, other.plucker) < cfg.dedupe_tol:
-                return False
-        found.append(line)
-        return True
-
-    charts_used = 0
-    for pair in PAIR_ORDER[: cfg.max_charts]:
-        charts_used += 1
-        sols = _track_chart(_chart_matrix(chart_system(F, pair)), cfg, rng)
-        for sol in sols:
-            try_add(_line_from_solution(sol, pair, F_arrays, cfg.imag_tol))
+    for _ in range(ATTEMPTS):
+        A = np.linalg.qr(rng.normal(size=(4, 4))
+                         + 1j * rng.normal(size=(4, 4)))[0]
+        gamma = np.exp(2j * np.pi * rng.random())
+        C0 = _chart_matrix(chart_system(fermat, A))
+        C1 = _chart_matrix(chart_system(F, A)) / scale
+        for sol in _track(C0, C1, gamma, _patch_coordinates(starts, A)):
+            line = _line_from_solution(sol, A, F_arrays, cfg.imag_tol)
+            if line.residual <= cfg.residual_tol and all(
+                    plucker_distance(line.plucker, other.plucker)
+                    >= cfg.dedupe_tol for other in found):
+                found.append(line)
         if len(found) >= 27:
             break
     if len(found) < 27:
@@ -378,13 +367,17 @@ def solve_lines(F: Poly, cfg: LineSolveConfig = None) -> LineSet:
                      for c in line.plucker)
 
     found.sort(key=sort_key)
+    degrees = meet_matrix(found).sum(axis=1)
+    if (degrees != 10).any():
+        raise NearDiscriminant(
+            f"lines meet {sorted(set(degrees.tolist()))} others, "
+            "expected 10 each")
     real_count = sum(1 for l in found if l.real)
     if real_count not in (3, 7, 15, 27):
         raise NearDiscriminant(
             f"{real_count} real lines is impossible for a nonsingular surface")
     pairs = _conjugate_pairs(found, cfg.dedupe_tol)
-    return LineSet(lines=found, real_count=real_count, conj_pairs=pairs,
-                   charts_used=charts_used)
+    return LineSet(lines=found, real_count=real_count, conj_pairs=pairs)
 
 
 def _conjugate_pairs(lines: list, tol: float) -> list:

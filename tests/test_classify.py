@@ -14,17 +14,50 @@ from realcubic.classify import (
     projective_class,
     restrict_to_plane,
     transversal_at_infinity,
+    wall_label,
 )
-from realcubic.errors import MathematicalRejection, NotTransversal
-from realcubic.lines import solve_lines
+from realcubic.combinat import load_wall_graph
+from realcubic.errors import (
+    MathematicalRejection,
+    NearDiscriminant,
+    NotTransversal,
+)
+from realcubic.lines import meet_matrix, solve_lines
 
 WITNESSES = load_witnesses()
 AMB = ("x", "y", "z", "w")
 
-# a nodal surface w*f2 + f3 smoothed by 1e-6*w^3: so close to the
-# discriminant that one complex line comes out without a conjugate partner
-NEAR_WALL = ("w*(-x^2-2*x*y+2*x*z+3*z^2) + x^3+2*x^2*y-3*x*y^2-x*y*z"
-             "+2*x*z^2+2*y^3+3*y^2*z+2*y*z^2+z^3 + (1/1000000)*w^3")
+# the nodal surface w*f2 + f3 lies on the wall between classes 6 and 4;
+# its smoothings by +eps*w^3 and -eps*w^3 lie on either side
+WALL_F2 = "-x^2-2*x*y+2*x*z+3*z^2"
+WALL_F3 = "x^3+2*x^2*y-3*x*y^2-x*y*z+2*x*z^2+2*y^3+3*y^2*z+2*y*z^2+z^3"
+
+
+def wall_smoothing(eps: str) -> str:
+    return f"w*({WALL_F2}) + {WALL_F3} + ({eps})*w^3"
+
+
+# affine images of witness 9 with the plane sent to w (perfbench/inputs.py
+# transformed_entry with the generator keys "map 11 8" and "map 14 8")
+WITNESS9_MAP11 = (
+    "(-7974/1331)*x^3 + (-11961/1331)*x^2*y + (-2196/1331)*x^2*z"
+    " + (-2949/1331)*x^2*w + (-14511/1331)*x*y^2"
+    " + (-70440/1331)*x*y*z + (-37071/1331)*x*y*w"
+    " + (-133938/1331)*x*z^2 + (-130998/1331)*x*z*w"
+    " + (-31071/1331)*x*w^2 + (-5262/1331)*y^3"
+    " + (-35397/1331)*y^2*z + (-18615/1331)*y^2*w"
+    " + (-72777/1331)*y*z^2 + (-74937/1331)*y*z*w"
+    " + (-37605/2662)*y*w^2 + (-6354/1331)*z^3 + (-9177/1331)*z^2*w"
+    " + (-1599/2662)*z*w^2 + (1663/1331)*w^3")
+WITNESS9_MAP14 = (
+    "(-36288/1331)*x^3 + (-125943/1331)*x^2*y + (-47934/1331)*x^2*z"
+    " + (-37797/1331)*x^2*w + (-190929/1331)*x*y^2"
+    " + (-286788/1331)*x*y*z + (-259227/1331)*x*y*w"
+    " + (-105624/1331)*x*z^2 + (-148422/1331)*x*z*w"
+    " + (-37605/1331)*x*w^2 + (6354/1331)*y^3 + (84393/1331)*y^2*z"
+    " + (14055/1331)*y^2*w + (109449/1331)*y*z^2"
+    " + (60099/1331)*y*z*w + (-50673/2662)*y*w^2 + (39384/1331)*z^3"
+    " + (43095/1331)*z^2*w + (11469/2662)*z*w^2 + (1663/1331)*w^3")
 
 
 @pytest.fixture(scope="module")
@@ -141,9 +174,51 @@ class TestRejections:
         with pytest.raises(MathematicalRejection):
             classify_surface("w*(x^2+y^2+z^2-w^2)", plane=(1, 0, 0, 0))
 
-    def test_near_wall_surface_fails_closed(self):
-        with pytest.raises(MathematicalRejection):
-            classify_surface(NEAR_WALL, plane="w")
+
+
+class TestWallCrossing:
+    """Each smoothing of a nodal surface on a wall classifies to the end of
+    the wall's edge on its side, or is refused; the nodal surface itself is
+    refused."""
+
+    def test_pair_lies_on_the_wall_between_six_and_four(self):
+        assert wall_label(WALL_F2, WALL_F3).label == 2
+        assert load_wall_graph().wall_between(6, 4) == (2,)
+
+    @pytest.mark.parametrize("eps, class_id",
+                             [("1/10000", 4), ("-1/10000", 6)])
+    def test_smoothing_classifies_to_its_side(self, eps, class_id):
+        rep = classify_surface(wall_smoothing(eps), plane="w")
+        assert rep.class_id == class_id
+
+    @pytest.mark.parametrize("eps, class_id", [
+        ("1/1000000", 4), ("-1/1000000", 6),
+        ("1/100000000", 4), ("-1/100000000", 6),
+    ])
+    def test_close_smoothing_classifies_to_its_side_or_fails_closed(
+            self, eps, class_id):
+        try:
+            rep = classify_surface(wall_smoothing(eps), plane="w")
+        except MathematicalRejection:
+            return
+        assert rep.class_id == class_id
+
+    def test_surface_on_the_wall_fails_closed(self):
+        with pytest.raises(NearDiscriminant):
+            classify_surface(wall_smoothing("0"), plane="w")
+
+
+class TestAffineImagesOfWitness9:
+    def test_image_classifies_to_nine(self):
+        assert classify_surface(WITNESS9_MAP11, plane="w").class_id == 9
+
+    def test_image_lines_meet_ten_others_and_report_is_clean(self):
+        ls = solve_lines(as_projective_cubic(WITNESS9_MAP14))
+        assert len(ls.lines) == 27
+        assert (meet_matrix(ls.lines).sum(axis=1) == 10).all()
+        rep = classify_surface(WITNESS9_MAP14, plane="w")
+        assert rep.class_id == 9
+        assert rep.warnings == []
 
 
 class TestStability:

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from realcubic import cli
@@ -39,11 +40,11 @@ class TestExitCodes:
         assert out == ""
         assert "NotTransversal" in err
 
-    def test_near_wall_surface_is_two(self, capsys):
-        # smoothing of a nodal surface by 1e-6*w^3: fails closed as a
-        # rejection, not as an internal failure
+    def test_surface_on_a_wall_is_two(self, capsys):
+        # the nodal surface w*f2 + f3 on the wall between classes 6 and 4:
+        # fails closed as a rejection, not as an internal failure
         surface = ("w*(-x^2-2*x*y+2*x*z+3*z^2) + x^3+2*x^2*y-3*x*y^2-x*y*z"
-                   "+2*x*z^2+2*y^3+3*y^2*z+2*y*z^2+z^3 + (1/1000000)*w^3")
+                   "+2*x*z^2+2*y^3+3*y^2*z+2*y*z^2+z^3")
         code, out, err = run(capsys, "classify", "--surface", surface,
                              "--plane", "w")
         assert code == 2
@@ -97,6 +98,30 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    def test_conjugate_order_ignores_last_bit_noise(self, monkeypatch):
+        # one conjugate pair whose real parts differ in the last bits, one
+        # way and then the other: the listed order must not move
+        p = np.array([0.3 + 0.2j, 0.5 - 0.7j, 1.0])
+
+        class Meet:
+            real_points = []
+
+            def __init__(self, d):
+                self.d = d
+
+            def complex_points(self):
+                return [tuple(p + self.d), tuple(np.conj(p) - self.d)]
+
+        signs = []
+        for d in (1e-15, -1e-15):
+            monkeypatch.setattr(cli, "conic_cubic_meet",
+                                lambda conic, cubic, d=d: Meet(d))
+            payload = cli.curve_payload(CUBIC2, CIRCLE,
+                                        cli.build_config(0, None))
+            signs.append([rec["point"][0][1] > 0
+                          for rec in payload["intersections"]])
+        assert signs == [[False, True], [False, True]]
 
 
 class TestSchemas:

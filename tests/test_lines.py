@@ -8,13 +8,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from realcubic import lines as lines_module
 from realcubic.algebra import CANONICAL_VARS, Poly
 from realcubic.errors import LineInPlane, NearDiscriminant
 from realcubic.lines import (
-    PAIR_ORDER,
+    ATTEMPTS,
     LineSet,
     _chart_matrix,
+    _conjugate_pairs,
     _monomial_values,
+    _patch_coordinates,
     chart_system,
     clebsch_surface,
     eval_many,
@@ -237,6 +240,27 @@ class TestRandomSurfaces:
         with pytest.raises(NearDiscriminant):
             solve_lines(F)
 
+    def test_line_left_unsettled_by_an_ill_conditioned_patch(self):
+        # an affine image of witness 12 (27 real lines): the first patch
+        # is so ill-conditioned at one line that Newton leaves it with a
+        # small residual but 1.7e-7 off the real line, which then reads
+        # as complex; that solution must count as lost, not as a line
+        F = Poly.parse(
+            "(37/4)*x^3 + (-219/4)*x^2*y + (-339/2)*x^2*z + (291/4)*x^2*w"
+            " + (111/4)*x*y^2 + 285*x*y*z + (-375/2)*x*y*w + 75*x*z^2"
+            " + (-111)*x*z*w + (99/4)*x*w^2 + (-57/4)*y^3 + (-27/2)*y^2*z"
+            " + (-141/4)*y^2*w + 225*y*z^2 + (-291)*y*z*w + (273/4)*y*w^2"
+            " + 150*z^3 + (-249)*z^2*w + (249/2)*z*w^2 + (-75/4)*w^3")
+        ls = solve_lines(F)
+        assert ls.real_count == 27
+
+    def test_complex_line_without_partner_rejected(self, fermat):
+        # drop the conjugate partner of one complex line
+        i, j = fermat.conj_pairs[0]
+        lines = [l for m, l in enumerate(fermat.lines) if m != j]
+        with pytest.raises(NearDiscriminant, match="no conjugate partner"):
+            _conjugate_pairs(lines, 1e-6)
+
     def test_non_cubic_rejected(self):
         with pytest.raises(ValueError):
             solve_lines(Poly.parse("x^2 + y^2"))
@@ -244,17 +268,29 @@ class TestRandomSurfaces:
             solve_lines(Poly.parse("x^3 + y"))
 
 
+def random_patch(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+
+
+# the six coordinate charts (pivot columns i < j) as permutation patches,
+# and one random complex patch
+PAIRS = list(itertools.combinations(range(4), 2))
+PATCHES = [np.eye(4)[[i, j] + [m for m in range(4) if m not in (i, j)]]
+           for i, j in PAIRS] + [random_patch(29)]
+PATCH_IDS = [f"chart{i}{j}" for i, j in PAIRS] + ["random"]
+
+
 class TestFusedEvaluation:
-    """The tracker evaluates each chart's 4 equations and 16 Jacobian
+    """The tracker evaluates each patch's 4 equations and 16 Jacobian
     entries through one monomial basis and one coefficient matrix; each
     column must agree with the polynomial it stands for."""
 
-    @pytest.mark.parametrize("pair", PAIR_ORDER,
-                             ids=[f"chart{i}{j}" for i, j in PAIR_ORDER])
+    @pytest.mark.parametrize("A", PATCHES, ids=PATCH_IDS)
     @pytest.mark.parametrize("F", [clebsch_surface(), random_cubic(7)],
                              ids=["clebsch", "random7"])
-    def test_matches_eval_many(self, F, pair):
-        eqs = chart_system(F, pair)
+    def test_matches_eval_many(self, F, A):
+        eqs = chart_system(F, A)
         rng = np.random.default_rng(17)
         X = (rng.normal(size=(40, 4)) + 1j * rng.normal(size=(40, 4))) \
             * rng.uniform(0.1, 3.0, size=(40, 1))
@@ -267,6 +303,56 @@ class TestFusedEvaluation:
             want = eval_many(*poly_arrays(poly), pts)
             err = np.abs(got[:, col] - want).max()
             assert err <= 1e-12 * np.abs(want).max(), col
+
+    def test_permutation_patch_is_the_coordinate_chart(self):
+        # pivot columns (0, 2): rows e0 + a e1 + b e3 and e2 + c e1 + d e3
+        eqs = chart_system(fermat_surface(), PATCHES[1])
+        a, b, c, d = (Poly.var(v, ("s", "t", "a", "b", "c", "d"))
+                      for v in "abcd")
+        assert eqs[0] == 1 + a ** 3 + b ** 3
+        assert eqs[3] == 1 + c ** 3 + d ** 3
+
+    @pytest.mark.parametrize("seed", [29, 31, 37])
+    def test_fermat_start_points_solve_fermat_system(self, seed):
+        A = random_patch(seed)
+        X = _patch_coordinates(fermat_lines_closed_form(), A)
+        assert X.shape == (27, 4)
+        C = _chart_matrix(chart_system(fermat_surface(), A))
+        res = np.abs(_monomial_values(X) @ C[:, :4]).max()
+        mag = np.abs(C[:, :4]).max() * max(1.0, np.abs(X).max()) ** 3
+        assert res <= 1e-12 * mag
+
+
+class TestPatchAttempts:
+    """Each attempt tracks the 27 Fermat lines, mapped into a fresh patch;
+    lost paths send the solver to the next patch, up to ATTEMPTS."""
+
+    def _lossy_track(self, monkeypatch, lossy_calls):
+        starts = []
+        track = lines_module._track
+
+        def lossy(C0, C1, gamma, X):
+            # the start points are the Fermat lines: they solve C0
+            res = np.abs(_monomial_values(X) @ C0[:, :4]).max()
+            starts.append((len(X), res))
+            out = track(C0, C1, gamma, X)
+            return out[1:] if len(starts) <= lossy_calls else out
+
+        monkeypatch.setattr(lines_module, "_track", lossy)
+        return starts
+
+    def test_lost_path_is_found_in_the_next_patch(self, monkeypatch):
+        starts = self._lossy_track(monkeypatch, lossy_calls=1)
+        ls = solve_lines(clebsch_surface())
+        assert len(ls.lines) == 27 and ls.real_count == 27
+        assert [n for n, _ in starts] == [27, 27]
+        assert max(res for _, res in starts) < 1e-10
+
+    def test_gives_up_after_fixed_attempts(self, monkeypatch):
+        starts = self._lossy_track(monkeypatch, lossy_calls=ATTEMPTS)
+        with pytest.raises(NearDiscriminant, match="26 separated lines"):
+            solve_lines(clebsch_surface())
+        assert [n for n, _ in starts] == [27] * ATTEMPTS
 
 
 class TestLinePlanePoint:
