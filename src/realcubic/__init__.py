@@ -13,8 +13,7 @@ from .combinat import (
     oval_line_count, polotovsky_closure, validate_wall_graph, wall_table,
 )
 from .curve import (
-    analyze_cubic, conic_cubic_intersection, conic_cubic_meet, locate,
-    plane_form,
+    analyze_cubic, conic_cubic_meet, locate, plane_form,
 )
 from .lines import solve_lines, tritangent_triples
 
@@ -25,7 +24,7 @@ __all__ = [
     "class_id_for", "cremona_orbits", "line_catalog", "load_wall_graph",
     "oval_line_count", "polotovsky_closure", "validate_wall_graph",
     "wall_table",
-    "analyze_cubic", "conic_cubic_intersection", "conic_cubic_meet", "locate",
-    "plane_form", "solve_lines", "tritangent_triples",
+    "analyze_cubic", "conic_cubic_meet", "locate", "plane_form",
+    "solve_lines", "tritangent_triples",
     "__version__",
 ]

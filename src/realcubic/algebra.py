@@ -1,13 +1,13 @@
 """Exact multivariate polynomials and the root machinery built on them.
 
-Coefficients are `fractions.Fraction` in exact mode; anything numeric
-(float/complex) switches a polynomial to approximate mode, in which only
-evaluation and arithmetic are supported.  Root isolation and resultants
-demand exact input.
+Coefficients are exact: integers or `fractions.Fraction`, and a float or
+complex coefficient is a TypeError (the parser reads decimals as
+Fractions).  Floats enter only as evaluation points.
 
 Real roots are isolated with Descartes bisection on the square-free part
 (Yun decomposition first, so multiplicities are exact).  Complex roots use
-simultaneous Aberth iteration.  Resultants go through the Sylvester matrix:
+simultaneous Aberth iteration, in floats and then with each step's p/p'
+evaluated exactly.  Resultants go through the Sylvester matrix:
 scalar entries get fraction-free elimination, polynomial entries a memoized
 Laplace expansion.
 """
@@ -26,11 +26,7 @@ from .errors import NonConvergence
 
 CANONICAL_VARS = ("x", "y", "z", "w")
 
-Scalar = Union[int, Fraction, float, complex]
-
-
-def _is_exact(c: Scalar) -> bool:
-    return isinstance(c, (int, Fraction))
+Scalar = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +47,8 @@ class Poly:
         vs = tuple(vars)
         clean = {}
         for expo, c in terms.items():
-            if isinstance(c, float):
-                c = complex(c)
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"inexact coefficient {c!r}")
             if c == 0:
                 continue
             expo = tuple(int(e) for e in expo)
@@ -100,9 +96,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_exact(self) -> bool:
-        return all(_is_exact(c) for c in self.terms.values())
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
@@ -174,9 +167,7 @@ class Poly:
     def __truediv__(self, c: Scalar) -> "Poly":
         if isinstance(c, Poly):
             c = c.constant_value()
-        if _is_exact(c):
-            c = Fraction(c)
-        return Poly(self.vars, {e: v / c for e, v in self.terms.items()})
+        return Poly(self.vars, {e: Fraction(v) / c for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -233,7 +224,7 @@ class Poly:
             out = out + term
         return out
 
-    def eval(self, point: Union[Mapping[str, Scalar], Sequence[Scalar]]) -> Scalar:
+    def eval(self, point: Union[Mapping[str, object], Sequence]):
         if not isinstance(point, Mapping):
             point = dict(zip(self.vars, point))
         vals = [point[v] for v in self.vars]
@@ -245,7 +236,7 @@ class Poly:
                     t = t * v ** k
             total = t if total is None else total + t
         if total is None:
-            return Fraction(0) if self.is_exact() else 0.0
+            return Fraction(0)
         return total
 
     def derivative(self, var: str) -> "Poly":
@@ -307,19 +298,13 @@ class Poly:
                 f"{v}^{k}" if k > 1 else v
                 for v, k in zip(self.vars, e) if k
             )
-            if isinstance(c, complex):
-                cs = repr(c) if c.imag else repr(c.real)
-                body = f"{cs}*{mono}" if mono else cs
-                sign = "+"
+            neg = c < 0
+            a = -c if neg else c
+            if mono and a == 1:
+                body = mono
             else:
-                neg = c < 0
-                a = -c if neg else c
-                if mono and a == 1:
-                    body = mono
-                else:
-                    body = f"{a}*{mono}" if mono else str(a)
-                sign = "-" if neg else "+"
-            parts.append((sign, body))
+                body = f"{a}*{mono}" if mono else str(a)
+            parts.append(("-" if neg else "+", body))
         s0, b0 = parts[0]
         out = ("-" if s0 == "-" else "") + b0
         for s, b in parts[1:]:
@@ -451,7 +436,7 @@ def univ_degree(c: Sequence) -> int:
     return len(strip_high(c)) - 1
 
 
-def univ_eval(c: Sequence, x) -> Scalar:
+def univ_eval(c: Sequence, x):
     acc = 0
     for a in reversed(c):
         acc = acc * x + a
@@ -778,81 +763,92 @@ def count_roots_below(c: Sequence, bound: Fraction, strict: bool = True) -> int:
 # complex roots (Aberth simultaneous iteration)
 # ---------------------------------------------------------------------------
 
-def _to_complex(t) -> complex:
-    if isinstance(t, (int, float, complex)):
-        return complex(t)
-    return complex(float(t))
+def _exact_newton_ratio(c: list, dc: list, z: complex) -> complex:
+    """p(z) / p'(z) for the exact polynomial c, evaluated exactly at the
+    float z and rounded once."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+
+    def horner(coeffs):
+        re = im = Fraction(0)
+        for a in reversed(coeffs):
+            re, im = re * x - im * y + a, re * y + im * x
+        return re, im
+
+    pr, pi = horner(c)
+    dr, di = horner(dc)
+    den = dr * dr + di * di
+    if den == 0:
+        raise NonConvergence("derivative vanishes at a root estimate")
+    return complex(float((pr * dr + pi * di) / den),
+                   float((pi * dr - pr * di) / den))
 
 
-def _aberth(coeffs: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    c = coeffs / coeffs[-1]
-    n = len(c) - 1
-    dc = c[1:] * np.arange(1, n + 1)
-    radius = 1.0 + float(np.max(np.abs(c[:-1])))
-    k = np.arange(n)
-    z = radius * np.exp(2j * np.pi * (k / n) + 0.4j)
-    scale = float(np.max(np.abs(coeffs)))
-    chi = np.polynomial.polynomial.polyval
+def _aberth_steps(ratio, z: np.ndarray, settled, max_iter: int) -> np.ndarray:
+    """Simultaneous Aberth iteration from the estimates z; ratio(z) gives
+    p/p' at each estimate and settled(z, dz) ends the iteration."""
     for _ in range(max_iter):
-        pv = chi(z, c)
-        dv = chi(z, dc)
-        bad = np.abs(dv) < 1e-300
-        if bad.any():
-            z = z + 1e-8 * (1 + 1j) * bad
-            continue
-        w = pv / dv
+        w = ratio(z)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, 1.0)
         inv = 1.0 / diff
         np.fill_diagonal(inv, 0.0)
-        s = inv.sum(axis=1)
-        denom = 1.0 - w * s
-        denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
-        dz = w / denom
+        denom = 1.0 - w * inv.sum(axis=1)
+        dz = w / np.where(np.abs(denom) < 1e-300, 1.0, denom)
         z = z - dz
-        resid = np.abs(chi(z, coeffs)) / (scale * np.maximum(1.0, np.abs(z)) ** n)
-        if float(resid.max()) < tol:
+        if settled(z, dz):
             return z
     raise NonConvergence(f"Aberth iteration did not converge in {max_iter} steps")
+
+
+def _aberth(c: list, tol: float, max_iter: int) -> np.ndarray:
+    """Roots of the exact squarefree c, of degree at least 2: Aberth in
+    floats until the residual is below tol, then with p/p' evaluated
+    exactly, since rounded coefficients misplace clustered roots."""
+    n = len(c) - 1
+    dc = univ_derivative(c)
+    f = np.array([float(t) for t in c])
+    f = f / f[-1]
+    df = f[1:] * np.arange(1, n + 1)
+    chi = np.polynomial.polynomial.polyval
+    scale = float(np.max(np.abs(f)))
+
+    def small_residual(z, dz):
+        resid = np.abs(chi(z, f)) / (scale * np.maximum(1.0, np.abs(z)) ** n)
+        return float(resid.max()) < tol
+
+    def step_at_rounding(z, dz):
+        return bool((np.abs(dz) <= 1e-14 * np.maximum(1.0, np.abs(z))).all())
+
+    radius = 1.0 + float(np.max(np.abs(f[:-1])))
+    z = radius * np.exp(2j * np.pi * (np.arange(n) / n) + 0.4j)
+    z = _aberth_steps(lambda z: chi(z, f) / chi(z, df), z, small_residual,
+                      max_iter)
+    return _aberth_steps(
+        lambda z: np.array([_exact_newton_ratio(c, dc, zk) for zk in z]),
+        z, step_at_rounding, max_iter)
 
 
 def complex_roots(p: Union[Poly, Sequence], var: str = None,
                   tol: float = 1e-12, max_iter: int = 200) -> list:
     """All complex roots with multiplicity, sorted by (real, imag).
 
-    Exact input is square-freed first so multiplicities come out exact;
-    numeric input is solved as given.
+    The input is exact (a TypeError otherwise) and is square-freed first,
+    so multiplicities come out exact; the roots are accurate to float
+    precision even where they cluster.
     """
-    if isinstance(p, Poly):
-        coeffs = p.to_univariate(var)
-    else:
-        coeffs = list(p)
-    exact = all(_is_exact(t) for t in coeffs)
-    if exact:
-        coeffs = strip_high([Fraction(t) for t in coeffs])
-    else:
-        coeffs = list(coeffs)
-        while coeffs and abs(_to_complex(coeffs[-1])) == 0:
-            coeffs.pop()
+    coeffs = p.to_univariate(var) if isinstance(p, Poly) else list(p)
+    if not all(isinstance(t, (int, Fraction)) for t in coeffs):
+        raise TypeError("complex_roots needs exact coefficients")
+    coeffs = strip_high([Fraction(t) for t in coeffs])
     if not coeffs:
         raise ValueError("zero polynomial")
-    if len(coeffs) == 1:
-        return []
     roots: list = []
-    if exact:
-        for factor, mult in squarefree_decomposition(coeffs):
-            arr = np.array([_to_complex(t) for t in factor], dtype=complex)
-            if len(arr) == 2:
-                rs = np.array([-arr[0] / arr[1]])
-            else:
-                rs = _aberth(arr, tol, max_iter)
-            roots.extend(list(rs) * mult)
-    else:
-        arr = np.array([_to_complex(t) for t in coeffs], dtype=complex)
-        if len(arr) == 2:
-            roots = [complex(-arr[0] / arr[1])]
+    for factor, mult in squarefree_decomposition(coeffs):
+        if len(factor) == 2:
+            rs = [complex(-factor[0] / factor[1])]
         else:
-            roots = list(_aberth(arr, tol, max_iter))
+            rs = _aberth(factor, tol, max_iter)
+        roots.extend(list(rs) * mult)
     roots = [complex(r) for r in roots]
     roots.sort(key=lambda r: (r.real, r.imag))
     return roots

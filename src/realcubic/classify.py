@@ -36,7 +36,14 @@ from .errors import (
     SamplingInconclusive,
     Undecided,
 )
-from .lines import LineSet, eval_many, line_plane_point, poly_arrays, solve_lines, tritangent_triples
+from .lines import (
+    LineSet,
+    cubic_tensor,
+    cubic_values,
+    line_plane_point,
+    solve_lines,
+    tritangent_triples,
+)
 
 AMBIENT_VARS = ("x", "y", "z", "w")
 
@@ -46,6 +53,9 @@ AMBIENT_VARS = ("x", "y", "z", "w")
 REAL_TRITANGENT_PLANES = {"C27": 45, "C15": 15, "C7": 5, "C3a": 7, "C3b": 13}
 
 _LINE_COUNT_CLASS = {27: "C27", 15: "C15", 7: "C7"}
+
+PROBE_LINES = 24                 # random lines for the sphere probe
+PROBE_EXTRA = 16                 # escalation when the first round ties
 
 
 # ---------------------------------------------------------------------------
@@ -189,23 +199,22 @@ def projective_class(lineset: LineSet, warnings: Optional[list] = None) -> str:
 # probe lines: fast float evaluation of F along projective segments
 # ---------------------------------------------------------------------------
 
-_T_NODES = np.array([0.0, 1.0, 2.0, 3.0])
-_VAND_INV = np.linalg.inv(np.vander(_T_NODES, 4, increasing=True))
-
-
 class _SurfaceProbe:
     def __init__(self, F: Poly, seed: int):
-        self.expo, self.coeff = poly_arrays(F)
-        self.scale = float(np.abs(self.coeff).sum())
+        self.T = cubic_tensor(F)
+        self.scale = float(sum(abs(c) for c in F.terms.values()))
         self.rng = np.random.default_rng(seed)
 
     def eval(self, pts: np.ndarray) -> np.ndarray:
-        return eval_many(self.expo, self.coeff, pts).real
+        return cubic_values(self.T, pts)
 
     def segment_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Coefficients of F((1-t) a + t b) as a cubic in t, low to high."""
-        pts = np.array([(1 - t) * a + t * b for t in _T_NODES])
-        return _VAND_INV @ self.eval(pts)
+        """Coefficients of F((1-t) a + t b) as a cubic in t, low to high:
+        with d = b - a they are T(a,a,a), 3 T(a,a,d), 3 T(a,d,d), T(d,d,d)."""
+        d = b - a
+        Ta, Td = self.T @ a, self.T @ d
+        return np.array([a @ Ta @ a, 3 * (a @ Ta @ d), 3 * (a @ Td @ d),
+                         d @ Td @ d])
 
     def real_roots_separated(self, c: np.ndarray, sep: float = 1e-7):
         """All-real-and-separated test for a probe cubic; None when unclear."""
@@ -222,7 +231,7 @@ class _SurfaceProbe:
         return list(rr)
 
 
-def _find_sphere_interior(probe: _SurfaceProbe, cfg) -> Optional[np.ndarray]:
+def _find_sphere_interior(probe: _SurfaceProbe) -> Optional[np.ndarray]:
     """A point of the open ball bounded by the spherical component.
 
     A projective line meets the surface in at most three points, so it
@@ -232,7 +241,7 @@ def _find_sphere_interior(probe: _SurfaceProbe, cfg) -> Optional[np.ndarray]:
     adjacent intersections along random probe lines.
     """
     rng = probe.rng
-    for _ in range(cfg.probe_lines * 20):
+    for _ in range(PROBE_LINES * 20):
         a = np.append(rng.uniform(-4, 4, 3), 1.0)
         b = np.append(rng.uniform(-4, 4, 3), 1.0)
         c = probe.segment_coeffs(a, b)
@@ -245,7 +254,7 @@ def _find_sphere_interior(probe: _SurfaceProbe, cfg) -> Optional[np.ndarray]:
             mag = max(1.0, float(np.abs(q).max())) ** 3
             if abs(probe.eval(q[None, :])[0]) < 1e-4 * probe.scale * mag:
                 continue
-            if _verify_interior(probe, q, cfg.probe_extra + 24):
+            if _verify_interior(probe, q, PROBE_EXTRA + 24):
                 return q
     return None
 
@@ -404,7 +413,7 @@ def classify_surface(surface, plane=(0, 0, 0, 1),
     if lineset.real_count != PROJECTIVE_CLASSES[cls]["real_lines"]:
         raise InternalInconsistency("line count does not match class")
 
-    analysis = analyze_cubic(restriction.ternary, cfg.sweep)
+    analysis = analyze_cubic(restriction.ternary)
     components = analysis.components
 
     tally = _line_section_tally(lineset, restriction, analysis, h)
@@ -414,7 +423,7 @@ def classify_surface(surface, plane=(0, 0, 0, 1),
     sphere_flag = None
     if cls == "C3b" and components == 2:
         probe = _SurfaceProbe(F, cfg.classify.seed)
-        q = _find_sphere_interior(probe, cfg.classify)
+        q = _find_sphere_interior(probe)
         if q is None:
             raise SamplingInconclusive(
                 "no verified interior point of the spherical component")

@@ -126,7 +126,7 @@ def _normalized_triple(v) -> list:
 
 def curve_payload(cubic: str, conic, cfg: Config) -> dict:
     C = plane_form(cubic, 3, "cubic")
-    analysis = analyze_cubic(C, cfg.sweep)
+    analysis = analyze_cubic(C)
     payload = {
         "components": analysis.components,
         "oval_present": analysis.components == 2,

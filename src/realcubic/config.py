@@ -18,21 +18,13 @@ class LineSolveConfig:
 
 
 @dataclass
-class SweepConfig:
-    chart_attempts: int = 200             # shear/rotation retries for the curve
-
-
-@dataclass
 class ClassifyConfig:
-    probe_lines: int = 24                # random lines for the sphere probe
-    probe_extra: int = 16                # escalation when the first round ties
     seed: int = 0
 
 
 @dataclass
 class Config:
     lines: LineSolveConfig = field(default_factory=LineSolveConfig)
-    sweep: SweepConfig = field(default_factory=SweepConfig)
     classify: ClassifyConfig = field(default_factory=ClassifyConfig)
 
 

@@ -41,12 +41,12 @@ from .algebra import (
     univ_mul,
 )
 from .combinat import UnionFind
-from .config import DEFAULT, SweepConfig
 from .errors import (
     ChartDegenerate,
     DegenerateConfiguration,
     InternalInconsistency,
     MultiplicityAmbiguity,
+    NonConvergence,
     NotOnCurve,
     NotTransversal,
     SharedComponent,
@@ -55,6 +55,8 @@ from .errors import (
 
 PLANE_VARS = ("x", "y", "z")
 AFFINE_VARS = ("x", "y")
+
+CHART_ATTEMPTS = 200             # sweep chart candidates tried per curve
 
 
 # ---------------------------------------------------------------------------
@@ -227,26 +229,23 @@ def _coeffs_in_x(p: Poly) -> list:
     return strip_high([Fraction(c) for c in dense]) or [Fraction(0)]
 
 
-def analyze_cubic(G: Poly, cfg: SweepConfig = None) -> CurveAnalysis:
+def analyze_cubic(G: Poly) -> CurveAnalysis:
     """Component structure of the nonsingular real plane cubic G = 0.
 
     G must be an exact homogeneous cubic in three variables.  Raises
     SingularCurve for singular input and ChartDegenerate when no usable
     sweep chart is found.
     """
-    cfg = cfg or DEFAULT.sweep
     if len(G.vars) != 3:
         raise ValueError("expected a ternary cubic")
     if G.homogeneous_degree() != 3:
         raise ValueError("expected a homogeneous cubic")
-    if not G.is_exact():
-        raise ValueError("exact rational coefficients required")
     parts = [G.derivative(v) for v in G.vars]
     if quadric_triple_resultant(parts[0], parts[1], parts[2], G.vars) == 0:
         raise SingularCurve("plane section is singular")
 
     last = None
-    for M in _chart_candidates(cfg.chart_attempts):
+    for M in _chart_candidates(CHART_ATTEMPTS):
         GT = _apply_chart(G, M)
         got = _chart_ok(GT)
         if got is None:
@@ -600,8 +599,6 @@ def plane_form(p, degree: int, what: str) -> Poly:
         p = Poly(PLANE_VARS, {(e[0], e[1], 0): c for e, c in p.terms.items()})
     if tuple(p.vars) != PLANE_VARS:
         raise ValueError(f"{what} must use variables x, y[, z]")
-    if not p.is_exact():
-        raise ValueError(f"{what} needs exact rational coefficients")
     if p.homogeneous_degree() == degree:
         return p
     if p.degree("z") > 0:
@@ -612,36 +609,6 @@ def plane_form(p, degree: int, what: str) -> Poly:
     return Poly(PLANE_VARS,
                 {e[:2] + (degree - e[0] - e[1],): c
                  for e, c in p.terms.items()})
-
-
-def conic_cubic_intersection(conic: Poly, cubic: Poly) -> list:
-    """Real intersection points of an affine conic and cubic.
-
-    Both inputs are exact Polys in (x, y).  Returns (x, y) float pairs in
-    the input coordinates, one per real intersection point; the count is
-    exact because a shear first makes the x-projection injective on the
-    intersection.  Raises SharedComponent when the curves share a
-    component.
-    """
-    yv = Poly.var("y", AFFINE_VARS)
-    xv = Poly.var("x", AFFINE_VARS)
-    for k in range(12):
-        cq, cc = conic, cubic
-        if k:
-            shear = {"x": xv + yv * k, "y": yv}
-            cq = conic.substitute(shear)
-            cc = cubic.substitute(shear)
-        res = resultant(cq, cc, "y")
-        if res.is_zero():
-            raise SharedComponent("conic and cubic share a component")
-        dense = _coeffs_in_x(res)
-        if univ_degree(dense) < 1:
-            return []
-        if not _is_squarefree(dense):
-            continue
-        return [(xs + k * ys, ys)
-                for xs, ys in _real_points_over(cq, cc, dense)]
-    raise DegenerateConfiguration("no shear separated the intersection")
 
 
 def _real_points_over(p: Poly, q: Poly, dense: list) -> list:
@@ -675,20 +642,43 @@ class ConicCubicMeet:
 
     def complex_points(self) -> list:
         """The non-real intersections as complex triples in input
-        coordinates, to float accuracy."""
+        coordinates, to float accuracy.
+
+        Each starts from a float root x of the resultant and the common y
+        over it, and is polished by Newton on (conic, cubic) in the chart,
+        which checks that each is a simple common point.  Raises
+        NonConvergence when Newton does not settle.
+        """
         M = self.chart
-        xs = sorted(complex_roots([float(c) for c in self.resultant]),
+        xs = sorted(complex_roots(self.resultant),
                     key=lambda r: -abs(r.imag))[:6 - len(self.real_points)]
         if xs and min(abs(r.imag) for r in xs) < 1e-9:
             raise InternalInconsistency("real/complex root split disagrees "
                                         "with the exact real count")
-        out = []
-        for x0 in xs:
-            y0 = _common_y(self.conic, self.cubic, x0)
-            out.append(tuple(
-                complex(M[i][0]) * x0 + complex(M[i][1]) * y0
-                + complex(M[i][2]) for i in range(3)))
-        return out
+        pts = [_newton_polish(self.conic, self.cubic, x0,
+                              _common_y(self.conic, self.cubic, x0))
+               for x0 in xs]
+        return [tuple(complex(M[i][0]) * x + complex(M[i][1]) * y
+                      + complex(M[i][2]) for i in range(3))
+                for x, y in pts]
+
+
+def _newton_polish(p: Poly, q: Poly, x: complex, y: complex) -> tuple:
+    """Newton on the affine curves p = q = 0 from (x, y), in complex floats.
+    Raises NonConvergence unless the step falls to rounding level."""
+    jac = [[h.derivative(v) for v in AFFINE_VARS] for h in (p, q)]
+    for _ in range(30):
+        pt = {"x": x, "y": y}
+        (a, b), (c, d) = [[complex(h.eval(pt)) for h in row] for row in jac]
+        f, g = complex(p.eval(pt)), complex(q.eval(pt))
+        det = a * d - b * c
+        if det == 0:
+            break
+        dx, dy = (d * f - b * g) / det, (a * g - c * f) / det
+        x, y = x - dx, y - dy
+        if max(abs(dx), abs(dy)) <= 1e-14 * max(1.0, abs(x), abs(y)):
+            return x, y
+    raise NonConvergence("Newton did not settle on a conic-cubic point")
 
 
 def conic_cubic_meet(conic: Poly, cubic: Poly) -> ConicCubicMeet:

@@ -7,7 +7,12 @@ reading off the four coefficients of the binary cubic gives four
 polynomial equations in (a, b, c, d).  The equations and their 16 partial
 derivatives are all written in the 35 monomials of degree <= 3 in
 (a, b, c, d), so one (35 x 20) coefficient matrix C(F) evaluates the whole
-system and its Jacobian, and C(F) is linear in the cubic F.
+system and its Jacobian.  C(F) is linear in the cubic F.  With F written
+as its symmetric 4 x 4 x 4 tensor T, F(x) = T(x, x, x), the span is
+y A for y = (s, t, s a + t c, s b + t d), so F restricted to it is
+T_A(y, y, y) with T_A = T(A., A., A.), and C(F) = K T_A for one fixed
+integer matrix K built at import.  The same tensor evaluates F wherever a
+float value of it is needed.
 
 The 27 lines of the Fermat cubic are known in closed form.  They are mapped
 into the patch and tracked along the coefficient-parameter homotopy
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -46,55 +52,31 @@ DIVERGENCE_CUTOFF = 1e7      # patch coordinates past this: path diverged
 
 
 # ---------------------------------------------------------------------------
-# fast polynomial evaluation
+# the cubic as a symmetric tensor
 # ---------------------------------------------------------------------------
 
-def poly_arrays(p: Poly):
-    """Exponent matrix and complex coefficient vector for batched eval."""
-    expo = np.array(list(p.terms.keys()), dtype=np.int64).reshape(-1, len(p.vars))
-    coeff = np.array([complex(c) if isinstance(c, complex) else float(c)
-                      for c in p.terms.values()], dtype=complex)
-    return expo, coeff
+def cubic_tensor(F: Poly) -> np.ndarray:
+    """The symmetric tensor T of the cubic form F, so that F(x) = T(x, x, x):
+    a monomial's coefficient is spread evenly over the index triples that
+    multiply out to it."""
+    n = len(F.vars)
+    T = np.zeros((n, n, n))
+    for e, c in F.terms.items():
+        idx = [i for i, k in enumerate(e) for _ in range(k)]
+        slots = set(itertools.permutations(idx))
+        for slot in slots:
+            T[slot] = float(Fraction(c) / len(slots))
+    return T
 
 
-def eval_many(expo: np.ndarray, coeff: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Evaluate at many points: pts (n, nvars) -> (n,)."""
-    if len(coeff) == 0:
-        return np.zeros(len(pts), dtype=complex)
-    return (pts[:, None, :] ** expo[None, :, :]).prod(axis=2) @ coeff
+def cubic_values(T: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """F at the points X (n, 4), from its tensor T: (n,)."""
+    return np.einsum("ijk,ni,nj,nk->n", T, X, X, X)
 
 
 # ---------------------------------------------------------------------------
 # patch equations
 # ---------------------------------------------------------------------------
-
-_CHART_VARS = ("s", "t", "a", "b", "c", "d")
-
-
-def chart_system(F: Poly, A: np.ndarray) -> list:
-    """The four equations in (a, b, c, d) cutting out the lines spanned by
-    A0 + a A2 + b A3 and A1 + c A2 + d A3, for the rows of the 4 x 4 patch
-    matrix A.  Returned as Polys over (s, t, a, b, c, d) placeholders, free
-    of s and t.  A permutation matrix gives a coordinate chart."""
-    A = [[complex(v) for v in row] for row in A]
-    Fc = Poly(_CHART_VARS, {e + (0, 0): c for e, c in F.terms.items()})
-    s, t, a, b, c, d = (Poly.var(v, _CHART_VARS) for v in _CHART_VARS)
-    u = [A[0][m] + a * A[2][m] + b * A[3][m] for m in range(4)]
-    v = [A[1][m] + c * A[2][m] + d * A[3][m] for m in range(4)]
-    # F lives in slots 0..3 of the extended variable tuple (s, t take the
-    # places of x, y after the rename below)
-    restricted = Fc.substitute({_CHART_VARS[m]: s * u[m] + t * v[m]
-                                for m in range(4)})
-    eqs = []
-    s_coeffs = restricted.coeffs_in("s")       # degree 3 in s exactly
-    for m in range(4):
-        # coefficient of s^(3-m) t^m
-        cs = s_coeffs[3 - m] if 3 - m < len(s_coeffs) else Poly.zero(_CHART_VARS)
-        ct = cs.coeffs_in("t")
-        eq = ct[m] if m < len(ct) else Poly.zero(_CHART_VARS)
-        eqs.append(eq)
-    return eqs
-
 
 # every patch equation and each of its partial derivatives is a combination
 # of the 35 monomials of degree <= 3 in (a, b, c, d)
@@ -102,22 +84,45 @@ _MONOMIALS = np.array([e for e in itertools.product(range(4), repeat=4)
                        if sum(e) <= 3])
 _MONOMIAL_INDEX = {e: m for m, e in enumerate(map(tuple, _MONOMIALS.tolist()))}
 
+# the point s u + t v of the line is y A with y = (s, t, s a + t c, s b + t d);
+# each entry of y as its terms (power of t, exponent of (a, b, c, d))
+_Y_TERMS = (((0, (0, 0, 0, 0)),),
+            ((1, (0, 0, 0, 0)),),
+            ((0, (1, 0, 0, 0)), (1, (0, 0, 1, 0))),
+            ((0, (0, 1, 0, 0)), (1, (0, 0, 0, 1))))
 
-def _chart_matrix(eqs: list) -> np.ndarray:
-    """(35, 20) coefficient matrix over _MONOMIALS: column m holds equation
-    m, column 4 + 4 m + n its partial derivative in unknown n."""
-    C = np.zeros((len(_MONOMIALS), 20), dtype=complex)
-    for m, eq in enumerate(eqs):
-        for e, cf in eq.terms.items():
-            # drop the s, t slots (always exponent zero by construction)
-            assert e[0] == 0 and e[1] == 0
-            e = e[2:]
-            C[_MONOMIAL_INDEX[e], m] = complex(cf)
+
+def _patch_map() -> np.ndarray:
+    """The integer matrix K, (700, 64), with C(F) = K T_A.
+
+    F(s u + t v) = T_A(y, y, y); the coefficient of s^(3-m) t^m is equation
+    m, and column 4 + 4 m + n of C holds its partial derivative in unknown
+    n, both over _MONOMIALS."""
+    K = np.zeros((len(_MONOMIALS), 20, 64))
+    for col, pqr in enumerate(itertools.product(range(4), repeat=3)):
+        for factors in itertools.product(*(_Y_TERMS[p] for p in pqr)):
+            m = sum(f[0] for f in factors)
+            e = tuple(map(sum, zip(*(f[1] for f in factors))))
+            K[_MONOMIAL_INDEX[e], m, col] += 1
             for n in range(4):
                 if e[n]:
                     d = e[:n] + (e[n] - 1,) + e[n + 1:]
-                    C[_MONOMIAL_INDEX[d], 4 + 4 * m + n] = complex(cf * e[n])
-    return C
+                    K[_MONOMIAL_INDEX[d], 4 + 4 * m + n, col] += e[n]
+    return K.reshape(-1, 64)
+
+
+_K = _patch_map()
+
+
+def patch_matrix(T: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """(35, 20) coefficient matrix over _MONOMIALS of the four equations in
+    (a, b, c, d) cutting out the lines spanned by A0 + a A2 + b A3 and
+    A1 + c A2 + d A3, for the rows of the 4 x 4 patch matrix A, and of
+    their 16 partial derivatives: column m holds equation m, column
+    4 + 4 m + n its derivative in unknown n.  T is the cubic's tensor; a
+    permutation matrix A gives a coordinate chart."""
+    TA = np.einsum("ijk,pi,qj,rk->pqr", T, A, A, A)
+    return (_K @ TA.reshape(64)).reshape(len(_MONOMIALS), 20)
 
 
 def _monomial_values(X: np.ndarray) -> np.ndarray:
@@ -171,7 +176,7 @@ def _track(C0: np.ndarray, C1: np.ndarray, gamma: complex,
            X: np.ndarray) -> np.ndarray:
     """Track the paths of the homotopy (1 - t) gamma C0 + t C1 from the
     solutions X (n, 4) of C0 at t = 0; returns the converged solutions of
-    C1, (m, 4).  C0 and C1 are `_chart_matrix` results."""
+    C1, (m, 4).  C0 and C1 are `patch_matrix` results."""
     X = X.copy()
     npaths = len(X)
     t = np.zeros(npaths)
@@ -304,16 +309,15 @@ class LineSet:
     conj_pairs: list             # index pairs (i, j), i < j, conjugate lines
 
 
-def _line_from_solution(sol: np.ndarray, A: np.ndarray, F_arrays,
-                        imag_tol: float) -> PluckerLine:
+def _line_from_solution(sol: np.ndarray, A: np.ndarray, T: np.ndarray,
+                        norm: float, imag_tol: float) -> PluckerLine:
     u = np.array([1.0, 0.0, sol[0], sol[1]]) @ A
     v = np.array([0.0, 1.0, sol[2], sol[3]]) @ A
     p = normalize_plucker(plucker_from_basis(u, v))
-    expo, coeff = F_arrays
     samples = np.array([u, v, u + v, u - v, u + 2 * v])
     samples = samples / np.linalg.norm(samples, axis=1, keepdims=True)
-    vals = np.abs(eval_many(expo, coeff, samples))
-    resid = float(vals.max() / max(np.abs(coeff).sum(), 1e-300))
+    vals = np.abs(cubic_values(T, samples))
+    resid = float(vals.max() / max(norm, 1e-300))
     real = bool(np.abs(p.imag).max() < imag_tol)
     if real:
         p = p.real.astype(complex)
@@ -334,18 +338,19 @@ def solve_lines(F: Poly, cfg: LineSolveConfig = None) -> LineSet:
     if F.homogeneous_degree() != 3:
         raise ValueError("surface must be a homogeneous cubic")
     rng = np.random.default_rng(cfg.seed)
-    F_arrays = poly_arrays(F)
-    scale = max(abs(complex(c)) for c in F.terms.values())
-    fermat, starts = fermat_surface(), fermat_lines_closed_form()
+    T, T0 = cubic_tensor(F), cubic_tensor(fermat_surface())
+    coeffs = [abs(c) for c in F.terms.values()]
+    scale, norm = float(max(coeffs)), float(sum(coeffs))
+    starts = fermat_lines_closed_form()
     found: list = []
     for _ in range(ATTEMPTS):
         A = np.linalg.qr(rng.normal(size=(4, 4))
                          + 1j * rng.normal(size=(4, 4)))[0]
         gamma = np.exp(2j * np.pi * rng.random())
-        C0 = _chart_matrix(chart_system(fermat, A))
-        C1 = _chart_matrix(chart_system(F, A)) / scale
+        C0 = patch_matrix(T0, A)
+        C1 = patch_matrix(T, A) / scale
         for sol in _track(C0, C1, gamma, _patch_coordinates(starts, A)):
-            line = _line_from_solution(sol, A, F_arrays, cfg.imag_tol)
+            line = _line_from_solution(sol, A, T, norm, cfg.imag_tol)
             if line.residual <= cfg.residual_tol and all(
                     plucker_distance(line.plucker, other.plucker)
                     >= cfg.dedupe_tol for other in found):

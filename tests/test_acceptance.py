@@ -35,7 +35,8 @@ from realcubic.combinat import (
 )
 from realcubic.curve import (
     _null_space,
-    conic_cubic_intersection,
+    conic_cubic_meet,
+    plane_form,
     residual_point,
     weierstrass_add,
 )
@@ -270,10 +271,11 @@ def _cubic_through_parabola_points(ts, rng):
         if f.is_zero() or f.total_degree() != 3 or f.degree("y") == 0:
             continue
         try:
-            pts = conic_cubic_intersection(Poly.parse("y - x^2", vars=AV), f)
+            meet = conic_cubic_meet(plane_form("y - x^2", 2, "conic"),
+                                    plane_form(f, 3, "cubic"))
         except MathematicalRejection:
             continue
-        if len(pts) == 6:
+        if len(meet.real_points) == 6:
             return f
     return None
 

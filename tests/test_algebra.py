@@ -46,6 +46,14 @@ def test_parse_decimal_exact():
     assert p.terms[(0, 0, 0, 0)] == F(3, 2)
 
 
+@pytest.mark.parametrize("c", [0.5, 1.0, 2 + 0j, 1j])
+def test_inexact_coefficient_rejected(c):
+    with pytest.raises(TypeError):
+        Poly(("x", "y"), {(1, 0): c})
+    with pytest.raises(TypeError):
+        Poly.parse("x + 1", vars=("x", "y")) * c
+
+
 def test_parse_implicit_mult_and_parens():
     assert Poly.parse("2x") == Poly.parse("2*x")
     assert Poly.parse("(x + y)^2") == Poly.parse("x^2 + 2*x*y + y^2")

@@ -10,7 +10,6 @@ from realcubic.algebra import Poly, univ_eval
 from realcubic.curve import (
     _null_space,
     analyze_cubic,
-    conic_cubic_intersection,
     conic_cubic_meet,
     conic_through_five,
     locate,
@@ -186,6 +185,13 @@ class TestConicThroughFive:
             conic_through_five(pts)
 
 
+PARABOLA = plane_form("y - x^2", 2, "conic")
+
+
+def affine_points(meet) -> list:
+    return [(u / w, v / w) for u, v, w in meet.real_points]
+
+
 def cubic_through_parabola_points(ts, rng):
     """A cubic through the points (t, t^2) that does not contain the
     parabola itself."""
@@ -202,11 +208,10 @@ def cubic_through_parabola_points(ts, rng):
         if f.degree("y") == 0:
             continue
         try:
-            pts = conic_cubic_intersection(
-                Poly.parse("y - x^2", vars=AV), f)
-        except (SharedComponent, DegenerateConfiguration):
+            meet = conic_cubic_meet(PARABOLA, plane_form(f, 3, "cubic"))
+        except (SharedComponent, NotTransversal):
             continue
-        if len(pts) == 6:
+        if len(meet.real_points) == 6:
             return f
     raise AssertionError("could not build a test cubic")
 
@@ -246,31 +251,33 @@ class TestConicCubicIntersection:
         rng = random.Random(7)
         ts = [Fraction(t) for t in (-3, -2, -1, 1, 2, 4)]
         f = cubic_through_parabola_points(ts, rng)
-        pts = conic_cubic_intersection(Poly.parse("y - x^2", vars=AV), f)
-        got = sorted(round(x, 6) for x, _ in pts)
+        meet = conic_cubic_meet(PARABOLA, plane_form(f, 3, "cubic"))
+        got = sorted(round(x, 6) for x, _ in affine_points(meet))
         assert got == [float(t) for t in ts]
 
     def test_symmetric_pair_split_by_shear(self):
-        # circle and symmetric cubic: intersections come in (x, +-y) pairs
-        conic = Poly.parse("x^2 + y^2 - 8", vars=AV)
-        cubic = Poly.parse("y^2 - x^3 + 25*x", vars=AV)
-        pts = conic_cubic_intersection(conic, cubic)
+        # circle and symmetric cubic: the real intersections are one
+        # (x, +-y) pair, which the meet's chart puts over distinct x
+        conic = plane_form("x^2 + y^2 - 8", 2, "conic")
+        cubic = plane_form("y^2 - x^3 + 25*x", 3, "cubic")
+        pts = affine_points(conic_cubic_meet(conic, cubic))
         assert len(pts) == 2
         (x1, y1), (x2, y2) = sorted(pts, key=lambda p: p[1])
         assert abs(x1 - x2) < 1e-9
         assert abs(y1 + y2) < 1e-9
 
     def test_shared_component_detected(self):
-        conic = Poly.parse("y - x^2", vars=AV)
-        cubic = Poly.parse("(y - x^2)*(x + 7)", vars=AV)
+        # the circle is a component of the cubic
+        conic = plane_form("x^2 + y^2 - 4", 2, "conic")
+        cubic = plane_form("(x^2 + y^2 - 4)*(y - 3)", 3, "cubic")
         with pytest.raises(SharedComponent):
-            conic_cubic_intersection(conic, cubic)
+            conic_cubic_meet(conic, cubic)
 
     def test_tangential_contact_is_degenerate(self):
-        conic = Poly.parse("x^2 + y^2 - 25", vars=AV)
-        cubic = Poly.parse("y^2 - x^3 + 25*x", vars=AV)
-        with pytest.raises(DegenerateConfiguration):
-            conic_cubic_intersection(conic, cubic)
+        conic = plane_form("x^2 + y^2 - 25", 2, "conic")
+        cubic = plane_form("y^2 - x^3 + 25*x", 3, "cubic")
+        with pytest.raises(NotTransversal):
+            conic_cubic_meet(conic, cubic)
 
 
 class TestConicCubicMeet:
@@ -295,21 +302,20 @@ class TestConicCubicMeet:
             assert abs(self.value(C, p)) < 1e-9
         nonreal = meet.complex_points()
         assert len(nonreal) == 6 - real
-        # y is a root of the conic's fibre over a float root x of the
-        # resultant, so only the conic equation holds to rounding
         for p in nonreal:
             assert abs(self.value(B, p)) < 1e-9
-            assert max(abs(t.imag) for t in p) > 0
+            assert abs(self.value(C, p)) < 1e-9
+            assert max(abs(t.imag) for t in p) > 1e-6
 
     def test_points_match_the_affine_intersection(self):
         C = plane_form("y^2 - x^3 + 3*x - 1", 3, "cubic")
         B = plane_form("x^2 + y^2 - 4", 2, "conic")
-        affine = conic_cubic_intersection(
-            Poly.parse("x^2 + y^2 - 4", vars=AV),
-            Poly.parse("y^2 - x^3 + 3*x - 1", vars=AV))
-        got = [(u / w, v / w)
-               for u, v, w in conic_cubic_meet(B, C).real_points]
-        assert len(got) == len(affine) == 6
+        # y^2 = 4 - x^2 turns the cubic into (x + 1)(x^2 - 3) = 0
+        r3 = 3 ** 0.5
+        affine = [(-1.0, r3), (-1.0, -r3), (r3, 1.0), (r3, -1.0),
+                  (-r3, 1.0), (-r3, -1.0)]
+        got = affine_points(conic_cubic_meet(B, C))
+        assert len(got) == 6
         for x0, y0 in got:
             assert min(max(abs(x0 - x1), abs(y0 - y1))
                        for x1, y1 in affine) < 1e-9

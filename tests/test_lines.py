@@ -14,13 +14,13 @@ from realcubic.errors import LineInPlane, NearDiscriminant
 from realcubic.lines import (
     ATTEMPTS,
     LineSet,
-    _chart_matrix,
+    _MONOMIAL_INDEX,
     _conjugate_pairs,
     _monomial_values,
     _patch_coordinates,
-    chart_system,
     clebsch_surface,
-    eval_many,
+    cubic_tensor,
+    cubic_values,
     fermat_lines_closed_form,
     fermat_surface,
     line_plane_point,
@@ -30,7 +30,7 @@ from realcubic.lines import (
     plucker_distance,
     plucker_from_basis,
     plucker_residual,
-    poly_arrays,
+    patch_matrix,
     solve_lines,
     tritangent_triples,
 )
@@ -57,9 +57,8 @@ def point_on_line(point: np.ndarray, line) -> bool:
 
 
 def surface_value(F: Poly, point: np.ndarray) -> float:
-    expo, coeff = poly_arrays(F)
     pt = point / np.linalg.norm(point)
-    return float(abs(eval_many(expo, coeff, pt[None, :])[0]))
+    return float(abs(complex(F.eval([complex(t) for t in pt]))))
 
 
 class TestPluckerBasics:
@@ -281,46 +280,93 @@ PATCHES = [np.eye(4)[[i, j] + [m for m in range(4) if m not in (i, j)]]
 PATCH_IDS = [f"chart{i}{j}" for i, j in PAIRS] + ["random"]
 
 
+# (s : t) nodes at which the restriction of F to a line is sampled; F(s u + t v)
+# is the binary cubic sum_m e_m s^(3-m) t^m
+ST_NODES = np.array([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)])
+ST_BASIS = np.array([[s ** (3 - m) * t ** m for m in range(4)]
+                     for s, t in ST_NODES])
+
+
+def patch_equations(F: Poly, A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The four patch equations at (a, b, c, d) = x, read off from F.eval on
+    the line spanned by A0 + a A2 + b A3 and A1 + c A2 + d A3."""
+    u = np.array([1.0, 0.0, x[0], x[1]]) @ A
+    v = np.array([0.0, 1.0, x[2], x[3]]) @ A
+    vals = [complex(F.eval([complex(c) for c in s * u + t * v]))
+            for s, t in ST_NODES]
+    return np.linalg.solve(ST_BASIS, vals)
+
+
 class TestFusedEvaluation:
     """The tracker evaluates each patch's 4 equations and 16 Jacobian
-    entries through one monomial basis and one coefficient matrix; each
-    column must agree with the polynomial it stands for."""
+    entries through one monomial basis and the matrix `patch_matrix` builds
+    from the cubic's tensor; each column must agree with the polynomial it
+    stands for, evaluated here without that matrix."""
 
     @pytest.mark.parametrize("A", PATCHES, ids=PATCH_IDS)
     @pytest.mark.parametrize("F", [clebsch_surface(), random_cubic(7)],
                              ids=["clebsch", "random7"])
     def test_matches_eval_many(self, F, A):
-        eqs = chart_system(F, A)
         rng = np.random.default_rng(17)
         X = (rng.normal(size=(40, 4)) + 1j * rng.normal(size=(40, 4))) \
             * rng.uniform(0.1, 3.0, size=(40, 1))
-        got = _monomial_values(X) @ _chart_matrix(eqs)
+        got = _monomial_values(X) @ patch_matrix(cubic_tensor(F), A)
         assert got.shape == (40, 20)
-        # the equations carry the s, t slots with exponent zero
-        pts = np.hstack([np.ones((40, 2)), X])
-        polys = eqs + [eq.derivative(v) for eq in eqs for v in "abcd"]
-        for col, poly in enumerate(polys):
-            want = eval_many(*poly_arrays(poly), pts)
-            err = np.abs(got[:, col] - want).max()
-            assert err <= 1e-12 * np.abs(want).max(), col
+        h = 1e-5
+        for x, row in zip(X, got):
+            eqs = patch_equations(F, A, x)
+            assert np.abs(row[:4] - eqs).max() <= 1e-12 * np.abs(eqs).max()
+            # column 4 + 4 m + n: derivative of equation m in unknown n
+            jac = np.array([(patch_equations(F, A, x + h * e)
+                             - patch_equations(F, A, x - h * e)) / (2 * h)
+                            for e in np.eye(4)]).T
+            err = np.abs(row[4:].reshape(4, 4) - jac).max()
+            assert err <= 1e-7 * np.abs(jac).max()
 
     def test_permutation_patch_is_the_coordinate_chart(self):
-        # pivot columns (0, 2): rows e0 + a e1 + b e3 and e2 + c e1 + d e3
-        eqs = chart_system(fermat_surface(), PATCHES[1])
-        a, b, c, d = (Poly.var(v, ("s", "t", "a", "b", "c", "d"))
-                      for v in "abcd")
-        assert eqs[0] == 1 + a ** 3 + b ** 3
-        assert eqs[3] == 1 + c ** 3 + d ** 3
+        # pivot columns (0, 2): rows e0 + a e1 + b e3 and e2 + c e1 + d e3,
+        # so the Fermat equations are 1 + a^3 + b^3, 3 (a^2 c + b^2 d),
+        # 3 (a c^2 + b d^2) and 1 + c^3 + d^3
+        C = patch_matrix(cubic_tensor(fermat_surface()), PATCHES[1])
+        abcd = ("a", "b", "c", "d")
+        eqs = [Poly.parse(text, vars=abcd) for text in (
+            "1 + a^3 + b^3", "3*a^2*c + 3*b^2*d", "3*a*c^2 + 3*b*d^2",
+            "1 + c^3 + d^3")]
+        polys = eqs + [eq.derivative(v) for eq in eqs for v in abcd]
+        want = np.zeros_like(C)
+        for col, poly in enumerate(polys):
+            for e, cf in poly.terms.items():
+                want[_MONOMIAL_INDEX[e], col] = cf
+        assert np.array_equal(C, want)
 
     @pytest.mark.parametrize("seed", [29, 31, 37])
     def test_fermat_start_points_solve_fermat_system(self, seed):
         A = random_patch(seed)
         X = _patch_coordinates(fermat_lines_closed_form(), A)
         assert X.shape == (27, 4)
-        C = _chart_matrix(chart_system(fermat_surface(), A))
+        C = patch_matrix(cubic_tensor(fermat_surface()), A)
         res = np.abs(_monomial_values(X) @ C[:, :4]).max()
         mag = np.abs(C[:, :4]).max() * max(1.0, np.abs(X).max()) ** 3
         assert res <= 1e-12 * mag
+
+
+class TestCubicTensor:
+    @pytest.mark.parametrize("F", [clebsch_surface(), random_cubic(19)],
+                             ids=["clebsch", "random19"])
+    def test_symmetric(self, F):
+        T = cubic_tensor(F)
+        assert T.shape == (4, 4, 4)
+        for axes in itertools.permutations(range(3)):
+            assert np.array_equal(T, T.transpose(axes))
+
+    @pytest.mark.parametrize("F", [clebsch_surface(), random_cubic(19)],
+                             ids=["clebsch", "random19"])
+    def test_values_match_eval(self, F):
+        rng = np.random.default_rng(41)
+        X = rng.normal(size=(10, 4)) + 1j * rng.normal(size=(10, 4))
+        got = cubic_values(cubic_tensor(F), X)
+        want = np.array([complex(F.eval([complex(t) for t in x])) for x in X])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestPatchAttempts:
