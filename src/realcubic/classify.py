@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Poly, quadric_triple_resultant, real_roots, refine_root
+from .algebra import Poly, quadric_triple_resultant
 from .combinat import CLASSES, PROJECTIVE_CLASSES, class_id_for
 from .config import DEFAULT, Config
 from .curve import (
@@ -26,6 +26,7 @@ from .curve import (
     analyze_cubic,
     conic_cubic_meet,
     fibre_dense,
+    fibre_root_floats,
     locate,
     plane_form,
 )
@@ -341,12 +342,10 @@ def oval_curve_points(analysis: CurveAnalysis, count: int = 3) -> list:
     pts = []
     for cell in chosen:
         x0 = analysis.cell_samples[cell]
-        fibre = fibre_dense(analysis.f, x0)
-        roots = real_roots(fibre)
+        ys = fibre_root_floats(fibre_dense(analysis.f, x0),
+                               analysis.cell_counts[cell])
         for branch in analysis.oval_cells[cell]:
-            iv = refine_root(fibre, roots[branch], Fraction(1, 2 ** 48))
-            y = float((iv.lo + iv.hi) / 2)
-            pts.append(T @ np.array([float(x0), y, 1.0]))
+            pts.append(T @ np.array([float(x0), ys[branch], 1.0]))
     return pts
 
 

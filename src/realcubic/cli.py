@@ -97,17 +97,35 @@ def classify_payload(surface: str, plane: str, cfg: Config) -> dict:
 
 
 def lines_payload(surface: str, cfg: Config) -> list:
+    """The 27 lines as records.  Real lines and conjugate pairs are sorted
+    as units by their rounded real parts, a pair by the mean of its two
+    (then by the mean moduli of its imaginary parts), and a pair lists
+    first the member whose largest imaginary coordinate is positive.  So
+    an ill-conditioned pair, whose real parts differ by float noise, keeps
+    both its place and its order."""
     lineset = solve_lines(as_projective_cubic(surface), cfg.lines)
-    records = []
-    for line in lineset.lines:
-        pl = [[float(c.real), float(c.imag)] for c in line.plucker]
-        records.append({
-            "plucker": pl,
-            "real": bool(line.real),
-            "residual": float(line.residual),
-        })
-    records.sort(key=lambda r: _rounded(r["plucker"]))
-    return records
+    records = [{
+        "plucker": [[float(c.real), float(c.imag)] for c in line.plucker],
+        "real": bool(line.real),
+        "residual": float(line.residual),
+    } for line in lineset.lines]
+    units = [[i] for i, line in enumerate(lineset.lines) if line.real]
+    for i, j in lineset.conj_pairs:
+        # the first imaginary part within a whisker of the largest, so
+        # that moduli tied up to noise pick the same coordinate each run
+        ims = [im for _, im in records[i]["plucker"]]
+        big = max(abs(im) for im in ims)
+        top = next(im for im in ims if abs(im) >= big * (1 - 1e-8))
+        units.append([i, j] if top > 0 else [j, i])
+
+    def key(unit):
+        coords = zip(*(records[i]["plucker"] for i in unit))
+        return _rounded([(sum(re for re, _ in c) / len(unit),
+                          sum(abs(im) for _, im in c) / len(unit))
+                         for c in coords])
+
+    units.sort(key=key)
+    return [records[i] for unit in units for i in unit]
 
 
 def _rounded(coords) -> tuple:

@@ -16,6 +16,7 @@ cross-checks.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -57,6 +58,8 @@ PLANE_VARS = ("x", "y", "z")
 AFFINE_VARS = ("x", "y")
 
 CHART_ATTEMPTS = 200             # sweep chart candidates tried per curve
+ENCLOSURE_BITS = 40              # certified fibre brackets: 2^-40 of root scale
+FALLBACK_WIDTH = Fraction(1, 10 ** 15)   # exact refinement where they fail
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +232,16 @@ def _coeffs_in_x(p: Poly) -> list:
     return strip_high([Fraction(c) for c in dense]) or [Fraction(0)]
 
 
+def fibre_dense(p: Poly, x0: Fraction) -> list:
+    """p(x0, y) as a dense univariate in y, exactly; p is in x and y."""
+    ix, iy = p.vars.index("x"), p.vars.index("y")
+    x0 = Fraction(x0)
+    out = [Fraction(0)] * (max((e[iy] for e in p.terms), default=0) + 1)
+    for e, c in p.terms.items():
+        out[e[iy]] += c * x0 ** e[ix]
+    return strip_high(out) or [Fraction(0)]
+
+
 def analyze_cubic(G: Poly) -> CurveAnalysis:
     """Component structure of the nonsingular real plane cubic G = 0.
 
@@ -282,8 +295,7 @@ def _sweep(G: Poly, M, f: Poly, disc_dense: list) -> CurveAnalysis:
 
     counts = []
     for x0 in samples:
-        fy = [univ_eval(_coeffs_in_x(c), x0) for c in (c0, c1, c2, c3p)]
-        n = real_root_count(fy)
+        n = real_root_count(fibre_dense(f, x0))
         if n not in (1, 3):
             raise InternalInconsistency(f"fibre count {n} in a cell")
         counts.append(n)
@@ -432,12 +444,61 @@ def _chart_xy(analysis: CurveAnalysis, point, tol: float):
     return (Fraction(u[0] / u[2]), Fraction(u[1] / u[2]), False)
 
 
+def certified_fibre_roots(fy: list, n: int):
+    """Isolating intervals for the n real roots of the squarefree fibre
+    cubic fy, certified from its float roots, or None.
+
+    Each real float root r gets the dyadic bracket r +- 2^-ENCLOSURE_BITS s,
+    where s is the power of two at or above the largest root modulus.  When
+    there are n of them, they are disjoint, and fy takes nonzero values of
+    opposite signs at the two ends of each, every bracket holds a root; as
+    fy has exactly n real roots, each holds exactly one.  None when the
+    certificate fails, as next to a fold, where two roots nearly merge.
+    """
+    roots = np.roots([float(t) for t in reversed(fy)])
+    if not np.isfinite(roots).all():
+        return None
+    real = sorted(float(r.real) for r in roots if r.imag == 0)
+    if len(real) != n:
+        return None
+    half = Fraction(2) ** (math.frexp(float(np.abs(roots).max()))[1]
+                          - ENCLOSURE_BITS)
+    out = []
+    for r in real:
+        lo, hi = Fraction(r) - half, Fraction(r) + half
+        if out and lo <= out[-1].hi:
+            return None
+        a, b = univ_eval(fy, lo), univ_eval(fy, hi)
+        if a == 0 or b == 0 or (a > 0) == (b > 0):
+            return None
+        out.append(Interval(lo, hi))
+    return out
+
+
+def fibre_root_floats(fy: list, n: int) -> list:
+    """The n real roots of the squarefree fibre cubic fy as sorted floats:
+    midpoints of certified brackets, or of exactly isolated roots refined
+    to FALLBACK_WIDTH where the certificate fails."""
+    ivs = certified_fibre_roots(fy, n)
+    if ivs is None:
+        ivs = [iv if iv.is_point() else refine_root(fy, iv, FALLBACK_WIDTH)
+               for iv in real_roots(fy)]
+    return [float(iv.mid) for iv in ivs]
+
+
 def locate(analysis: CurveAnalysis, point, tol: float = 1e-7) -> str:
     """Which component of the curve a point lies on: 'oval' or 'pseudoline'.
 
     The point is given in the coordinates of the input ternary cubic.
-    Exact rational points are decided exactly; floating input is matched to
-    the nearest fibre branch and must sit within `tol` of it.
+    Exact rational points are decided exactly.  Floating input is matched
+    to the nearest fibre branch, must sit within `tol` of it, and is
+    refused with MultiplicityAmbiguity when the second-nearest branch is
+    less than 4 times as far.  The branches need no bisection: the cell of
+    x is exact, so its fibre count n is known, and n disjoint dyadic
+    brackets around the float fibre roots, each with fy of opposite signs
+    at its ends, hold one root each (`certified_fibre_roots`).  Distances
+    are measured from their midpoints.  Where the certificate fails, next
+    to a fold, the roots are isolated exactly and refined instead.
     """
     got = _chart_xy(analysis, point, tol)
     if got is None:
@@ -450,20 +511,16 @@ def locate(analysis: CurveAnalysis, point, tol: float = 1e-7) -> str:
             raise NotOnCurve("point does not satisfy the curve equation")
         return "pseudoline"
     where = _cell_of(analysis, x0)
-    ys = analysis.f.coeffs_in("y")
-    while len(ys) < 4:
-        ys.append(Poly.zero(AFFINE_VARS))
-    fy = [univ_eval(_coeffs_in_x(c), x0) for c in ys]
+    fy = fibre_dense(analysis.f, x0)
 
     if where[0] == "fold":
         return _locate_at_fold(analysis, where[1], fy, y0, exact, tol)
 
     cell = where[1]
-    roots = real_roots(fy)
     if exact:
         if univ_eval(fy, y0) != 0:
             raise NotOnCurve("point does not satisfy the curve equation")
-        branch = sum(1 for r in roots
+        branch = sum(1 for r in real_roots(fy)
                      if (r.hi <= y0 and not r.is_point())
                      or (r.is_point() and r.lo < y0))
     else:
@@ -472,10 +529,7 @@ def locate(analysis: CurveAnalysis, point, tol: float = 1e-7) -> str:
         yf = float(y0)
         if abs(univ_eval(fyf, yf)) > tol * scale * max(1.0, abs(yf)) ** 3:
             raise NotOnCurve("point too far from the curve")
-        mids = []
-        for r in roots:
-            r = r if r.is_point() else refine_root(fy, r, Fraction(1, 10**15))
-            mids.append(float(r.mid))
+        mids = fibre_root_floats(fy, analysis.cell_counts[cell])
         dists = sorted((abs(yf - m), i) for i, m in enumerate(mids))
         if len(dists) > 1 and dists[0][0] > 0 and \
                 dists[1][0] < 4 * dists[0][0]:
@@ -576,12 +630,6 @@ def _null_space(rows, width):
             vec[pc] = -mat[i][fc]
         basis.append(vec)
     return basis
-
-
-def fibre_dense(p: Poly, x0: Fraction) -> list:
-    """p(x0, y) as a dense univariate in y, exactly."""
-    out = [univ_eval(_coeffs_in_x(c), x0) for c in p.coeffs_in("y")]
-    return strip_high([Fraction(t) for t in out]) or [Fraction(0)]
 
 
 def plane_form(p, degree: int, what: str) -> Poly:

@@ -10,6 +10,7 @@ import pytest
 
 from realcubic import cli
 from realcubic.errors import NonConvergence
+from realcubic.lines import LineSet, PluckerLine
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 FERMAT = "x^3+y^3+z^3+w^3"
@@ -122,6 +123,29 @@ class TestDeterminism:
             signs.append([rec["point"][0][1] > 0
                           for rec in payload["intersections"]])
         assert signs == [[False, True], [False, True]]
+
+    def test_conjugate_line_order_ignores_rounding_boundary(self,
+                                                            monkeypatch):
+        # an ill-conditioned conjugate pair whose real parts straddle the
+        # 9-digit rounding boundary at 0.1234567885, one way and then the
+        # other: the pair keeps its place and its order
+        p = np.array([1.0, 0.1234567885, 0.3 + 0.5j, -0.2 - 0.25j, 0.4,
+                      0.7 + 0.1j])
+        real = np.array([1.0, -0.5, 0.25, 0.0, 2.0, 1.5], dtype=complex)
+        orders = []
+        for d in (1e-11, -1e-11):
+            shift = np.array([0, d, 0, 0, 0, 0])
+            lines = [PluckerLine(p + shift, np.zeros((2, 4)), False, 0.0),
+                     PluckerLine(real, np.zeros((2, 4)), True, 0.0),
+                     PluckerLine(np.conj(p) - shift, np.zeros((2, 4)), False,
+                                 0.0)]
+            monkeypatch.setattr(
+                cli, "solve_lines", lambda F, cfg, lines=lines:
+                LineSet(lines=lines, real_count=1, conj_pairs=[(0, 2)]))
+            records = cli.lines_payload(FERMAT, cli.build_config(0, None))
+            orders.append([(rec["real"], rec["plucker"][2][1] > 0)
+                           for rec in records])
+        assert orders == [[(True, False), (False, True), (False, False)]] * 2
 
 
 class TestSchemas:

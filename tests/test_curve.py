@@ -6,12 +6,21 @@ from fractions import Fraction
 
 import pytest
 
-from realcubic.algebra import Poly, univ_eval
+from realcubic import curve as curve_module
+from realcubic.algebra import Poly, real_roots, refine_root, univ_eval
+from realcubic.classify import (
+    as_projective_cubic,
+    load_witnesses,
+    parse_plane,
+    restrict_to_plane,
+)
 from realcubic.curve import (
     _null_space,
     analyze_cubic,
+    certified_fibre_roots,
     conic_cubic_meet,
     conic_through_five,
+    fibre_dense,
     locate,
     plane_form,
     residual_point,
@@ -20,6 +29,7 @@ from realcubic.curve import (
 )
 from realcubic.errors import (
     DegenerateConfiguration,
+    MultiplicityAmbiguity,
     NotOnCurve,
     NotTransversal,
     SharedComponent,
@@ -151,6 +161,71 @@ class TestLocate:
         assert locate(curve, (Fraction(-8), Fraction(12), Fraction(2))) \
             == "oval"
         assert locate(curve, (-8.0, 12.0, 2.0)) == "oval"
+
+
+class TestCertifiedFibreRoots:
+    def test_witness_cell_samples(self):
+        # every cell sample of the 15 witness sections: one root of the
+        # fibre per certified bracket, with the midpoint on the root
+        for w in load_witnesses():
+            F = as_projective_cubic(w["surface"])
+            section = restrict_to_plane(F, parse_plane(w["plane"])).ternary
+            analysis = analyze_cubic(section)
+            for x0, n in zip(analysis.cell_samples, analysis.cell_counts):
+                fy = fibre_dense(analysis.f, x0)
+                brackets = certified_fibre_roots(fy, n)
+                assert brackets is not None and len(brackets) == n
+                roots = [refine_root(fy, r, Fraction(1, 10 ** 30))
+                         for r in real_roots(fy)]
+                for b in brackets:
+                    inside = [r for r in roots if b.lo < r.lo and r.hi < b.hi]
+                    assert len(inside) == 1
+                    assert abs(float(b.mid) - float(inside[0].mid)) < 1e-9
+
+    def test_refused_next_to_a_fold(self, curve):
+        # 2^-42 from each fold, on the side where the fibre has three real
+        # roots, two of them 1e-6 apart: the float roots miss their brackets,
+        # and locate falls back to exact isolation
+        T = curve.transform
+        for fp in curve.folds:
+            fold = refine_root(curve.disc_dense, fp.x, Fraction(1, 2 ** 70))
+            x = float(fold.mid) + (2.0 ** -42 if fp.birth else -2.0 ** -42)
+            assert abs(Fraction(x) - fold.mid) < Fraction(1, 2 ** 40)
+            fy = fibre_dense(curve.f, Fraction(x))
+            assert certified_fibre_roots(fy, 3) is None
+            roots = sorted(float(refine_root(fy, r, Fraction(1, 10 ** 20)).mid)
+                           for r in real_roots(fy))
+            pair = [k for k in range(3) if k != (2 if fp.pair_low == 0 else 0)]
+            for k, y in enumerate(roots):
+                point = tuple(float(T[i][0]) * x + float(T[i][1]) * y
+                              + float(T[i][2]) for i in range(3))
+                if k in pair:
+                    try:
+                        assert locate(curve, point) == fp.pair_component
+                    except MultiplicityAmbiguity:
+                        pass
+                else:
+                    assert locate(curve, point) == fp.survivor_component
+
+    def test_float_locate_makes_no_bisection(self, curve, monkeypatch):
+        # the fibre roots come from certified brackets: no isolation and no
+        # bisection of the fibre (the fold intervals may still be refined)
+        fibre_calls = []
+
+        def counting(name, fn):
+            def wrapper(c, *args):
+                if c is not curve.disc_dense:
+                    fibre_calls.append(name)
+                return fn(c, *args)
+            return wrapper
+
+        for name in ("refine_root", "real_roots"):
+            monkeypatch.setattr(curve_module, name, counting(
+                name, getattr(curve_module, name)))
+        for (x, y) in TestLocate().chord_points(10):
+            expect = "oval" if Fraction(-5) <= x <= 0 else "pseudoline"
+            assert locate(curve, (float(x), float(y), 1.0)) == expect
+        assert fibre_calls == []
 
 
 class TestConicThroughFive:
