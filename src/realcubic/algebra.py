@@ -4,12 +4,18 @@ Coefficients are exact: integers or `fractions.Fraction`, and a float or
 complex coefficient is a TypeError (the parser reads decimals as
 Fractions).  Floats enter only as evaluation points.
 
-Real roots are isolated with Descartes bisection on the square-free part
-(Yun decomposition first, so multiplicities are exact).  Complex roots use
-simultaneous Aberth iteration, in floats and then with each step's p/p'
-evaluated exactly.  Resultants go through the Sylvester matrix:
-scalar entries get fraction-free elimination, polynomial entries a memoized
-Laplace expansion.
+Real roots take three steps.  `real_roots` isolates them exactly, by
+Descartes bisection on the square-free part (Yun decomposition first, so
+multiplicities are exact).  `certified_roots` certifies float roots: each,
+moved by one Newton step with an exact residual, gets a dyadic bracket
+whose end signs prove a root inside, and `real_root_floats` bisects the
+exact intervals only where that fails.  `sign_at` decides the sign of a
+polynomial at an isolated root, by Descartes' rule on the interval.
+
+Complex roots use simultaneous Aberth iteration, in floats and then with
+each step's p/p' evaluated exactly.  Resultants go through the Sylvester
+matrix: scalar entries get fraction-free elimination, polynomial entries a
+memoized Laplace expansion.
 """
 
 from __future__ import annotations
@@ -558,10 +564,6 @@ class Interval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def is_point(self) -> bool:
         return self.lo == self.hi
 
@@ -581,14 +583,20 @@ def _sign_variations(c: Sequence[int]) -> int:
     return n
 
 
-def _taylor_shift1(c: list) -> list:
-    """p(x+1) for integer coefficients, low to high, in place convention."""
+def _taylor_shift(c: list, a=1) -> list:
+    """p(x + a) for the coefficients c of p, low to high."""
     c = list(c)
     n = len(c)
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
-            c[j] += c[j + 1]
+            c[j] += a * c[j + 1]
     return c
+
+
+def _variations01(c: list) -> int:
+    """Descartes' bound on the roots in (0, 1) of the polynomial c: the sign
+    variations of (1 + x)^n c(1 / (1 + x)).  Zero proves there are none."""
+    return _sign_variations(_taylor_shift(c[::-1]))
 
 
 def _div_linear_root1(c: list) -> list:
@@ -608,7 +616,7 @@ def _vca(c: list, lo: Fraction, hi: Fraction, out: list):
 
     c encodes those roots mapped onto (0, 1); c has no root at 0 or 1.
     """
-    v = _sign_variations(_taylor_shift1(c[::-1]))
+    v = _variations01(c)
     if v == 0:
         return
     if v == 1:
@@ -617,7 +625,7 @@ def _vca(c: list, lo: Fraction, hi: Fraction, out: list):
     n = len(c) - 1
     mid = (lo + hi) / 2
     left = [a << (n - k) for k, a in enumerate(c)]     # 2^n c(x/2)
-    right = _taylor_shift1(left)                       # 2^n c((x+1)/2)
+    right = _taylor_shift(left)                        # 2^n c((x+1)/2)
     if right[0] == 0:
         out.append((mid, mid))
         right = right[1:]
@@ -727,36 +735,99 @@ def real_roots(p: Union[Poly, Sequence], var: str = None) -> list:
     return [Interval(lo, hi, m) for lo, hi, m, _ in found]
 
 
-def real_root_count(p: Union[Poly, Sequence], var: str = None,
-                    with_multiplicity: bool = False) -> int:
-    rts = real_roots(p, var)
-    return sum(r.multiplicity for r in rts) if with_multiplicity else len(rts)
+def real_root_count(p: Union[Poly, Sequence], var: str = None) -> int:
+    return len(real_roots(p, var))
 
 
-def count_roots_below(c: Sequence, bound: Fraction, strict: bool = True) -> int:
-    """Number of distinct real roots < bound (or <= bound when not strict)."""
-    bound = Fraction(bound)
-    coeffs = strip_high([Fraction(t) for t in c])
-    vanishes = univ_eval(coeffs, bound) == 0
-    # refine against the squarefree part so sign bisection is sound
-    dc = univ_derivative(coeffs)
-    g = univ_gcd(coeffs, dc) if dc else []
-    sf = univ_divmod(coeffs, g)[0] if univ_degree(g) > 0 else coeffs
-    n = 0
-    for iv in real_roots(coeffs):
-        if vanishes and bound in iv:
-            if not strict:
-                n += 1
-            continue
-        lo, hi = iv.lo, iv.hi
-        while lo != hi and lo < bound < hi:
-            lo, hi = _bisect_once(sf, lo, hi)
-        if lo == hi:
-            if lo < bound or (not strict and lo == bound):
-                n += 1
-        elif hi <= bound:
-            n += 1
-    return n
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def sign_at(p: Sequence, c: Sequence, iv: Interval) -> tuple:
+    """Exact sign (-1, 0 or 1) of p at the root of the squarefree c that iv
+    isolates, and iv as refined to decide it.
+
+    Once Descartes' rule shows p has no root in (lo, hi), p has its sign at
+    the midpoint.  Until then p vanishes at the root exactly when gcd(p, c)
+    changes sign across iv, and iv is bisected on c.  Where p does not
+    vanish, the variation count falls to 0 as iv shrinks: no width cap.
+    """
+    lo, hi = iv.lo, iv.hi
+    g = None
+    while lo != hi:
+        shifted = _taylor_shift(p, lo)                    # p(x + lo)
+        w = hi - lo
+        if _variations01([a * w ** k for k, a in enumerate(shifted)]) == 0:
+            return _sign(univ_eval(p, (lo + hi) / 2)), \
+                Interval(lo, hi, iv.multiplicity)
+        if g is None:
+            g = univ_gcd(p, c)
+        if univ_degree(g) > 0 and \
+                (univ_eval(g, lo) > 0) != (univ_eval(g, hi) > 0):
+            return 0, Interval(lo, hi, iv.multiplicity)
+        lo, hi = _bisect_once(c, lo, hi)
+    return _sign(univ_eval(p, lo)), Interval(lo, hi, iv.multiplicity)
+
+
+# ---------------------------------------------------------------------------
+# certified float roots
+# ---------------------------------------------------------------------------
+
+ENCLOSURE_BITS = 40              # certified brackets: 2^-40 of the root scale
+FALLBACK_WIDTH = Fraction(1, 10 ** 15)   # exact refinement where they fail
+
+
+def certified_roots(c: Sequence, n: int):
+    """Isolating intervals for the n real roots of c, certified from its
+    float roots, or None where that fails, as where two roots nearly merge.
+
+    Each real float root r, moved by one Newton step (c(r) exact, c'(r) in
+    floats), gets the dyadic bracket r +- 2^-ENCLOSURE_BITS s, s the power
+    of two at or above the largest root modulus.  n disjoint brackets, each
+    with c of opposite nonzero signs at its ends, hold one root each.
+    """
+    roots = np.roots([float(t) for t in reversed(c)])
+    if not np.isfinite(roots).all():
+        return None
+    real = [float(r.real) for r in roots if r.imag == 0]
+    if len(real) != n:
+        return None
+    dc = [float(t) for t in univ_derivative(c)]
+    real = sorted(_newton_step(c, dc, r) for r in real)
+    half = Fraction(2) ** (math.frexp(float(np.abs(roots).max()))[1]
+                          - ENCLOSURE_BITS)
+    out = []
+    for r in real:
+        lo, hi = Fraction(r) - half, Fraction(r) + half
+        if out and lo <= out[-1].hi:
+            return None
+        a, b = univ_eval(c, lo), univ_eval(c, hi)
+        if a == 0 or b == 0 or (a > 0) == (b > 0):
+            return None
+        out.append(Interval(lo, hi))
+    return out
+
+
+def _newton_step(c: Sequence, dc: list, r: float) -> float:
+    """r - c(r)/c'(r), with c(r) exact at the float r and c'(r) in floats."""
+    d = univ_eval(dc, r)
+    if d == 0 or not math.isfinite(d):
+        return r
+    return r - float(univ_eval(c, Fraction(r)) / Fraction(d))
+
+
+def real_root_floats(c: Sequence, n: int, ivs: Sequence = None) -> list:
+    """The n real roots of the squarefree c as sorted floats: midpoints of
+    certified brackets, else of the isolating intervals `ivs` (by default
+    `real_roots(c)`) refined to FALLBACK_WIDTH.  A root that `ivs` gives as
+    a point is rounded from its exact value."""
+    got = certified_roots(c, n)
+    if got is None:
+        ivs = real_roots(c) if ivs is None else ivs
+        got = [refine_root(c, iv, FALLBACK_WIDTH) for iv in ivs]
+    elif ivs is not None:
+        got = [iv if iv.is_point() else b for iv, b in zip(ivs, got)]
+    return [float(b.mid) for b in got]
 
 
 # ---------------------------------------------------------------------------
@@ -949,11 +1020,6 @@ def resultant(p: Poly, q: Poly, var: str) -> Poly:
         val = _det_scalar([[e.constant_value() for e in row] for row in rows])
         return Poly.const(val, p.vars)
     return _det_poly(rows, p.vars)
-
-
-def discriminant(p: Poly, var: str) -> Poly:
-    """Resultant of p and its derivative; zero iff p has a repeated root."""
-    return resultant(p, p.derivative(var), var)
 
 
 # ---------------------------------------------------------------------------

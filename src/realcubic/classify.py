@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Poly, quadric_triple_resultant
+from .algebra import Poly, quadric_triple_resultant, real_root_floats
 from .combinat import CLASSES, PROJECTIVE_CLASSES, class_id_for
 from .config import DEFAULT, Config
 from .curve import (
@@ -26,7 +26,6 @@ from .curve import (
     analyze_cubic,
     conic_cubic_meet,
     fibre_dense,
-    fibre_root_floats,
     locate,
     plane_form,
 )
@@ -342,8 +341,8 @@ def oval_curve_points(analysis: CurveAnalysis, count: int = 3) -> list:
     pts = []
     for cell in chosen:
         x0 = analysis.cell_samples[cell]
-        ys = fibre_root_floats(fibre_dense(analysis.f, x0),
-                               analysis.cell_counts[cell])
+        ys = real_root_floats(fibre_dense(analysis.f, x0),
+                              analysis.cell_counts[cell])
         for branch in analysis.oval_cells[cell]:
             pts.append(T @ np.array([float(x0), ys[branch], 1.0]))
     return pts

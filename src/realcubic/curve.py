@@ -16,23 +16,23 @@ cross-checks.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+
 import numpy as np
 
 from .algebra import (
     Interval,
     Poly,
     complex_roots,
-    count_roots_below,
-    discriminant,
     quadric_triple_resultant,
     real_root_count,
+    real_root_floats,
     real_roots,
-    refine_root,
     resultant,
+    sign_at,
     strip_high,
     univ_degree,
     univ_derivative,
@@ -40,6 +40,7 @@ from .algebra import (
     univ_eval,
     univ_gcd,
     univ_mul,
+    univ_sub,
 )
 from .combinat import UnionFind
 from .errors import (
@@ -58,8 +59,6 @@ PLANE_VARS = ("x", "y", "z")
 AFFINE_VARS = ("x", "y")
 
 CHART_ATTEMPTS = 200             # sweep chart candidates tried per curve
-ENCLOSURE_BITS = 40              # certified fibre brackets: 2^-40 of root scale
-FALLBACK_WIDTH = Fraction(1, 10 ** 15)   # exact refinement where they fail
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +141,9 @@ def _dehomogenize(GT: Poly) -> Poly:
 
 
 def _chart_ok(GT: Poly):
-    """Check the sweep preconditions; return the affine curve and the
-    x-discriminant when the chart is usable, else None."""
+    """Check the sweep preconditions; return the affine curve, its
+    coefficients c0..c3 in y dense in x, and its y-discriminant dense in x
+    when the chart is usable, else None."""
     cx3 = GT.terms.get((3, 0, 0), 0)
     cy3 = GT.terms.get((0, 3, 0), 0)
     if cx3 == 0 or cy3 == 0:
@@ -158,13 +158,22 @@ def _chart_ok(GT: Poly):
     if real_root_count(inf) != 1:
         return None
     f = _dehomogenize(GT)
-    disc = discriminant(f, "y")
-    dense = disc.coeffs_in("x")
-    dense = [p.constant_value() for p in dense]
-    dense = strip_high([Fraction(c) for c in dense])
+    cs = [_coeffs_in_x(c) for c in f.coeffs_in("y")]
+    dense = _y_discriminant(*cs)
     if univ_degree(dense) >= 1 and not _is_squarefree(dense):
         return None
-    return f, dense
+    return f, cs, dense
+
+
+def _y_discriminant(c0, c1, c2, c3) -> list:
+    """c1^2 c2^2 - 4 c0 c2^3 - 4 c1^3 c3 - 27 c0^2 c3^2 + 18 c0 c1 c2 c3, the
+    discriminant of c3 y^3 + c2 y^2 + c1 y + c0 dense in x: -Res(f, f_y)/c3."""
+    out = []
+    for k, *factors in ((-1, c1, c1, c2, c2), (4, c0, c2, c2, c2),
+                        (4, c1, c1, c1, c3), (27, c0, c0, c3, c3),
+                        (-18, c0, c1, c2, c3)):
+        out = univ_sub(out, [k * t for t in reduce(univ_mul, factors)])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -195,36 +204,13 @@ class CurveAnalysis:
 
 
 def _fold_sign(fold_iv: Interval, A: list, N: list, disc_dense: list,
-               c3: Fraction, max_bits: int = 512):
-    """Exact sign of (y_survivor - y_double) at the fold."""
-    P = univ_mul(A, N)
-    if _is_zero_dense(P):
-        raise InternalInconsistency("degenerate subresultant at a fold")
-    iv = fold_iv
-    while True:
-        if iv.is_point():
-            val = univ_eval(P, iv.lo)
-            if val == 0:
-                raise InternalInconsistency("triple contact at a fold")
-            sign = 1 if val > 0 else -1
-            break
-        inside = (count_roots_below(P, iv.hi, strict=False)
-                  - count_roots_below(P, iv.lo, strict=False))
-        if inside == 0:
-            val = univ_eval(P, iv.mid)
-            if val == 0:
-                # mid is exactly a root (can only be one of P's, not disc's);
-                # shrink further so the sign test lands off it
-                iv = refine_root(disc_dense, iv, iv.width / 4)
-                continue
-            sign = 1 if val > 0 else -1
-            break
-        if iv.width < Fraction(1, 1 << max_bits):
-            raise InternalInconsistency("fold sign refinement stalled")
-        iv = refine_root(disc_dense, iv, iv.width / 4)
-    if c3 < 0:
-        sign = -sign
-    return sign, iv
+               c3: Fraction):
+    """Exact sign of (y_survivor - y_double) at the fold, and the fold's
+    interval as refined to decide it."""
+    sign, iv = sign_at(univ_mul(A, N), disc_dense, fold_iv)
+    if sign == 0:
+        raise InternalInconsistency("subresultant vanishes at a fold")
+    return (-sign if c3 < 0 else sign), iv
 
 
 def _coeffs_in_x(p: Poly) -> list:
@@ -263,9 +249,9 @@ def analyze_cubic(G: Poly) -> CurveAnalysis:
         got = _chart_ok(GT)
         if got is None:
             continue
-        f, disc_dense = got
+        f, cs, disc_dense = got
         try:
-            return _sweep(G, M, f, disc_dense)
+            return _sweep(G, M, f, cs, disc_dense)
         except InternalInconsistency as exc:   # pragma: no cover - retried
             last = exc
             continue
@@ -274,12 +260,8 @@ def analyze_cubic(G: Poly) -> CurveAnalysis:
     raise ChartDegenerate("no usable sweep chart found")
 
 
-def _sweep(G: Poly, M, f: Poly, disc_dense: list) -> CurveAnalysis:
-    ys = f.coeffs_in("y")
-    while len(ys) < 4:
-        ys.append(Poly.zero(AFFINE_VARS))
-    c0, c1, c2, c3p = ys[:4]
-    c3 = Fraction(c3p.constant_value())
+def _sweep(G: Poly, M, f: Poly, cs: list, disc_dense: list) -> CurveAnalysis:
+    c0, c1, c2, (c3,) = cs
     fold_ivs = real_roots(disc_dense) if univ_degree(disc_dense) >= 1 else []
     assert all(iv.multiplicity == 1 for iv in fold_ivs)
 
@@ -306,27 +288,14 @@ def _sweep(G: Poly, M, f: Poly, disc_dense: list) -> CurveAnalysis:
             raise InternalInconsistency("fold must change the fibre by two")
 
     # first subresultant of (f, f_y):  9*c3*f mod f_y = A y + B up to scale
-    A_poly = (c1 * c3p * 3 - c2 * c2) * 2
-    B_poly = c0 * c3p * 9 - c1 * c2
-    A = _coeffs_in_x(A_poly)
-    B = _coeffs_in_x(B_poly)
-    c2x = _coeffs_in_x(c2)
+    A = univ_sub([6 * c3 * t for t in c1], univ_mul([2 * t for t in c2], c2))
+    B = univ_sub([9 * c3 * t for t in c0], univ_mul(c1, c2))
     # N/ (c3 A) gives y_survivor - y_double up to positive factors
-    N = [3 * c3 * t for t in B]
-    M2 = univ_mul(c2x, A)
-    n_len = max(len(N), len(M2))
-    N = [
-        (N[i] if i < len(N) else 0) - (M2[i] if i < len(M2) else 0)
-        for i in range(n_len)
-    ]
-    N = strip_high([Fraction(t) for t in N]) or [Fraction(0)]
-    A = strip_high(A) or [Fraction(0)]
+    N = univ_sub([3 * c3 * t for t in B], univ_mul(c2, A))
 
     folds = []
     for k, iv in enumerate(fold_ivs):
         birth = counts[k] == 1
-        if univ_degree(A) < 0 or A == [Fraction(0)]:
-            raise InternalInconsistency("degenerate subresultant")
         sign, iv = _fold_sign(iv, A, N, disc_dense, c3)
         # sign > 0: the surviving branch lies above the merging pair
         pair_low = 0 if sign > 0 else 1
@@ -403,22 +372,14 @@ def _cell_of(analysis: CurveAnalysis, x: Fraction):
     """Index of the cell containing x, or ('fold', k) at an exact fold."""
     below = 0
     for k, fp in enumerate(analysis.folds):
-        iv = fp.x
-        if iv.is_point():
-            if x == iv.lo:
+        if x in fp.x:
+            # the sign of X - x at the fold decides the side
+            side, fp.x = sign_at([-x, Fraction(1)], analysis.disc_dense, fp.x)
+            if side == 0:
                 return ("fold", k)
-            if iv.lo < x:
+            if side < 0:
                 below += 1
-            continue
-        if x in iv and univ_eval(analysis.disc_dense, x) == 0:
-            return ("fold", k)
-        while x in iv:
-            if iv.width < Fraction(1, 1 << 600):
-                raise MultiplicityAmbiguity(
-                    "point x-coordinate indistinguishable from a fold")
-            iv = refine_root(analysis.disc_dense, iv, iv.width / 4)
-            fp.x = iv
-        if iv.hi <= x:
+        elif fp.x.hi <= x:
             below += 1
     return ("cell", below)
 
@@ -444,48 +405,6 @@ def _chart_xy(analysis: CurveAnalysis, point, tol: float):
     return (Fraction(u[0] / u[2]), Fraction(u[1] / u[2]), False)
 
 
-def certified_fibre_roots(fy: list, n: int):
-    """Isolating intervals for the n real roots of the squarefree fibre
-    cubic fy, certified from its float roots, or None.
-
-    Each real float root r gets the dyadic bracket r +- 2^-ENCLOSURE_BITS s,
-    where s is the power of two at or above the largest root modulus.  When
-    there are n of them, they are disjoint, and fy takes nonzero values of
-    opposite signs at the two ends of each, every bracket holds a root; as
-    fy has exactly n real roots, each holds exactly one.  None when the
-    certificate fails, as next to a fold, where two roots nearly merge.
-    """
-    roots = np.roots([float(t) for t in reversed(fy)])
-    if not np.isfinite(roots).all():
-        return None
-    real = sorted(float(r.real) for r in roots if r.imag == 0)
-    if len(real) != n:
-        return None
-    half = Fraction(2) ** (math.frexp(float(np.abs(roots).max()))[1]
-                          - ENCLOSURE_BITS)
-    out = []
-    for r in real:
-        lo, hi = Fraction(r) - half, Fraction(r) + half
-        if out and lo <= out[-1].hi:
-            return None
-        a, b = univ_eval(fy, lo), univ_eval(fy, hi)
-        if a == 0 or b == 0 or (a > 0) == (b > 0):
-            return None
-        out.append(Interval(lo, hi))
-    return out
-
-
-def fibre_root_floats(fy: list, n: int) -> list:
-    """The n real roots of the squarefree fibre cubic fy as sorted floats:
-    midpoints of certified brackets, or of exactly isolated roots refined
-    to FALLBACK_WIDTH where the certificate fails."""
-    ivs = certified_fibre_roots(fy, n)
-    if ivs is None:
-        ivs = [iv if iv.is_point() else refine_root(fy, iv, FALLBACK_WIDTH)
-               for iv in real_roots(fy)]
-    return [float(iv.mid) for iv in ivs]
-
-
 def locate(analysis: CurveAnalysis, point, tol: float = 1e-7) -> str:
     """Which component of the curve a point lies on: 'oval' or 'pseudoline'.
 
@@ -493,12 +412,12 @@ def locate(analysis: CurveAnalysis, point, tol: float = 1e-7) -> str:
     Exact rational points are decided exactly.  Floating input is matched
     to the nearest fibre branch, must sit within `tol` of it, and is
     refused with MultiplicityAmbiguity when the second-nearest branch is
-    less than 4 times as far.  The branches need no bisection: the cell of
-    x is exact, so its fibre count n is known, and n disjoint dyadic
-    brackets around the float fibre roots, each with fy of opposite signs
-    at its ends, hold one root each (`certified_fibre_roots`).  Distances
-    are measured from their midpoints.  Where the certificate fails, next
-    to a fold, the roots are isolated exactly and refined instead.
+    less than 4 times as far.  The cell of x is exact, with no width cap
+    (`sign_at`), so its fibre count n is known; the branches are the n
+    certified float fibre roots (`real_root_floats`), which fall back to
+    exact isolation only next to a fold.  In a one-branch cell the two
+    non-real fibre roots count as branches too: just past a fold they are
+    the nearly real pair that met there.
     """
     got = _chart_xy(analysis, point, tol)
     if got is None:
@@ -529,12 +448,14 @@ def locate(analysis: CurveAnalysis, point, tol: float = 1e-7) -> str:
         yf = float(y0)
         if abs(univ_eval(fyf, yf)) > tol * scale * max(1.0, abs(yf)) ** 3:
             raise NotOnCurve("point too far from the curve")
-        mids = fibre_root_floats(fy, analysis.cell_counts[cell])
-        dists = sorted((abs(yf - m), i) for i, m in enumerate(mids))
-        if len(dists) > 1 and dists[0][0] > 0 and \
-                dists[1][0] < 4 * dists[0][0]:
-            raise MultiplicityAmbiguity("point between two fibre branches")
+        mids = real_root_floats(fy, analysis.cell_counts[cell])
+        others = [] if len(mids) == 3 else sorted(
+            np.roots(fyf[::-1]), key=lambda r: abs(r - mids[0]))[1:]
+        dists = sorted((abs(yf - m), i) for i, m in enumerate(mids + others))
         branch = dists[0][1]
+        if branch >= len(mids) or \
+                dists[0][0] > 0 and dists[1][0] < 4 * dists[0][0]:
+            raise MultiplicityAmbiguity("point between two fibre branches")
     pair = analysis.oval_cells.get(cell)
     if pair is not None and branch in pair:
         return "oval"
@@ -661,12 +582,21 @@ def plane_form(p, degree: int, what: str) -> Poly:
 
 def _real_points_over(p: Poly, q: Poly, dense: list) -> list:
     """(x, y) float pairs over the real roots of `dense`, the squarefree
-    y-resultant of p and q, when no two common points share an x."""
+    y-resultant of p and q, when no two common points share an x.  A point
+    over a rational root is computed exactly and rounded once; any other is
+    polished by Newton and must stay inside its root's isolating interval
+    (NonConvergence otherwise)."""
+    ivs = real_roots(dense)
     out = []
-    for iv in real_roots(dense):
-        iv = iv if iv.is_point() else refine_root(
-            dense, iv, Fraction(1, 10 ** 14))
-        out.append((float(iv.mid), _common_y(p, q, iv)))
+    for iv, x in zip(ivs, real_root_floats(dense, len(ivs), ivs)):
+        if iv.is_point():
+            out.append((x, _common_y(p, q, iv.lo)))
+            continue
+        x, y = _newton_polish(p, q, x, _common_y(p, q, x))
+        if not iv.lo < Fraction(x) < iv.hi:
+            raise NonConvergence("Newton left the interval of a real "
+                                 "conic-cubic point")
+        out.append((x, y))
     return out
 
 
@@ -712,13 +642,18 @@ class ConicCubicMeet:
 
 
 def _newton_polish(p: Poly, q: Poly, x: complex, y: complex) -> tuple:
-    """Newton on the affine curves p = q = 0 from (x, y), in complex floats.
-    Raises NonConvergence unless the step falls to rounding level."""
+    """Newton on the affine curves p = q = 0 from (x, y), in complex floats,
+    or in floats from a real start, with p and q then evaluated exactly at
+    each float point.  Raises NonConvergence unless the step falls to
+    rounding level."""
+    num = complex if isinstance(x, complex) else float
     jac = [[h.derivative(v) for v in AFFINE_VARS] for h in (p, q)]
     for _ in range(30):
         pt = {"x": x, "y": y}
-        (a, b), (c, d) = [[complex(h.eval(pt)) for h in row] for row in jac]
-        f, g = complex(p.eval(pt)), complex(q.eval(pt))
+        (a, b), (c, d) = [[num(h.eval(pt)) for h in row] for row in jac]
+        if num is float:
+            pt = {"x": Fraction(x), "y": Fraction(y)}
+        f, g = num(p.eval(pt)), num(q.eval(pt))
         det = a * d - b * c
         if det == 0:
             break
@@ -758,18 +693,14 @@ def conic_cubic_meet(conic: Poly, cubic: Poly) -> ConicCubicMeet:
 def _common_y(p: Poly, q: Poly, x):
     """The y of the common point of p and q over an isolated intersection x.
 
-    `x` is either an isolating Interval of a real x, which gives y exactly
-    at a rational x and as a float otherwise, or a complex number, which
-    gives a complex y to float accuracy.
+    `x` is either a Fraction, which gives y exactly and rounds it once, or
+    a float or complex number, which gives y to float accuracy.
     """
-    if isinstance(x, Interval):
-        if x.is_point():
-            g = univ_gcd(fibre_dense(p, x.lo), fibre_dense(q, x.lo))
-            if univ_degree(g) != 1:
-                raise DegenerateConfiguration(
-                    "fibre gcd is not a single point")
-            return float(-g[0] / g[1])
-        x = float(x.mid)
+    if isinstance(x, Fraction):
+        g = univ_gcd(fibre_dense(p, x), fibre_dense(q, x))
+        if univ_degree(g) != 1:
+            raise DegenerateConfiguration("fibre gcd is not a single point")
+        return float(-g[0] / g[1])
     pc = [univ_eval([float(u) for u in _coeffs_in_x(c)], x)
           for c in p.coeffs_in("y")]
     qc = [univ_eval([float(u) for u in _coeffs_in_x(c)], x)
@@ -780,10 +711,6 @@ def _common_y(p: Poly, q: Poly, x):
     if len(roots) == 0:
         raise InternalInconsistency("no fibre root over an intersection x")
     return min(roots, key=lambda r: abs(univ_eval(qc, r)))
-
-
-def _is_zero_dense(c):
-    return all(t == 0 for t in c)
 
 
 def residual_point(cubic: Poly, points) -> tuple:

@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 from realcubic.algebra import (
     Interval,
     Poly,
+    certified_roots,
     complex_roots,
-    count_roots_below,
-    discriminant,
     quadric_triple_resultant,
     real_root_count,
+    real_root_floats,
     real_roots,
     refine_root,
     resultant,
+    sign_at,
     squarefree_decomposition,
     strip_high,
     to_int_primitive,
@@ -256,14 +257,79 @@ def test_interval_ordering_and_disjointness_random():
             assert a.hi <= b.lo
 
 
-def test_count_roots_below():
+def _below(c, bound):
+    """Roots of c below bound, each decided by the sign of X - bound."""
+    signs = [sign_at([-bound, F(1)], c, iv)[0] for iv in real_roots(c)]
+    return signs.count(-1), signs.count(0)
+
+
+def test_sign_at_counts_roots_below():
     # (x^2 - 2)(x - 5)
     p = univ_mul([F(-2), F(0), F(1)], [F(-5), F(1)])
-    assert count_roots_below(p, F(2)) == 2
-    assert count_roots_below(p, F(-2)) == 0
-    assert count_roots_below(p, F(10)) == 3
-    assert count_roots_below([F(-3), F(1)], F(3)) == 0
-    assert count_roots_below([F(-3), F(1)], F(3), strict=False) == 1
+    assert _below(p, F(2)) == (2, 0)
+    assert _below(p, F(-2)) == (0, 0)
+    assert _below(p, F(10)) == (3, 0)
+    assert _below([F(-3), F(1)], F(3)) == (0, 1)
+
+
+class TestSignAt:
+    # x^2 - 2 and its positive root sqrt(2), isolated in (1, 2)
+    C = [F(-2), F(0), F(1)]
+    IV = Interval(F(1), F(2))
+
+    def test_point_interval_is_evaluated(self):
+        iv = Interval(F(3), F(3))
+        assert sign_at([F(-1), F(0), F(1)], [F(-3), F(1)], iv) == (1, iv)
+        assert sign_at([F(-3), F(1)], [F(-3), F(1)], iv)[0] == 0
+        assert sign_at([F(4), F(-1)], [F(-3), F(1)], iv)[0] == 1
+
+    def test_shared_root_gives_zero(self):
+        # (x^2 - 2)(x + 7) vanishes at sqrt(2)
+        p = univ_mul(self.C, [F(7), F(1)])
+        assert sign_at(p, self.C, self.IV)[0] == 0
+
+    def test_close_root_forces_bisection(self):
+        # x - r with r about 2^-60 below sqrt(2): positive there, and the
+        # interval must be bisected past r before Descartes can tell
+        r = F(math.isqrt(2 << 120), 1 << 60) - F(1, 1 << 60)
+        assert r * r < 2 < (r + F(1, 1 << 59)) ** 2
+        sign, iv = sign_at([-r, F(1)], self.C, self.IV)
+        assert sign == 1
+        assert r < iv.lo and iv.hi - iv.lo <= F(1, 1 << 50)
+        assert sign_at([r, F(-1)], self.C, self.IV)[0] == -1
+
+    def test_linear_sign_inside_outside_and_on_the_root(self):
+        # X - x at sqrt(2) for x inside and outside the interval
+        for x, expect in ((F(7, 5), 1), (F(3, 2), -1), (F(1, 2), 1),
+                          (F(5), -1)):
+            assert sign_at([-x, F(1)], self.C, self.IV)[0] == expect
+        # an exact rational root: 1/2 of 2x^2 + x - 1 = (2x - 1)(x + 1)
+        c = [F(-1), F(1), F(2)]
+        (iv,) = [iv for iv in real_roots(c) if F(1, 2) in iv]
+        assert sign_at([F(-1, 2), F(1)], c, iv)[0] == 0
+        assert sign_at([F(-1, 3), F(1)], c, iv)[0] == 1
+
+
+def test_real_root_floats_certified_exact_and_fallback():
+    # (x - 1/3)(x - 1/2)(x - 5): certified, with the dyadic root 1/2
+    # isolated as a point and kept exact
+    c = univ_mul(univ_mul([F(-1, 3), F(1)], [F(-1, 2), F(1)]), [F(-5), F(1)])
+    ivs = real_roots(c)
+    assert any(iv.is_point() for iv in ivs)
+    brackets = certified_roots(c, 3)
+    assert [b.lo < r < b.hi for b, r in zip(brackets, (F(1, 3), F(1, 2), 5))] \
+        == [True] * 3
+    got = real_root_floats(c, 3, ivs)
+    assert got[1] == 0.5
+    assert max(abs(a - b) for a, b in zip(got, (1 / 3, 0.5, 5.0))) < 1e-15
+    # a wrong count refuses the certificate
+    assert certified_roots(c, 2) is None
+    # roots 1 and 1 + 10^-13: floats cannot separate them, and the exact
+    # fallback does
+    tight = univ_mul([F(-1), F(1)], [-1 - F(1, 10 ** 13), F(1)])
+    assert certified_roots(tight, 2) is None
+    lo, hi = real_root_floats(tight, 2)
+    assert lo == 1.0 and abs(hi - (1 + 1e-13)) < 2e-16
 
 
 @settings(max_examples=150, deadline=None)
@@ -406,8 +472,10 @@ def test_resultant_bivariate_elimination():
 
 
 def test_discriminant_detects_repeated_roots():
-    assert discriminant(Poly.parse("(x-1)(x-1)(x+3)"), "x").constant_value() == 0
-    assert discriminant(Poly.parse("x^2 + 1"), "x").constant_value() != 0
+    for text, repeated in (("(x-1)(x-1)(x+3)", True), ("x^2 + 1", False)):
+        p = Poly.parse(text)
+        disc = resultant(p, p.derivative("x"), "x").constant_value()
+        assert (disc == 0) == repeated
     # classical: disc(x^2 + bx + c) ~ b^2 - 4c up to sign convention
     vs = ("x", "a", "b")
     x, a, b = (Poly.var(v, vs) for v in vs)

@@ -19,6 +19,7 @@ from realcubic.classify import (
 from realcubic.combinat import load_wall_graph
 from realcubic.errors import (
     MathematicalRejection,
+    MultiplicityAmbiguity,
     NearDiscriminant,
     NotTransversal,
 )
@@ -184,6 +185,28 @@ class TestWallCrossing:
     def test_pair_lies_on_the_wall_between_six_and_four(self):
         assert wall_label(WALL_F2, WALL_F3).label == 2
         assert load_wall_graph().wall_between(6, 4) == (2,)
+
+    def test_pair_with_a_nearly_double_conic_fibre(self):
+        # wall_pairs(150)[99] of perfbench/inputs.py.  In the meet's chart
+        # the conic's fibre over one real meet x is nearly a double root,
+        # so the unpolished common point lay 6e-8 off the cubic.  The exact
+        # rational points (1:0:0) and (-1:0:1) lie on the pseudoline and
+        # (-1:1:1) on the oval
+        conic = "2*x*y + (-3)*x*z + 3*y^2 + (-1)*y*z + (-3)*z^2"
+        cubic = ("2*x^2*y + (-1)*x^2*z + 2*x*y^2 + (-3)*x*y*z + 1*x*z^2"
+                 " + 2*y^3 + (-2)*y^2*z + (-3)*y*z^2 + 2*z^3")
+        assert wall_label(conic, cubic).label == (4, 2)
+
+    def test_pair_with_a_meet_point_next_to_a_fold_fails_closed(self):
+        # the same pair after a projective change: one real meet point lies
+        # 5e-15 past a fold of the cubic's sweep chart, on its one-branch
+        # side, at the double point of the branch pair that meets there
+        conic = ("(-18)*x^2 + (-57)*x*y + (-135)*x*z + (-36)*y^2"
+                 " + (-122)*y*z + (-22)*z^2")
+        cubic = ("18*x^2*y + 126*x^2*z + 18*x*y^2 + 78*x*y*z + (-360)*x*z^2"
+                 " + 2*y^3 + (-32)*y^2*z + (-354)*y*z^2 + (-96)*z^3")
+        with pytest.raises(MultiplicityAmbiguity):
+            wall_label(conic, cubic)
 
     @pytest.mark.parametrize("eps, class_id",
                              [("1/10000", 4), ("-1/10000", 6)])

@@ -1,23 +1,35 @@
 """Sweep analyzer and exact conic/chord utilities."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from realcubic import algebra as algebra_module
+from realcubic import classify as classify_module
 from realcubic import curve as curve_module
-from realcubic.algebra import Poly, real_roots, refine_root, univ_eval
+from realcubic.algebra import (
+    Poly,
+    certified_roots,
+    real_roots,
+    refine_root,
+    resultant,
+    sign_at,
+    univ_eval,
+)
 from realcubic.classify import (
     as_projective_cubic,
+    classify_surface,
     load_witnesses,
     parse_plane,
     restrict_to_plane,
 )
 from realcubic.curve import (
+    _coeffs_in_x,
     _null_space,
     analyze_cubic,
-    certified_fibre_roots,
     conic_cubic_meet,
     conic_through_five,
     fibre_dense,
@@ -173,7 +185,7 @@ class TestCertifiedFibreRoots:
             analysis = analyze_cubic(section)
             for x0, n in zip(analysis.cell_samples, analysis.cell_counts):
                 fy = fibre_dense(analysis.f, x0)
-                brackets = certified_fibre_roots(fy, n)
+                brackets = certified_roots(fy, n)
                 assert brackets is not None and len(brackets) == n
                 roots = [refine_root(fy, r, Fraction(1, 10 ** 30))
                          for r in real_roots(fy)]
@@ -183,16 +195,28 @@ class TestCertifiedFibreRoots:
                     assert abs(float(b.mid) - float(inside[0].mid)) < 1e-9
 
     def test_refused_next_to_a_fold(self, curve):
-        # 2^-42 from each fold, on the side where the fibre has three real
-        # roots, two of them 1e-6 apart: the float roots miss their brackets,
-        # and locate falls back to exact isolation
+        # at the float nearest each fold on the side where the fibre has
+        # three real roots, two of them about 4e-8 apart, the float roots
+        # miss their brackets even after the Newton step, and locate falls
+        # back to exact isolation.  The float chart round trip can carry a
+        # point across the fold, where the merging pair is a nearly real
+        # complex pair: locate refuses it rather than give it the survivor
         T = curve.transform
         for fp in curve.folds:
-            fold = refine_root(curve.disc_dense, fp.x, Fraction(1, 2 ** 70))
-            x = float(fold.mid) + (2.0 ** -42 if fp.birth else -2.0 ** -42)
-            assert abs(Fraction(x) - fold.mid) < Fraction(1, 2 ** 40)
+            three = 1 if fp.birth else -1
+
+            def side_of(x):
+                # sign of (x - fold), exactly
+                return -sign_at([-Fraction(x), Fraction(1)],
+                                curve.disc_dense, fp.x)[0]
+
+            x = float(refine_root(curve.disc_dense, fp.x,
+                                  Fraction(1, 2 ** 70)).mid)
+            while side_of(x) != three:
+                x = math.nextafter(x, three * math.inf)
+            assert side_of(math.nextafter(x, -three * math.inf)) != three
             fy = fibre_dense(curve.f, Fraction(x))
-            assert certified_fibre_roots(fy, 3) is None
+            assert certified_roots(fy, 3) is None
             roots = sorted(float(refine_root(fy, r, Fraction(1, 10 ** 20)).mid)
                            for r in real_roots(fy))
             pair = [k for k in range(3) if k != (2 if fp.pair_low == 0 else 0)]
@@ -219,13 +243,80 @@ class TestCertifiedFibreRoots:
                 return fn(c, *args)
             return wrapper
 
-        for name in ("refine_root", "real_roots"):
-            monkeypatch.setattr(curve_module, name, counting(
-                name, getattr(curve_module, name)))
+        for module, name in ((algebra_module, "refine_root"),
+                             (algebra_module, "real_roots"),
+                             (curve_module, "real_roots")):
+            monkeypatch.setattr(module, name, counting(
+                name, getattr(module, name)))
         for (x, y) in TestLocate().chord_points(10):
             expect = "oval" if Fraction(-5) <= x <= 0 else "pseudoline"
             assert locate(curve, (float(x), float(y), 1.0)) == expect
         assert fibre_calls == []
+
+    def test_clustered_roots_far_from_zero_certify(self, monkeypatch):
+        # an affine image of witness 8 with two section points whose fibre
+        # roots, near -9.00, -8.94 and -8.86, float roots misplace by more
+        # than the bracket; one exact Newton step puts them inside, so no
+        # locate call isolates or bisects a fibre
+        locates, inner = calls_inside(
+            monkeypatch, (classify_module, "locate"),
+            ((algebra_module, "refine_root"), (algebra_module, "real_roots"),
+             (curve_module, "real_roots")))
+        assert classify_surface(WITNESS_8_IMAGE, "w").class_id == 8
+        assert locates and inner == []
+
+
+def calls_inside(monkeypatch, outer, inner):
+    """Wrap the (module, name) pair outer and each pair in inner; return
+    the list of outer calls and the list of inner calls made during one."""
+    outer_calls, inner_calls, depth = [], [], []
+
+    def wrap(module, name, fn):
+        def wrapper(*args, **kwargs):
+            if (module, name) != outer:
+                if depth:
+                    inner_calls.append(name)
+                return fn(*args, **kwargs)
+            outer_calls.append(name)
+            depth.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth.pop()
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in (outer,) + tuple(inner):
+        wrap(module, name, getattr(module, name))
+    return outer_calls, inner_calls
+
+
+# transformed_entry(witness 8 with plane x, random.Random("issue7 3 7"))
+# from perfbench/inputs.py
+WITNESS_8_IMAGE = (
+    "2*x^3 + (-15)*x^2*y + (-30)*x^2*z + (-24)*x^2*w + (-141/2)*x*y^2"
+    " + (-54)*x*y*z + (-96)*x*y*w + 60*x*z^2 + 48*x*z*w + (-179/4)*y^3"
+    " + 57*y^2*z + (-159/2)*y^2*w + 132*y*z^2 + 108*y*z*w + (-18)*y*w^2"
+    " + (-16)*z^3 + (-24)*z^2*w + (-24)*z*w^2 + (-8)*w^3")
+
+
+class TestSweepAlgebra:
+    def test_closed_form_discriminant_is_the_resultant(self):
+        # Res(f, f_y) = -c3 Disc on the sweep chart of each witness section
+        for w in load_witnesses():
+            F = as_projective_cubic(w["surface"])
+            section = restrict_to_plane(F, parse_plane(w["plane"])).ternary
+            analysis = analyze_cubic(section)
+            f, c3 = analysis.f, analysis.f.terms[(0, 3)]
+            res = _coeffs_in_x(resultant(f, f.derivative("y"), "y"))
+            assert res == [-c3 * t for t in analysis.disc_dense]
+
+    def test_fold_sign_isolates_no_roots(self, monkeypatch):
+        # the side of each fold comes from sign_at: no real_roots call
+        signs, inner = calls_inside(
+            monkeypatch, (curve_module, "_fold_sign"),
+            ((algebra_module, "real_roots"), (curve_module, "real_roots")))
+        out = analyze_cubic(weierstrass_plane_cubic(-25, 0))
+        assert len(signs) == len(out.folds) > 0 and inner == []
 
 
 class TestConicThroughFive:
