@@ -14,8 +14,11 @@ polynomial at an isolated root, by Descartes' rule on the interval.
 
 Complex roots use simultaneous Aberth iteration, in floats and then with
 each step's p/p' evaluated exactly.  Resultants go through the Sylvester
-matrix: scalar entries get fraction-free elimination, polynomial entries a
-memoized Laplace expansion.
+matrix: scalar entries get Bareiss's fraction-free elimination in integers
+(`bareiss_det`, the one exact determinant), polynomial entries a memoized
+Laplace expansion.  The conic-cubic meet and the singularity test of the
+curve layer work on integer forms of their own instead: `resultant` and
+`quadric_triple_resultant` are the references they are tested against.
 """
 
 from __future__ import annotations
@@ -929,27 +932,33 @@ def complex_roots(p: Union[Poly, Sequence], var: str = None,
 # resultants
 # ---------------------------------------------------------------------------
 
+def bareiss_det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968): every division is exact, and every
+    intermediate entry is a minor of m."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
 def _det_scalar(m: list) -> Fraction:
-    """Exact determinant by Gaussian elimination over Fraction."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            f = a[r][col] * inv
-            for cc in range(col, n):
-                a[r][cc] -= f * a[col][cc]
-    return det
+    """Exact determinant of a rational matrix: each row cleared of its
+    denominators, then `bareiss_det`."""
+    dens = [math.lcm(*(Fraction(x).denominator for x in row)) for row in m]
+    ints = [[int(Fraction(x) * d) for x in row] for row, d in zip(m, dens)]
+    return Fraction(bareiss_det(ints), math.prod(dens))
 
 
 def _det_poly(m: list, vars: tuple) -> Poly:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Poly, quadric_triple_resultant, real_root_floats
+from .algebra import Poly, real_root_floats
 from .combinat import CLASSES, PROJECTIVE_CLASSES, class_id_for
 from .config import DEFAULT, Config
 from .curve import (
@@ -36,6 +36,7 @@ from .errors import (
     SamplingInconclusive,
     Undecided,
 )
+from .forms import nonsingular_cubic
 from .lines import (
     LineSet,
     cubic_tensor,
@@ -158,11 +159,7 @@ def restrict_to_plane(F: Poly, h) -> PlaneRestriction:
 
 def transversal_at_infinity(F: Poly, h=(0, 0, 0, 1)) -> bool:
     """True when the plane cuts the surface in a nonsingular curve."""
-    G = restrict_to_plane(F, h).ternary
-    if G.is_zero() or G.total_degree() != 3:
-        return False
-    parts = [G.derivative(v) for v in PLANE_VARS]
-    return quadric_triple_resultant(*parts, PLANE_VARS) != 0
+    return nonsingular_cubic(restrict_to_plane(F, h).ternary)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +397,7 @@ def classify_surface(surface, plane=(0, 0, 0, 1),
     warnings: list = []
 
     restriction = restrict_to_plane(F, h)
-    if not transversal_at_infinity(F, h):
+    if not nonsingular_cubic(restriction.ternary):
         raise NotTransversal(
             "the plane at infinity meets the surface in a singular curve")
 

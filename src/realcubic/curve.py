@@ -8,6 +8,16 @@ many simple folds.  Counting real fibre points per cell and matching fold
 pairs through the first subresultant reconstructs the components exactly,
 in rational arithmetic all the way down.
 
+The chart arithmetic is done in integers, on the integer tensor of each
+conic or cubic (`forms.py`).  The chart search takes the integer
+candidates of `_chart_candidates` in a fixed order and screens each at
+infinity first: only the first two columns of the chart go into the binary
+cubic at z = 0, which must have a negative discriminant.  Only a chart that
+passes gets the full chart change and the squarefree test of its
+y-discriminant.  The conic-cubic meet takes its y-resultant over dense
+integer polynomials in x.  Every Fraction the sweep sees is an integer
+result divided by a power of the form's denominator.
+
 Also here: exact conic utilities (conic through five points, conic-cubic
 intersection, the residual sixth intersection point) and the Weierstrass
 chord-tangent group law, which the property suites use as independent
@@ -27,7 +37,6 @@ from .algebra import (
     Interval,
     Poly,
     complex_roots,
-    quadric_triple_resultant,
     real_root_count,
     real_root_floats,
     real_roots,
@@ -54,11 +63,13 @@ from .errors import (
     SharedComponent,
     SingularCurve,
 )
+from .forms import chart_terms, form_tensor, nonsingular_cubic, y_resultant
 
 PLANE_VARS = ("x", "y", "z")
 AFFINE_VARS = ("x", "y")
+_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-CHART_ATTEMPTS = 200             # sweep chart candidates tried per curve
+CHART_ATTEMPTS = 1000            # sweep chart candidates tried per curve
 
 
 # ---------------------------------------------------------------------------
@@ -69,19 +80,27 @@ def _mat_mul_vec(M, v):
     return tuple(sum(M[i][j] * v[j] for j in range(3)) for i in range(3))
 
 
-def _mat_inv3(M):
+def _det3(M):
     a, b, c = M[0]
     d, e, f = M[1]
     g, h, i = M[2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _mat_inv3(M):
+    """The inverse of the integer matrix M, in Fractions."""
+    det = _det3(M)
     if det == 0:
         raise ValueError("singular chart matrix")
+    a, b, c = M[0]
+    d, e, f = M[1]
+    g, h, i = M[2]
     adj = (
         (e * i - f * h, c * h - b * i, b * f - c * e),
         (f * g - d * i, a * i - c * g, c * d - a * f),
         (d * h - e * g, b * g - a * h, a * e - b * d),
     )
-    return tuple(tuple(x / det for x in row) for row in adj)
+    return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
 
 
 def _is_squarefree(dense) -> bool:
@@ -93,76 +112,75 @@ def _is_squarefree(dense) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# chart curves
+# ---------------------------------------------------------------------------
+
+def _dense_in_y(terms: dict, d: int) -> list:
+    """The coefficients of y^0, y^1, ... of the affine curve of chart terms
+    of degree d, each dense in x ([] for zero), up to the degree in y."""
+    cs = [[0] * (d + 1 - k) for k in range(d + 1)]
+    for (ex, ey, _), c in terms.items():
+        cs[ey][ex] = c
+    cs = [strip_high(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _affine(G: Poly, M, terms: dict, D: int) -> Poly:
+    """The affine curve (z = 1) of G in the chart M, from its chart terms
+    with denominator D.  Float evaluation sums a Poly's terms in dict
+    order, so they are listed in G's order in the identity chart and in
+    lex order otherwise, which is the order of Poly.substitute for a chart
+    with no zero entry."""
+    keys = G.terms if M == _IDENTITY else terms
+    return Poly(AFFINE_VARS, {e[:2]: Fraction(terms[e], D) for e in keys})
+
+
+# ---------------------------------------------------------------------------
 # chart search
 # ---------------------------------------------------------------------------
 
 def _chart_candidates(attempts: int):
-    ident = ((Fraction(1), Fraction(0), Fraction(0)),
-             (Fraction(0), Fraction(1), Fraction(0)),
-             (Fraction(0), Fraction(0), Fraction(1)))
-    yield ident
+    """Integer chart matrices: the identity, then random nonsingular ones
+    from a fixed seed.  A longer run has the shorter one as its prefix."""
+    yield _IDENTITY
     rng = random.Random(0x5eed)
     produced = 1
     while produced < attempts:
         # cycle through coefficient scales: curves with large ovals need a
         # line at infinity far from the origin to cross them only once
         bound = 3 + 2 * (produced % 5)
-        M = tuple(tuple(Fraction(rng.randint(-bound, bound))
-                        for _ in range(3))
+        M = tuple(tuple(rng.randint(-bound, bound) for _ in range(3))
                   for _ in range(3))
-        a, b, c = M[0]
-        d, e, f = M[1]
-        g, h, i = M[2]
-        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        if det == 0:
+        if _det3(M) == 0:
             continue
         produced += 1
         yield M
 
 
-def _apply_chart(G: Poly, M) -> Poly:
-    # chart coords v map to input coords u = M v, so input variable j is
-    # replaced by row j of M applied to the chart variables
-    xs = [Poly.var(v, PLANE_VARS) for v in PLANE_VARS]
-    images = {
-        PLANE_VARS[j]: sum((xs[k] * M[j][k] for k in range(3)),
-                           Poly.zero(PLANE_VARS))
-        for j in range(3)
-    }
-    return G.substitute(images)
+def _one_point_at_infinity(T: list, M) -> bool:
+    """Whether the chart M's line at infinity meets the cubic with tensor
+    T in one simple real point, with x^3 and y^3 both present in the
+    chart.  G(M (x, y, 0)), from the first two columns of M alone, is the
+    binary cubic a3 x^3 + a2 x^2 y + a1 x y^2 + a0 y^3; it must have
+    a0 a3 != 0 and a negative discriminant: squarefree, one real root."""
+    terms = chart_terms(T, [row[:2] for row in M], 3)
+    a = [terms.get((k, 3 - k), 0) for k in range(4)]
+    if a[0] == 0 or a[3] == 0:
+        return False
+    disc = _y_discriminant(*([t] for t in a))
+    return bool(disc) and disc[0] < 0
 
 
-def _dehomogenize(GT: Poly) -> Poly:
-    terms = {}
-    for e, c in GT.terms.items():
-        key = (e[0], e[1])
-        terms[key] = terms.get(key, 0) + c
-    return Poly(AFFINE_VARS, {k: v for k, v in terms.items() if v != 0})
-
-
-def _chart_ok(GT: Poly):
-    """Check the sweep preconditions; return the affine curve, its
-    coefficients c0..c3 in y dense in x, and its y-discriminant dense in x
-    when the chart is usable, else None."""
-    cx3 = GT.terms.get((3, 0, 0), 0)
-    cy3 = GT.terms.get((0, 3, 0), 0)
-    if cx3 == 0 or cy3 == 0:
-        return None
-    # the line at infinity must meet the curve in one simple real point
-    inf = [Fraction(0)] * 4
-    for e, c in GT.terms.items():
-        if e[2] == 0:
-            inf[e[0]] = c
-    if not _is_squarefree(inf):
-        return None
-    if real_root_count(inf) != 1:
-        return None
-    f = _dehomogenize(GT)
-    cs = [_coeffs_in_x(c) for c in f.coeffs_in("y")]
+def _chart_ok(cs: list):
+    """The y-discriminant, dense in x, of the affine curve with
+    coefficients c0..c3 in y, when it is constant or squarefree; else
+    None."""
     dense = _y_discriminant(*cs)
     if univ_degree(dense) >= 1 and not _is_squarefree(dense):
         return None
-    return f, cs, dense
+    return dense
 
 
 def _y_discriminant(c0, c1, c2, c3) -> list:
@@ -239,19 +257,23 @@ def analyze_cubic(G: Poly) -> CurveAnalysis:
         raise ValueError("expected a ternary cubic")
     if G.homogeneous_degree() != 3:
         raise ValueError("expected a homogeneous cubic")
-    parts = [G.derivative(v) for v in G.vars]
-    if quadric_triple_resultant(parts[0], parts[1], parts[2], G.vars) == 0:
+    if not nonsingular_cubic(G):
         raise SingularCurve("plane section is singular")
+    T, D = form_tensor(G)
 
     last = None
     for M in _chart_candidates(CHART_ATTEMPTS):
-        GT = _apply_chart(G, M)
-        got = _chart_ok(GT)
-        if got is None:
+        if not _one_point_at_infinity(T, M):
             continue
-        f, cs, disc_dense = got
+        terms = chart_terms(T, M, 3)
+        cs = _dense_in_y(terms, 3)
+        disc = _chart_ok(cs)
+        if disc is None:
+            continue
+        cs = [[Fraction(t, D) for t in c] or [Fraction(0)] for c in cs]
         try:
-            return _sweep(G, M, f, cs, disc_dense)
+            return _sweep(G, M, _affine(G, M, terms, D), cs,
+                          [Fraction(t, D ** 4) for t in disc])
         except InternalInconsistency as exc:   # pragma: no cover - retried
             last = exc
             continue
@@ -670,20 +692,28 @@ def conic_cubic_meet(conic: Poly, cubic: Poly) -> ConicCubicMeet:
     Both inputs are exact homogeneous forms in x, y, z.  Searches for a
     chart where all six intersections are affine with distinct x, so the
     y-resultant there has degree exactly 6 and is squarefree.  Raises
-    SharedComponent when the curves share a component and NotTransversal
-    when no chart has six distinct intersections.
+    SharedComponent when the curves share a component, NotTransversal
+    when no chart has six distinct intersections, and ValueError when the
+    inputs are not a conic form and a cubic form.
     """
+    if conic.homogeneous_degree() != 2 or cubic.homogeneous_degree() != 3:
+        raise ValueError("expected a ternary conic and a ternary cubic")
+    (Tb, Db), (Tc, Dc) = form_tensor(conic), form_tensor(cubic)
     for M in _chart_candidates(60):
-        b_aff = _dehomogenize(_apply_chart(conic, M))
-        c_aff = _dehomogenize(_apply_chart(cubic, M))
-        res = resultant(b_aff, c_aff, "y")
-        if res.is_zero():
+        b_terms, c_terms = chart_terms(Tb, M, 2), chart_terms(Tc, M, 3)
+        P, Q = _dense_in_y(b_terms, 2), _dense_in_y(c_terms, 3)
+        res = y_resultant(P, Q)
+        if not res:
             raise SharedComponent("conic and cubic share a component")
-        dense = _coeffs_in_x(res)
-        if univ_degree(dense) == 6 and _is_squarefree(dense):
+        if univ_degree(res) == 6 and _is_squarefree(res):
             break
     else:
         raise NotTransversal("conic and cubic meet non-transversally")
+    # Res(P / Db, Q / Dc) = Res(P, Q) / (Db^n Dc^m), m and n the y-degrees
+    scale = Db ** (len(Q) - 1) * Dc ** (len(P) - 1)
+    dense = [Fraction(t, scale) for t in res]
+    b_aff = _affine(conic, M, b_terms, Db)
+    c_aff = _affine(cubic, M, c_terms, Dc)
     points = [tuple(float(M[i][0]) * u + float(M[i][1]) * v + float(M[i][2])
                     for i in range(3))
               for u, v in _real_points_over(b_aff, c_aff, dense)]

@@ -1,0 +1,140 @@
+"""Exact ternary forms in integers.
+
+A ternary conic or cubic G gets one symmetric tensor T with integer
+entries and a denominator D > 0, so that G(v) = T(v, ..., v) / D
+(`form_tensor`).  Everything the curve layer does to a form before its
+sweep is then plain integer arithmetic on T: a chart change by an integer
+matrix is one mode product per index of T (`chart_terms`), the singularity
+test of a cubic is a 6 x 6 Bareiss determinant built from T
+(`nonsingular_cubic`), and the resultant in y of two chart curves is a
+Sylvester determinant over dense integer polynomials in x (`y_resultant`).
+This is the exact twin of the float tensor of `lines.cubic_tensor`.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+from functools import lru_cache, reduce
+
+from .algebra import Poly, bareiss_det, univ_mul, univ_sub
+
+
+@lru_cache(maxsize=None)
+def _monomials(d: int, w: int) -> tuple:
+    """(exponent, flat index, multinomial) for each monomial of degree d in
+    w variables; the flat index, in base w, is that of its sorted index
+    tuple in a symmetric tensor."""
+    out = []
+    for idx in itertools.combinations_with_replacement(range(w), d):
+        e = tuple(idx.count(v) for v in range(w))
+        out.append((e, reduce(lambda acc, i: acc * w + i, idx, 0),
+                    math.factorial(d) // math.prod(map(math.factorial, e))))
+    return tuple(out)
+
+
+def form_tensor(G: Poly) -> tuple:
+    """(T, D) for a ternary form G of degree d: T is its symmetric tensor
+    with integer entries, flat in base 3, and D > 0 clears the
+    denominators, so that G(v) = T(v, ..., v) / D.  A monomial's
+    coefficient is spread evenly over the index tuples that multiply out
+    to it."""
+    d = G.homogeneous_degree()
+    share = {e: Fraction(G.terms.get(e, 0), k) for e, _, k in _monomials(d, 3)}
+    T = [share[tuple(idx.count(v) for v in range(3))]
+         for idx in itertools.product(range(3), repeat=d)]
+    D = math.lcm(*(c.denominator for c in T))
+    return [int(c * D) for c in T], D
+
+
+def chart_terms(T: list, M, d: int) -> dict:
+    """The nonzero coefficients, by exponent, of D * G(M v) for the form
+    G = T(v, ..., v) / D of degree d and the integer 3 x w matrix M: each
+    index of T is contracted with the rows of M (one plain-int mode product
+    per index)."""
+    w = len(M[0])
+    m0, m1, m2 = M
+    for _ in range(d):
+        s = len(T) // 3
+        T = [T[r] * m0[i] + T[s + r] * m1[i] + T[2 * s + r] * m2[i]
+             for r in range(s) for i in range(w)]
+    out = {}
+    for e, flat, k in _monomials(d, w):
+        if T[flat]:
+            out[e] = k * T[flat]
+    return out
+
+
+_QUADRIC_SLOTS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_PERMUTATION_SIGNS = ((1, (0, 1, 2)), (-1, (0, 2, 1)), (-1, (1, 0, 2)),
+                      (1, (1, 2, 0)), (1, (2, 0, 1)), (-1, (2, 1, 0)))
+
+
+def _nonsingular(T: list) -> bool:
+    """Whether the cubic with the integer tensor T is a nonsingular curve.
+
+    Its partials are, up to one factor, the quadrics T(e_i, v, v).  Their
+    Jacobian is the Hessian, whose determinant is, up to a factor,
+    J(v) = det(sum_k T_ijk v_k), and the partials of J are 3 J(e_m, v, v)
+    for J symmetrised.  The three partials of the cubic share a projective
+    zero exactly when the 6 x 6 matrix of the six quadrics' coefficients is
+    singular (the resultant of three ternary quadrics, as in
+    `algebra.quadric_triple_resultant`); each row here holds a quadric's
+    symmetric matrix entries, a fixed rescaling of its columns.
+    """
+    J = [0] * 27                # J(v) = sum J[p, q, r] v_p v_q v_r
+    for sign, perm in _PERMUTATION_SIGNS:
+        # the linear forms sum_k T[i, perm[i], k] v_k, for i = 0, 1, 2
+        ra, rb, rc = (T[9 * i + 3 * j:9 * i + 3 * j + 3]
+                      for i, j in enumerate(perm))
+        for p in range(3):
+            for q in range(3):
+                t = sign * ra[p] * rb[q]
+                for r in range(3):
+                    J[9 * p + 3 * q + r] += t * rc[r]
+    rows = [[T[9 * i + 3 * j + k] for j, k in _QUADRIC_SLOTS]
+            for i in range(3)]
+    rows += [[sum(J[9 * p + 3 * q + r]
+                  for p, q, r in itertools.permutations((m, j, k)))
+              for j, k in _QUADRIC_SLOTS] for m in range(3)]
+    return bareiss_det(rows) != 0
+
+
+def nonsingular_cubic(G: Poly) -> bool:
+    """True when the ternary form G is a cubic and the curve G = 0 is
+    nonsingular: its three partials have no common zero in P2 over C."""
+    return G.homogeneous_degree() == 3 and _nonsingular(form_tensor(G)[0])
+
+
+def y_resultant(P: list, Q: list) -> list:
+    """Res_y(p, q) dense in x, for p and q given by their coefficients of
+    y^0 .. y^m and y^0 .. y^n, each dense in x: the determinant of the
+    Sylvester matrix of `algebra.resultant`, by Laplace expansion memoised
+    on the remaining columns, over dense integer lists."""
+    m, n = len(P) - 1, len(Q) - 1
+    if m == 0 or n == 0:
+        return reduce(univ_mul, [P[0]] * n + [Q[0]] * m, [1])
+    size = m + n
+    rows = [[[]] * i + P[::-1] + [[]] * (size - m - 1 - i) for i in range(n)]
+    rows += [[[]] * j + Q[::-1] + [[]] * (size - n - 1 - j) for j in range(m)]
+    memo: dict = {}
+
+    def minor(row: int, mask: int) -> list:
+        if row == size:
+            return [1]
+        if mask not in memo:
+            total, sign = [], 1
+            for col in range(size):
+                if not mask >> col & 1:
+                    continue    # sign only advances over remaining columns
+                if rows[row][col]:
+                    term = univ_mul(rows[row][col],
+                                    minor(row + 1, mask & ~(1 << col)))
+                    total = univ_sub(total,
+                                     [-t for t in term] if sign > 0 else term)
+                sign = -sign
+            memo[mask] = total
+        return memo[mask]
+
+    return minor(0, (1 << size) - 1)

@@ -28,7 +28,8 @@ are accepted only when each meets exactly 10 others.
 
 Line bookkeeping is done on normalized Pluecker vectors: the canonical
 representative divides by the largest-modulus coordinate, which also makes
-real lines literally real.
+real lines literally real.  The vectors are stacked, so that each dedupe
+test and the meet matrix are one array operation.
 """
 
 from __future__ import annotations
@@ -263,6 +264,10 @@ def plucker_residual(p: np.ndarray) -> float:
     return float(abs(val) / max(np.abs(p).max() ** 2, 1e-300))
 
 
+# the polarized Pluecker quadric as a matrix: meet_form(p, q) = p _MEET q
+_MEET = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
+
+
 def meet_form(p: np.ndarray, q: np.ndarray) -> complex:
     """Polarized quadric; zero iff the lines intersect."""
     return (p[0] * q[5] - p[1] * q[4] + p[2] * q[3]
@@ -288,14 +293,19 @@ class PluckerLine:
         return vt[0], vt[1]
 
 
-def plucker_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Projective (phase-invariant) separation: the sine of the angle
-    between the lines' Pluecker vectors, computed as a projection residual
-    so that nearly equal lines resolve down to machine precision."""
-    ph = p / np.linalg.norm(p)
+def plucker_distances(P: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Projective (phase-invariant) separation of q from each row of P
+    (n, 6): the sine of the angle between Pluecker vectors, computed as a
+    projection residual so that nearly equal lines resolve down to machine
+    precision."""
+    Ph = P / np.linalg.norm(P, axis=1, keepdims=True)
     qh = q / np.linalg.norm(q)
-    r = ph - np.vdot(qh, ph) * qh
-    return float(np.linalg.norm(r))
+    return np.linalg.norm(Ph - np.outer(Ph @ qh.conj(), qh), axis=1)
+
+
+def plucker_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """`plucker_distances` for one pair of lines."""
+    return float(plucker_distances(p[None, :], q)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -338,23 +348,24 @@ def solve_lines(F: Poly, cfg: LineSolveConfig = None) -> LineSet:
     if F.homogeneous_degree() != 3:
         raise ValueError("surface must be a homogeneous cubic")
     rng = np.random.default_rng(cfg.seed)
-    T, T0 = cubic_tensor(F), cubic_tensor(fermat_surface())
+    T = cubic_tensor(F)
     coeffs = [abs(c) for c in F.terms.values()]
     scale, norm = float(max(coeffs)), float(sum(coeffs))
-    starts = fermat_lines_closed_form()
     found: list = []
+    P = np.zeros((0, 6), dtype=complex)     # Pluecker vectors of found
     for _ in range(ATTEMPTS):
         A = np.linalg.qr(rng.normal(size=(4, 4))
                          + 1j * rng.normal(size=(4, 4)))[0]
         gamma = np.exp(2j * np.pi * rng.random())
-        C0 = patch_matrix(T0, A)
+        C0 = patch_matrix(_FERMAT_TENSOR, A)
         C1 = patch_matrix(T, A) / scale
-        for sol in _track(C0, C1, gamma, _patch_coordinates(starts, A)):
+        for sol in _track(C0, C1, gamma,
+                          _patch_coordinates(_FERMAT_LINES, A)):
             line = _line_from_solution(sol, A, T, norm, cfg.imag_tol)
-            if line.residual <= cfg.residual_tol and all(
-                    plucker_distance(line.plucker, other.plucker)
-                    >= cfg.dedupe_tol for other in found):
+            if line.residual <= cfg.residual_tol and (plucker_distances(
+                    P, line.plucker) >= cfg.dedupe_tol).all():
                 found.append(line)
+                P = np.vstack([P, line.plucker])
         if len(found) >= 27:
             break
     if len(found) < 27:
@@ -413,12 +424,10 @@ def _conjugate_pairs(lines: list, tol: float) -> list:
 # ---------------------------------------------------------------------------
 
 def meet_matrix(lines: list, tol: float = 1e-6) -> np.ndarray:
-    n = len(lines)
+    """Which pairs of lines meet: |meet_form| < tol, off the diagonal."""
     P = np.array([l.plucker for l in lines])
-    M = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            M[i, j] = M[j, i] = abs(meet_form(P[i], P[j])) < tol
+    M = np.abs(P @ _MEET @ P.T) < tol
+    np.fill_diagonal(M, False)
     return M
 
 
@@ -507,3 +516,8 @@ def fermat_lines_closed_form() -> list:
                 v[k], v[l] = -e2, 1.0
                 out.append(np.vstack([u, v]))
     return out
+
+
+# the homotopy's start system, built once
+_FERMAT_TENSOR = cubic_tensor(fermat_surface())
+_FERMAT_LINES = fermat_lines_closed_form()

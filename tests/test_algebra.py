@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from realcubic.algebra import (
     Interval,
     Poly,
+    bareiss_det,
     certified_roots,
     complex_roots,
     quadric_triple_resultant,
@@ -481,6 +483,34 @@ def test_discriminant_detects_repeated_roots():
     x, a, b = (Poly.var(v, vs) for v in vs)
     d = resultant(x * x + a * x + b, 2 * x + a, "x")
     assert d == -(a * a - 4 * b)
+
+
+def _leibniz_det(m) -> int:
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]]
+                                                 for i in range(n))
+    return total
+
+
+def test_bareiss_det_is_the_leibniz_sum():
+    # sparse small matrices hit zero pivots, repeated rows and rank drops
+    rng = random.Random(17)
+    zero = 0
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        m = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9), 10 ** 12))
+              for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            m[-1] = list(m[0])
+        want = _leibniz_det(m)
+        assert bareiss_det(m) == want
+        zero += want == 0
+    assert zero > 10
+    assert bareiss_det([]) == 1
 
 
 # ---------------------------------------------------------------------------

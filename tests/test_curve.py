@@ -13,11 +13,14 @@ from realcubic import curve as curve_module
 from realcubic.algebra import (
     Poly,
     certified_roots,
+    quadric_triple_resultant,
+    real_root_count,
     real_roots,
     refine_root,
     resultant,
     sign_at,
     univ_eval,
+    univ_mul,
 )
 from realcubic.classify import (
     as_projective_cubic,
@@ -27,8 +30,14 @@ from realcubic.classify import (
     restrict_to_plane,
 )
 from realcubic.curve import (
+    _IDENTITY,
+    _affine,
+    _chart_candidates,
     _coeffs_in_x,
+    _dense_in_y,
+    _is_squarefree,
     _null_space,
+    _one_point_at_infinity,
     analyze_cubic,
     conic_cubic_meet,
     conic_through_five,
@@ -46,6 +55,12 @@ from realcubic.errors import (
     NotTransversal,
     SharedComponent,
     SingularCurve,
+)
+from realcubic.forms import (
+    chart_terms,
+    form_tensor,
+    nonsingular_cubic,
+    y_resultant,
 )
 
 V = ("x", "y", "z")
@@ -317,6 +332,197 @@ class TestSweepAlgebra:
             ((algebra_module, "real_roots"), (curve_module, "real_roots")))
         out = analyze_cubic(weierstrass_plane_cubic(-25, 0))
         assert len(signs) == len(out.folds) > 0 and inner == []
+
+
+def witness_sections() -> list:
+    return [restrict_to_plane(as_projective_cubic(w["surface"]),
+                              parse_plane(w["plane"])).ternary
+            for w in load_witnesses()]
+
+
+def random_form(rng, degree: int, height: int) -> Poly:
+    """A ternary form with integer coefficients uniform in [-height,
+    height]: the distribution of the conics and cubics of
+    perfbench/inputs.py's wall pairs, unfiltered."""
+    monos = [(a, b, degree - a - b) for a in range(degree + 1)
+             for b in range(degree + 1 - a)]
+    return Poly(V, {e: rng.randint(-height, height) for e in monos})
+
+
+def wall_draws(count: int) -> list:
+    rng = random.Random("walls")
+    return [(random_form(rng, 2, h), random_form(rng, 3, h))
+            for h in itertools.islice(itertools.cycle((3, 60, 10 ** 4)),
+                                      count)]
+
+
+def chart_image(G: Poly, M) -> Poly:
+    """G(M v) by Poly.substitute: input variable j becomes row j of M."""
+    xs = [Poly.var(v, V) for v in V]
+    return G.substitute({V[j]: sum((xs[k] * M[j][k] for k in range(3)),
+                                   Poly.zero(V)) for j in range(3)})
+
+
+class TestIntegerCharts:
+    def test_chart_change_is_the_substitution(self):
+        # on the witness sections and on conic-cubic draws, for the first
+        # 20 candidate charts; the first two columns give the chart's
+        # binary form at infinity
+        forms = witness_sections() + [G for pair in wall_draws(15)
+                                      for G in pair]
+        for G in forms:
+            d = G.homogeneous_degree()
+            T, D = form_tensor(G)
+            for M in itertools.islice(_chart_candidates(20), 20):
+                image = chart_image(G, M)
+                got = {e: Fraction(c, D)
+                       for e, c in chart_terms(T, M, d).items()}
+                assert got == image.terms
+                at_infinity = chart_terms(T, [row[:2] for row in M], d)
+                assert {e: Fraction(c, D) for e, c in at_infinity.items()} \
+                    == {e[:2]: c for e, c in image.terms.items() if e[2] == 0}
+                assert _affine(G, M, chart_terms(T, M, d), D).terms == {
+                    e[:2]: c for e, c in image.substitute({"z": 1}).terms
+                    .items()}
+
+    def test_tensor_clears_denominators(self):
+        # the shares are 1/2, 1/30 (over 6 slots) and -7/9 (over 3)
+        G = Poly.parse("x^3/2 + x*y*z/5 - 7/3*y^2*z", vars=V)
+        T, D = form_tensor(G)
+        assert all(isinstance(t, int) for t in T) and D == 90
+        for v in ((1, 2, 3), (-2, 5, 1), (Fraction(1, 3), 0, 4)):
+            assert sum(T[9 * i + 3 * j + k] * v[i] * v[j] * v[k]
+                       for i in range(3) for j in range(3)
+                       for k in range(3)) / Fraction(D) == G.eval(v)
+
+    def test_screen_at_infinity_is_the_old_test(self):
+        # a0 a3 != 0 and a negative discriminant exactly when the binary
+        # cubic is squarefree with one real root
+        rng = random.Random(11)
+        cubics = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(300)]
+        for _ in range(100):
+            r, s, t = (rng.randint(-5, 5) for _ in range(3))
+            k = rng.choice((-3, -1, 1, 2))
+            cubics.append([k * c for c in univ_mul(
+                univ_mul([-r, 1], [-r, 1]), [-s, 1])])     # repeated root
+            cubics.append([k * c for c in univ_mul(
+                univ_mul([-r, 1], [-s, 1]), [-t, 1])])     # three real roots
+            cubics.append([k * c for c in univ_mul(
+                [-r, 1], [s * s + 1, 2 * t, 1])])          # one real root
+        outcomes = set()
+        for a in cubics:
+            G = Poly(V, {(k, 3 - k, 0): c for k, c in enumerate(a)})
+            G = G + Poly(V, {(0, 0, 3): 1})
+            old = a[0] != 0 and a[3] != 0 and _is_squarefree(a) \
+                and real_root_count(a) == 1
+            got = _one_point_at_infinity(form_tensor(G)[0], _IDENTITY)
+            assert got == old, a
+            outcomes.add(got)
+        assert outcomes == {True, False}
+
+    def test_y_resultant_is_the_sylvester_resultant(self):
+        pairs = wall_draws(12) + [
+            (Poly.parse("x*y - z^2", vars=V),                 # no y^2
+             Poly.parse("y^2*z - x^3 + 3*x*z^2 - z^3", vars=V)),
+            (Poly.parse("x^2 + y^2 - 4*z^2", vars=V),
+             Poly.parse("x^3 + x*z^2 + y*z^2", vars=V)),     # no y^3
+            (Poly.parse("x^2 - z^2", vars=V),                 # no y
+             Poly.parse("y^2*z - x^3 + 3*x*z^2 - z^3", vars=V)),
+            (Poly.parse("x^2 + y^2 - 4*z^2", vars=V),
+             Poly.parse("x^3 - x*z^2", vars=V))]              # no y
+        for B, C in pairs:
+            (Tb, Db), (Tc, Dc) = form_tensor(B), form_tensor(C)
+            for M in _chart_candidates(4):
+                bt, ct = chart_terms(Tb, M, 2), chart_terms(Tc, M, 3)
+                P, Q = _dense_in_y(bt, 2), _dense_in_y(ct, 3)
+                scale = Db ** (len(Q) - 1) * Dc ** (len(P) - 1)
+                want = _coeffs_in_x(resultant(_affine(B, M, bt, Db),
+                                              _affine(C, M, ct, Dc), "y"))
+                got = [Fraction(t, scale) for t in y_resultant(P, Q)]
+                assert (got or [Fraction(0)]) == want
+
+    def test_y_resultant_vanishes_on_a_shared_component(self):
+        B = Poly.parse("x^2 + y^2 - 4*z^2", vars=V)
+        C = Poly.parse("(x^2 + y^2 - 4*z^2)*(y - 3*z)", vars=V)
+        (Tb, _), (Tc, _) = form_tensor(B), form_tensor(C)
+        for M in _chart_candidates(4):
+            assert y_resultant(_dense_in_y(chart_terms(Tb, M, 2), 2),
+                                _dense_in_y(chart_terms(Tc, M, 3), 3)) == []
+
+    def test_singularity_test_is_the_triple_resultant(self):
+        rng = random.Random(3)
+        curves = [Poly.parse(t, vars=V) for t in
+                  ("y^2*z - x^3", "y^2*z - x^3 - x^2*z", "x*y*z")]
+        curves += witness_sections()
+        curves += [random_form(rng, 3, 1) for _ in range(150)]
+        seen = set()
+        for G in curves:
+            if G.homogeneous_degree() != 3:
+                continue
+            parts = [G.derivative(v) for v in V]
+            old = quadric_triple_resultant(*parts, V) != 0
+            assert nonsingular_cubic(G) == old
+            seen.add(old)
+        assert seen == {True, False}
+        assert not nonsingular_cubic(Poly.zero(V))
+
+
+# transformed_entry(witness_pool(root)[14], random.Random("stress 4 14"))
+# from perfbench/inputs.py: an affine image of witness 15
+STRESS_IMAGE_15 = (
+    "(-12216487352983161972211971649/919092576260242984746313728)*x^3"
+    " + (703357954696683194630944115/7756055495867029407141888)*x^2*y"
+    " + (-4769062443688512409647238505/612728384173495323164209152)*x^2*z"
+    " + (4425151084720323495597923167/55702580379408665742200832)*x^2*w"
+    " + (17624951897260899439347863/196355835338405807775744)*x*y^2"
+    " + (1102258256975777848121137003/7756055495867029407141888)*x*y*z"
+    " + (-608765425761389569715142319/7756055495867029407141888)*x*y*w"
+    " + (902344328656866186560437741/111405160758817331484401664)*x*z^2"
+    " + (44642105379262748070132786013/612728384173495323164209152)*x*z*w"
+    " + (47743573626284511646679558279/1225456768346990646328418304)*x*w^2"
+    " + (-1339909022484233579575189/14913101418106770210816)*y^3"
+    " + (2930270789197941701481775/392711670676811615551488)*y^2*z"
+    " + (-99725768458676639126327971/392711670676811615551488)*y^2*w"
+    " + (1385262735981797520707263523/31024221983468117628567552)*y*z^2"
+    " + (-2130954467822644816473702407/15512110991734058814283776)*y*z*w"
+    " + (-2871984851553509355019493989/31024221983468117628567552)*y*w^2"
+    " + (31874143742073738779215188871/7352740610081943877970509824)*z^3"
+    " + (18428477810941438511620090085/2450913536693981292656836608)*z^2*w"
+    " + (2532153757974190722349966495/2450913536693981292656836608)*z*w^2"
+    " + (48054457608918867634802546861/7352740610081943877970509824)*w^3")
+
+
+class TestLongChartSearch:
+    def test_stress_image_classifies(self):
+        # the first usable chart of its section at infinity is candidate
+        # 487 of _chart_candidates
+        assert classify_surface(STRESS_IMAGE_15, "w").class_id == 15
+
+    def test_rejected_charts_get_no_full_chart_change(self, monkeypatch):
+        screened, changed = [], []
+        screen, change = (curve_module._one_point_at_infinity,
+                          curve_module.chart_terms)
+
+        def counting_screen(T, M):
+            ok = screen(T, M)
+            screened.append((M, ok))
+            return ok
+
+        def counting_change(T, M, d):
+            if len(M[0]) == 3:
+                changed.append(M)
+            return change(T, M, d)
+
+        monkeypatch.setattr(curve_module, "_one_point_at_infinity",
+                            counting_screen)
+        monkeypatch.setattr(curve_module, "chart_terms", counting_change)
+        section = restrict_to_plane(as_projective_cubic(STRESS_IMAGE_15),
+                                    parse_plane("w")).ternary
+        out = analyze_cubic(section)
+        assert len(screened) == 488
+        assert out.transform == list(_chart_candidates(488))[487]
+        assert changed == [M for M, ok in screened if ok]
+        assert len(changed) < len(screened)
 
 
 class TestConicThroughFive:

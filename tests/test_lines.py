@@ -28,6 +28,7 @@ from realcubic.lines import (
     meet_matrix,
     normalize_plucker,
     plucker_distance,
+    plucker_distances,
     plucker_from_basis,
     plucker_residual,
     patch_matrix,
@@ -159,6 +160,25 @@ class TestFermat:
                 per_line[m] += 1
         assert per_line == [5] * 27
 
+    def test_meet_matrix_is_the_meet_form(self, fermat):
+        M = meet_matrix(fermat.lines)
+        for i, li in enumerate(fermat.lines):
+            for j, lj in enumerate(fermat.lines):
+                assert M[i, j] == (i != j and abs(
+                    meet_form(li.plucker, lj.plucker)) < 1e-6)
+
+    def test_distances_are_the_projection_residual(self, fermat):
+        P = np.array([l.plucker for l in fermat.lines])
+        for line in fermat.lines:
+            q = line.conjugate_plucker()
+            d = plucker_distances(P, q)
+            assert d.shape == (27,)
+            qh = q / np.linalg.norm(q)
+            for k, p in enumerate(P):
+                ph = p / np.linalg.norm(p)
+                r = np.linalg.norm(ph - np.vdot(qh, ph) * qh)
+                assert abs(d[k] - r) < 1e-15
+
     def test_meet_graph_regular_of_degree_ten(self, fermat):
         M = meet_matrix(fermat.lines)
         assert (M.sum(axis=1) == 10).all()
@@ -188,6 +208,15 @@ class TestClebsch:
             for _ in range(3):
                 s, t = rng.normal(size=2)
                 assert surface_value(F, s * u + t * v) < 1e-9
+
+
+def test_start_system_is_built_once(monkeypatch):
+    # the Fermat tensor and start lines come from import time
+    def unused():
+        raise AssertionError("start system rebuilt in a solve")
+    monkeypatch.setattr(lines_module, "fermat_surface", unused)
+    monkeypatch.setattr(lines_module, "fermat_lines_closed_form", unused)
+    assert len(solve_lines(clebsch_surface()).lines) == 27
 
 
 class TestTimingBudget:
