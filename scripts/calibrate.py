@@ -43,7 +43,7 @@ def main() -> int:
         sphere = "-"
         if cls in ("C3a", "C3b"):
             probe = _SurfaceProbe(F, DEFAULT.classify.seed)
-            found = _find_sphere_interior(probe, DEFAULT.classify)
+            found = _find_sphere_interior(probe)
             sphere = "yes" if found is not None else "no"
         dt = time.perf_counter() - t0
         frozen = REAL_TRITANGENT_PLANES[cls]

@@ -5,12 +5,13 @@ complex coefficient is a TypeError (the parser reads decimals as
 Fractions).  Floats enter only as evaluation points.
 
 Real roots take three steps.  `real_roots` isolates them exactly, by
-Descartes bisection on the square-free part (Yun decomposition first, so
-multiplicities are exact).  `certified_roots` certifies float roots: each,
-moved by one Newton step with an exact residual, gets a dyadic bracket
-whose end signs prove a root inside, and `real_root_floats` bisects the
-exact intervals only where that fails.  `sign_at` decides the sign of a
-polynomial at an isolated root, by Descartes' rule on the interval.
+Descartes bisection, and takes squarefree input only: one gcd(p, p')
+checks that, and a repeated root gives None.  `certified_roots` certifies
+float roots: each, moved by one Newton step with an exact residual, gets a
+dyadic bracket whose end signs prove a root inside, and `real_root_floats`
+bisects the exact intervals only where that fails.  `sign_at` decides the
+sign of a polynomial at an isolated root, by Descartes' rule on the
+interval.
 
 Complex roots use simultaneous Aberth iteration, in floats and then with
 each step's p/p' evaluated exactly.  Resultants go through the Sylvester
@@ -31,7 +32,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import InternalInconsistency, NonConvergence
 
 CANONICAL_VARS = ("x", "y", "z", "w")
 
@@ -561,7 +562,6 @@ class Interval:
     """
     lo: Fraction
     hi: Fraction
-    multiplicity: int = 1
 
     @property
     def mid(self) -> Fraction:
@@ -689,14 +689,17 @@ def refine_root(c: Sequence, iv: Interval, width: Fraction) -> Interval:
     c = [Fraction(t) for t in c]
     while hi - lo > width and lo != hi:
         lo, hi = _bisect_once(c, lo, hi)
-    return Interval(lo, hi, iv.multiplicity)
+    return Interval(lo, hi)
 
 
-def real_roots(p: Union[Poly, Sequence], var: str = None) -> list:
-    """Isolating intervals for all real roots, sorted increasing.
+def real_roots(p: Union[Poly, Sequence], var: str = None):
+    """Isolating intervals for the real roots of the squarefree p, sorted
+    increasing, or None when p has a repeated real or complex root.
 
     Accepts a Poly (univariate in `var` or in its only present variable) or
-    a dense coefficient list.  Multiplicities are exact.
+    a dense coefficient list.  One gcd(p, p') decides squarefreeness; the
+    curve layer calls this on polynomials it needs squarefree anyway, so
+    None doubles as its rejection of a chart.
     """
     if isinstance(p, Poly):
         coeffs = p.to_univariate(var)
@@ -707,39 +710,31 @@ def real_roots(p: Union[Poly, Sequence], var: str = None) -> list:
         raise ValueError("zero polynomial has every number as a root")
     if univ_degree(coeffs) == 0:
         return []
-    found = []   # (lo, hi, mult, refinement poly)
-    for factor, mult in squarefree_decomposition(coeffs):
-        fi = to_int_primitive(factor)
-        ivs = _isolate_squarefree(fi)
-        # exact rational roots found during subdivision sit at endpoints of
-        # the neighbouring intervals; divide them out so sign bisection keeps
-        # a valid bracket on those intervals
-        refine_poly = [Fraction(t) for t in fi]
-        for lo, hi in ivs:
-            if lo == hi:
-                refine_poly, rem = univ_divmod(refine_poly, [-lo, Fraction(1)])
-                assert not rem
-        for lo, hi in ivs:
-            found.append([lo, hi, mult, None if lo == hi else refine_poly])
-    # separate intervals coming from different factors; roots are distinct
-    # (coprime factors), so half-splitting terminates.  Closures must end up
-    # strictly disjoint: no endpoint may equal any root.
+    if univ_degree(univ_gcd(coeffs, univ_derivative(coeffs))) > 0:
+        return None
+    fi = to_int_primitive(coeffs)
+    found = [list(iv) for iv in _isolate_squarefree(fi)]
+    # exact rational roots found during subdivision sit at endpoints of the
+    # neighbouring intervals; divide them out so sign bisection keeps a
+    # valid bracket on those intervals
+    refine_poly = [Fraction(t) for t in fi]
+    for lo, hi in found:
+        if lo == hi:
+            refine_poly, rem = univ_divmod(refine_poly, [-lo, Fraction(1)])
+            assert not rem
+    # closures must end up strictly disjoint: no endpoint may equal any
+    # root, and neighbours may not share an endpoint
     changed = True
     while changed:
         changed = False
-        found.sort(key=lambda r: (r[0], r[1]))
+        found.sort()
         for a, b in zip(found, found[1:]):
-            both_points = a[0] == a[1] and b[0] == b[1]
-            if a[1] >= b[0] and not both_points:
+            if a[1] >= b[0] and not (a[0] == a[1] and b[0] == b[1]):
                 for r in (a, b):
                     if r[0] != r[1]:
-                        r[0], r[1] = _bisect_once(r[3], r[0], r[1])
+                        r[0], r[1] = _bisect_once(refine_poly, r[0], r[1])
                 changed = True
-    return [Interval(lo, hi, m) for lo, hi, m, _ in found]
-
-
-def real_root_count(p: Union[Poly, Sequence], var: str = None) -> int:
-    return len(real_roots(p, var))
+    return [Interval(lo, hi) for lo, hi in found]
 
 
 def _sign(v) -> int:
@@ -761,15 +756,14 @@ def sign_at(p: Sequence, c: Sequence, iv: Interval) -> tuple:
         shifted = _taylor_shift(p, lo)                    # p(x + lo)
         w = hi - lo
         if _variations01([a * w ** k for k, a in enumerate(shifted)]) == 0:
-            return _sign(univ_eval(p, (lo + hi) / 2)), \
-                Interval(lo, hi, iv.multiplicity)
+            return _sign(univ_eval(p, (lo + hi) / 2)), Interval(lo, hi)
         if g is None:
             g = univ_gcd(p, c)
         if univ_degree(g) > 0 and \
                 (univ_eval(g, lo) > 0) != (univ_eval(g, hi) > 0):
-            return 0, Interval(lo, hi, iv.multiplicity)
+            return 0, Interval(lo, hi)
         lo, hi = _bisect_once(c, lo, hi)
-    return _sign(univ_eval(p, lo)), Interval(lo, hi, iv.multiplicity)
+    return _sign(univ_eval(p, lo)), Interval(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -823,10 +817,14 @@ def real_root_floats(c: Sequence, n: int, ivs: Sequence = None) -> list:
     """The n real roots of the squarefree c as sorted floats: midpoints of
     certified brackets, else of the isolating intervals `ivs` (by default
     `real_roots(c)`) refined to FALLBACK_WIDTH.  A root that `ivs` gives as
-    a point is rounded from its exact value."""
+    a point is rounded from its exact value.  Raises InternalInconsistency
+    when c has a repeated root after all."""
     got = certified_roots(c, n)
     if got is None:
         ivs = real_roots(c) if ivs is None else ivs
+        if ivs is None:
+            raise InternalInconsistency("repeated root in a polynomial "
+                                        "taken as squarefree")
         got = [refine_root(c, iv, FALLBACK_WIDTH) for iv in ivs]
     elif ivs is not None:
         got = [iv if iv.is_point() else b for iv, b in zip(ivs, got)]

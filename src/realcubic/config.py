@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 @dataclass
 class LineSolveConfig:
     residual_tol: float = 1e-10          # relative backward error per line
-    dedupe_tol: float = 1e-6             # Plucker distance for merging paths
-    imag_tol: float = 1e-7               # reality threshold after phase fix
     seed: int = 0
 
 

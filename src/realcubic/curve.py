@@ -4,18 +4,20 @@ A nonsingular real cubic in P2 is either one pseudoline or a pseudoline
 plus an oval.  After a projective chart change that puts exactly one simple
 real point on the line at infinity and makes the y-discriminant squarefree,
 the affine picture is a proper 3:1 cover of the x-axis away from finitely
-many simple folds.  Counting real fibre points per cell and matching fold
-pairs through the first subresultant reconstructs the components exactly,
-in rational arithmetic all the way down.
+many simple folds.  Counting real fibre points per cell (three where the
+y-discriminant is positive, else one) and matching fold pairs through the
+first subresultant reconstructs the components exactly, in rational
+arithmetic all the way down.
 
 The chart arithmetic is done in integers, on the integer tensor of each
 conic or cubic (`forms.py`).  The chart search takes the integer
 candidates of `_chart_candidates` in a fixed order and screens each at
 infinity first: only the first two columns of the chart go into the binary
 cubic at z = 0, which must have a negative discriminant.  Only a chart that
-passes gets the full chart change and the squarefree test of its
-y-discriminant.  The conic-cubic meet takes its y-resultant over dense
-integer polynomials in x.  Every Fraction the sweep sees is an integer
+passes gets the full chart change, and its y-discriminant one call of
+`real_roots`, which both tests it squarefree and isolates the folds.  The
+conic-cubic meet takes its y-resultant over dense integer polynomials in
+x.  Every Fraction the sweep sees is an integer
 result divided by a power of the form's denominator.
 
 Also here: exact conic utilities (conic through five points, conic-cubic
@@ -37,7 +39,6 @@ from .algebra import (
     Interval,
     Poly,
     complex_roots,
-    real_root_count,
     real_root_floats,
     real_roots,
     resultant,
@@ -103,14 +104,6 @@ def _mat_inv3(M):
     return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
 
 
-def _is_squarefree(dense) -> bool:
-    dense = strip_high(list(dense))
-    if univ_degree(dense) <= 0:
-        return False
-    g = univ_gcd(dense, univ_derivative(dense))
-    return univ_degree(g) == 0
-
-
 # ---------------------------------------------------------------------------
 # chart curves
 # ---------------------------------------------------------------------------
@@ -174,13 +167,14 @@ def _one_point_at_infinity(T: list, M) -> bool:
 
 
 def _chart_ok(cs: list):
-    """The y-discriminant, dense in x, of the affine curve with
-    coefficients c0..c3 in y, when it is constant or squarefree; else
-    None."""
+    """(disc, folds) for the affine curve with coefficients c0..c3 in y:
+    its y-discriminant dense in x and the isolating intervals of its real
+    roots, when it is constant or squarefree; else None."""
     dense = _y_discriminant(*cs)
-    if univ_degree(dense) >= 1 and not _is_squarefree(dense):
-        return None
-    return dense
+    if univ_degree(dense) < 1:
+        return dense, []
+    folds = real_roots(dense)
+    return None if folds is None else (dense, folds)
 
 
 def _y_discriminant(c0, c1, c2, c3) -> list:
@@ -267,13 +261,14 @@ def analyze_cubic(G: Poly) -> CurveAnalysis:
             continue
         terms = chart_terms(T, M, 3)
         cs = _dense_in_y(terms, 3)
-        disc = _chart_ok(cs)
-        if disc is None:
+        ok = _chart_ok(cs)
+        if ok is None:
             continue
+        disc, fold_ivs = ok
         cs = [[Fraction(t, D) for t in c] or [Fraction(0)] for c in cs]
         try:
             return _sweep(G, M, _affine(G, M, terms, D), cs,
-                          [Fraction(t, D ** 4) for t in disc])
+                          [Fraction(t, D ** 4) for t in disc], fold_ivs)
         except InternalInconsistency as exc:   # pragma: no cover - retried
             last = exc
             continue
@@ -282,10 +277,9 @@ def analyze_cubic(G: Poly) -> CurveAnalysis:
     raise ChartDegenerate("no usable sweep chart found")
 
 
-def _sweep(G: Poly, M, f: Poly, cs: list, disc_dense: list) -> CurveAnalysis:
+def _sweep(G: Poly, M, f: Poly, cs: list, disc_dense: list,
+           fold_ivs: list) -> CurveAnalysis:
     c0, c1, c2, (c3,) = cs
-    fold_ivs = real_roots(disc_dense) if univ_degree(disc_dense) >= 1 else []
-    assert all(iv.multiplicity == 1 for iv in fold_ivs)
 
     # one rational sample per cell, strictly between consecutive fold roots
     samples = []
@@ -297,12 +291,9 @@ def _sweep(G: Poly, M, f: Poly, cs: list, disc_dense: list) -> CurveAnalysis:
             samples.append(Fraction(a.hi + b.lo, 2))
         samples.append(fold_ivs[-1].hi + 1)
 
-    counts = []
-    for x0 in samples:
-        n = real_root_count(fibre_dense(f, x0))
-        if n not in (1, 3):
-            raise InternalInconsistency(f"fibre count {n} in a cell")
-        counts.append(n)
+    # each sample lies strictly between folds, so its fibre cubic has a
+    # nonzero discriminant, and three real roots exactly when it is positive
+    counts = [3 if univ_eval(disc_dense, x0) > 0 else 1 for x0 in samples]
     if counts[0] != 1 or counts[-1] != 1:
         raise InternalInconsistency("unbounded cells must have one branch")
     for a, b in zip(counts, counts[1:]):
@@ -602,13 +593,12 @@ def plane_form(p, degree: int, what: str) -> Poly:
                  for e, c in p.terms.items()})
 
 
-def _real_points_over(p: Poly, q: Poly, dense: list) -> list:
+def _real_points_over(p: Poly, q: Poly, dense: list, ivs: list) -> list:
     """(x, y) float pairs over the real roots of `dense`, the squarefree
-    y-resultant of p and q, when no two common points share an x.  A point
-    over a rational root is computed exactly and rounded once; any other is
-    polished by Newton and must stay inside its root's isolating interval
-    (NonConvergence otherwise)."""
-    ivs = real_roots(dense)
+    y-resultant of p and q, isolated by `ivs`, when no two common points
+    share an x.  A point over a rational root is computed exactly and
+    rounded once; any other is polished by Newton and must stay inside its
+    root's isolating interval (NonConvergence otherwise)."""
     out = []
     for iv, x in zip(ivs, real_root_floats(dense, len(ivs), ivs)):
         if iv.is_point():
@@ -705,8 +695,10 @@ def conic_cubic_meet(conic: Poly, cubic: Poly) -> ConicCubicMeet:
         res = y_resultant(P, Q)
         if not res:
             raise SharedComponent("conic and cubic share a component")
-        if univ_degree(res) == 6 and _is_squarefree(res):
-            break
+        if univ_degree(res) == 6:
+            ivs = real_roots(res)
+            if ivs is not None:
+                break
     else:
         raise NotTransversal("conic and cubic meet non-transversally")
     # Res(P / Db, Q / Dc) = Res(P, Q) / (Db^n Dc^m), m and n the y-degrees
@@ -716,7 +708,7 @@ def conic_cubic_meet(conic: Poly, cubic: Poly) -> ConicCubicMeet:
     c_aff = _affine(cubic, M, c_terms, Dc)
     points = [tuple(float(M[i][0]) * u + float(M[i][1]) * v + float(M[i][2])
                     for i in range(3))
-              for u, v in _real_points_over(b_aff, c_aff, dense)]
+              for u, v in _real_points_over(b_aff, c_aff, dense, ivs)]
     return ConicCubicMeet(M, b_aff, c_aff, dense, points)
 
 

@@ -25,10 +25,6 @@ class SingularCurve(MathematicalRejection):
     pass
 
 
-class SingularSurface(MathematicalRejection):
-    pass
-
-
 class NotTransversal(MathematicalRejection):
     pass
 
@@ -39,10 +35,6 @@ class NearDiscriminant(MathematicalRejection):
 
 class SharedComponent(MathematicalRejection):
     """Conic and cubic share a component; intersection is not finite."""
-
-
-class RankDeficient(MathematicalRejection):
-    pass
 
 
 class DegenerateConfiguration(MathematicalRejection):
@@ -75,10 +67,6 @@ class ChartDegenerate(ComputationFailure):
     """No admissible sweep chart found within the retry budget."""
 
 
-class LocateFailure(ComputationFailure):
-    pass
-
-
 class SamplingInconclusive(ComputationFailure):
     pass
 
@@ -88,8 +76,4 @@ class Undecided(ComputationFailure):
 
 
 class InternalInconsistency(ComputationFailure):
-    pass
-
-
-class ConfigMissing(ComputationFailure):
     pass

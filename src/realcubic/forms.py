@@ -8,7 +8,8 @@ matrix is one mode product per index of T (`chart_terms`), the singularity
 test of a cubic is a 6 x 6 Bareiss determinant built from T
 (`nonsingular_cubic`), and the resultant in y of two chart curves is a
 Sylvester determinant over dense integer polynomials in x (`y_resultant`).
-This is the exact twin of the float tensor of `lines.cubic_tensor`.
+`lines.cubic_tensor` rounds the same tensor of a quaternary cubic to
+floats.
 """
 
 from __future__ import annotations
@@ -35,15 +36,15 @@ def _monomials(d: int, w: int) -> tuple:
 
 
 def form_tensor(G: Poly) -> tuple:
-    """(T, D) for a ternary form G of degree d: T is its symmetric tensor
-    with integer entries, flat in base 3, and D > 0 clears the
-    denominators, so that G(v) = T(v, ..., v) / D.  A monomial's
-    coefficient is spread evenly over the index tuples that multiply out
-    to it."""
-    d = G.homogeneous_degree()
-    share = {e: Fraction(G.terms.get(e, 0), k) for e, _, k in _monomials(d, 3)}
-    T = [share[tuple(idx.count(v) for v in range(3))]
-         for idx in itertools.product(range(3), repeat=d)]
+    """(T, D) for a form G of degree d in w = len(G.vars) variables: T is
+    its symmetric tensor with integer entries, flat in base w, and D > 0
+    clears the denominators, so that G(v) = T(v, ..., v) / D.  A
+    monomial's coefficient is spread evenly over the index tuples that
+    multiply out to it."""
+    d, w = G.homogeneous_degree(), len(G.vars)
+    share = {e: Fraction(G.terms.get(e, 0), k) for e, _, k in _monomials(d, w)}
+    T = [share[tuple(idx.count(v) for v in range(w))]
+         for idx in itertools.product(range(w), repeat=d)]
     D = math.lcm(*(c.denominator for c in T))
     return [int(c * D) for c in T], D
 

@@ -43,8 +43,11 @@ import numpy as np
 from .algebra import Poly
 from .config import DEFAULT, LineSolveConfig
 from .errors import InternalInconsistency, LineInPlane, NearDiscriminant
+from .forms import form_tensor
 
 ATTEMPTS = 6                 # patches tried before NearDiscriminant
+DEDUPE_TOL = 1e-6            # Pluecker distance for merging paths
+IMAG_TOL = 1e-7              # reality threshold after phase fix
 NEWTON_STEPS = 40            # endgame Newton steps on the target system
 NEWTON_SETTLED = 1e-6        # largest last endgame step (relative) kept
 DT_MIN = 1e-7                # a path whose step falls below this dies
@@ -58,16 +61,10 @@ DIVERGENCE_CUTOFF = 1e7      # patch coordinates past this: path diverged
 
 def cubic_tensor(F: Poly) -> np.ndarray:
     """The symmetric tensor T of the cubic form F, so that F(x) = T(x, x, x):
-    a monomial's coefficient is spread evenly over the index triples that
-    multiply out to it."""
+    the exact tensor of `forms.form_tensor`, each entry rounded once."""
     n = len(F.vars)
-    T = np.zeros((n, n, n))
-    for e, c in F.terms.items():
-        idx = [i for i, k in enumerate(e) for _ in range(k)]
-        slots = set(itertools.permutations(idx))
-        for slot in slots:
-            T[slot] = float(Fraction(c) / len(slots))
-    return T
+    T, D = form_tensor(F)
+    return np.array([float(Fraction(t, D)) for t in T]).reshape(n, n, n)
 
 
 def cubic_values(T: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -320,7 +317,7 @@ class LineSet:
 
 
 def _line_from_solution(sol: np.ndarray, A: np.ndarray, T: np.ndarray,
-                        norm: float, imag_tol: float) -> PluckerLine:
+                        norm: float) -> PluckerLine:
     u = np.array([1.0, 0.0, sol[0], sol[1]]) @ A
     v = np.array([0.0, 1.0, sol[2], sol[3]]) @ A
     p = normalize_plucker(plucker_from_basis(u, v))
@@ -328,7 +325,7 @@ def _line_from_solution(sol: np.ndarray, A: np.ndarray, T: np.ndarray,
     samples = samples / np.linalg.norm(samples, axis=1, keepdims=True)
     vals = np.abs(cubic_values(T, samples))
     resid = float(vals.max() / max(norm, 1e-300))
-    real = bool(np.abs(p.imag).max() < imag_tol)
+    real = bool(np.abs(p.imag).max() < IMAG_TOL)
     if real:
         p = p.real.astype(complex)
     return PluckerLine(plucker=p, basis=np.vstack([u, v]), real=real,
@@ -361,9 +358,9 @@ def solve_lines(F: Poly, cfg: LineSolveConfig = None) -> LineSet:
         C1 = patch_matrix(T, A) / scale
         for sol in _track(C0, C1, gamma,
                           _patch_coordinates(_FERMAT_LINES, A)):
-            line = _line_from_solution(sol, A, T, norm, cfg.imag_tol)
+            line = _line_from_solution(sol, A, T, norm)
             if line.residual <= cfg.residual_tol and (plucker_distances(
-                    P, line.plucker) >= cfg.dedupe_tol).all():
+                    P, line.plucker) >= DEDUPE_TOL).all():
                 found.append(line)
                 P = np.vstack([P, line.plucker])
         if len(found) >= 27:
@@ -392,7 +389,7 @@ def solve_lines(F: Poly, cfg: LineSolveConfig = None) -> LineSet:
     if real_count not in (3, 7, 15, 27):
         raise NearDiscriminant(
             f"{real_count} real lines is impossible for a nonsingular surface")
-    pairs = _conjugate_pairs(found, cfg.dedupe_tol)
+    pairs = _conjugate_pairs(found, DEDUPE_TOL)
     return LineSet(lines=found, real_count=real_count, conj_pairs=pairs)
 
 

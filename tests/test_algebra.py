@@ -13,7 +13,6 @@ from realcubic.algebra import (
     certified_roots,
     complex_roots,
     quadric_triple_resultant,
-    real_root_count,
     real_root_floats,
     real_roots,
     refine_root,
@@ -22,12 +21,14 @@ from realcubic.algebra import (
     squarefree_decomposition,
     strip_high,
     to_int_primitive,
+    univ_degree,
+    univ_derivative,
     univ_divmod,
     univ_eval,
     univ_gcd,
     univ_mul,
 )
-from realcubic.errors import NonConvergence
+from realcubic.errors import InternalInconsistency, NonConvergence
 
 F = Fraction
 
@@ -192,7 +193,8 @@ def test_squarefree_reconstruction():
 # ---------------------------------------------------------------------------
 
 def test_real_roots_multiplicity_cubed_factor():
-    # (x - 1)^3 (x + 2): oracle checks the multiplicity by derivatives
+    # (x - 1)^3 (x + 2): oracle checks the multiplicity by derivatives, and
+    # real_roots takes squarefree input only
     p = Poly.parse("(x - 1)^3 * (x + 2)")
     c = p.to_univariate("x")
     # derivative oracle at x = 1
@@ -202,14 +204,16 @@ def test_real_roots_multiplicity_cubed_factor():
     d3 = [k * t for k, t in enumerate(d2)][1:]
     assert univ_eval(d1, F(1)) == 0 and univ_eval(d2, F(1)) == 0
     assert univ_eval(d3, F(1)) != 0
-    rts = real_roots(c)
-    assert [(r.multiplicity, r.lo <= 1 <= r.hi or r.lo <= -2 <= r.hi) for r in rts]
-    assert len(rts) == 2
-    by_mult = sorted(rts, key=lambda r: r.multiplicity)
-    assert by_mult[0].multiplicity == 1 and -2 in by_mult[0] or by_mult[0].is_point()
-    assert by_mult[1].multiplicity == 3
-    assert 1 in by_mult[1] or (by_mult[1].lo == 1 == by_mult[1].hi)
-    assert -2 in by_mult[0] or (by_mult[0].lo == -2 == by_mult[0].hi)
+    assert real_roots(c) is None
+    assert real_roots(p, "x") is None
+
+
+def test_real_roots_repeated_complex_root():
+    # (x^2 + 1)^2 (x - 3): the only repeated root is non-real
+    c = Poly.parse("(x^2 + 1)^2 * (x - 3)").to_univariate("x")
+    assert real_roots(c) is None
+    (iv,) = real_roots(univ_mul([F(1), F(0), F(1)], [F(-3), F(1)]))
+    assert 3 in iv or iv.lo == 3 == iv.hi
 
 
 def test_real_roots_sqrt2():
@@ -231,7 +235,7 @@ def test_real_roots_exact_rational_root():
 
 def test_real_roots_no_real():
     assert real_roots([F(1), F(0), F(1)]) == []      # x^2 + 1
-    assert real_root_count([F(1), F(1), F(1)]) == 0  # x^2 + x + 1
+    assert len(real_roots([F(1), F(1), F(1)])) == 0  # x^2 + x + 1
 
 
 def test_real_roots_close_pair_separation():
@@ -334,6 +338,15 @@ def test_real_root_floats_certified_exact_and_fallback():
     assert lo == 1.0 and abs(hi - (1 + 1e-13)) < 2e-16
 
 
+def test_real_root_floats_refuses_a_repeated_root():
+    # (x - 1)^2 (x - 2) has no three sign-changing brackets, and its
+    # exact fallback finds the repeated root
+    c = univ_mul(univ_mul([F(-1), F(1)], [F(-1), F(1)]), [F(-2), F(1)])
+    assert certified_roots(c, 3) is None
+    with pytest.raises(InternalInconsistency):
+        real_root_floats(c, 3)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=3, max_size=9))
 def test_real_root_count_never_exceeds_degree(c):
@@ -341,7 +354,11 @@ def test_real_root_count_never_exceeds_degree(c):
     if len(c) < 2:
         return
     rts = real_roots(c)
-    assert sum(r.multiplicity for r in rts) <= len(c) - 1
+    repeated = univ_degree(univ_gcd(c, univ_derivative(c))) > 0
+    assert (rts is None) == repeated
+    if repeated:
+        return
+    assert len(rts) <= len(c) - 1
     for a, b in zip(rts, rts[1:]):
         assert a.hi <= b.lo
     for r in rts:
@@ -394,7 +411,8 @@ def test_root_census_matches_degree(c):
     except NonConvergence:
         return
     assert len(cz) == deg
-    n_real_isol = sum(r.multiplicity for r in real_roots(c))
+    n_real_isol = sum(m * len(real_roots(factor))
+                      for factor, m in squarefree_decomposition(c))
     n_real_num = sum(1 for z in cz if abs(z.imag) < 1e-7)
     n_pairs = sum(1 for z in cz if z.imag > 1e-7)
     assert n_real_num == n_real_isol

@@ -14,11 +14,11 @@ from realcubic.algebra import (
     Poly,
     certified_roots,
     quadric_triple_resultant,
-    real_root_count,
     real_roots,
     refine_root,
     resultant,
     sign_at,
+    univ_degree,
     univ_eval,
     univ_mul,
 )
@@ -35,7 +35,6 @@ from realcubic.curve import (
     _chart_candidates,
     _coeffs_in_x,
     _dense_in_y,
-    _is_squarefree,
     _null_space,
     _one_point_at_infinity,
     analyze_cubic,
@@ -325,6 +324,34 @@ class TestSweepAlgebra:
             res = _coeffs_in_x(resultant(f, f.derivative("y"), "y"))
             assert res == [-c3 * t for t in analysis.disc_dense]
 
+    def test_discriminant_sign_is_the_fibre_count(self):
+        # on every cell sample of the witness sections and of nonsingular
+        # wall cubics: three real fibre roots exactly where the
+        # y-discriminant is positive
+        cubics = witness_sections() + [C for _, C in wall_draws(12)
+                                       if nonsingular_cubic(C)]
+        assert len(cubics) > 20
+        for G in cubics:
+            analysis = analyze_cubic(G)
+            for x0, n in zip(analysis.cell_samples, analysis.cell_counts):
+                fy = fibre_dense(analysis.f, x0)
+                assert n == len(real_roots(fy))
+                assert n == (3 if univ_eval(analysis.disc_dense, x0) > 0
+                             else 1)
+
+    def test_sweep_isolates_no_fibre(self, monkeypatch):
+        # real_roots sees only y-discriminants of the charts tried, which
+        # have degree 6 in x, and the last is that of the sweep chart
+        seen = record_real_roots(monkeypatch)
+        for G in witness_sections()[:5] + [weierstrass_plane_cubic(-25, 0)]:
+            seen.clear()
+            out = analyze_cubic(G)
+            assert seen and all(univ_degree(c) == 6 for c in seen)
+            ratio = Fraction(seen[-1][-1]) / out.disc_dense[-1]
+            assert ratio > 0
+            assert [Fraction(t) for t in seen[-1]] == \
+                [ratio * t for t in out.disc_dense]
+
     def test_fold_sign_isolates_no_roots(self, monkeypatch):
         # the side of each fold comes from sign_at: no real_roots call
         signs, inner = calls_inside(
@@ -332,6 +359,18 @@ class TestSweepAlgebra:
             ((algebra_module, "real_roots"), (curve_module, "real_roots")))
         out = analyze_cubic(weierstrass_plane_cubic(-25, 0))
         assert len(signs) == len(out.folds) > 0 and inner == []
+
+
+def record_real_roots(monkeypatch) -> list:
+    """Wrap real_roots where the curve layer calls it; the returned list
+    collects the polynomial of each call."""
+    seen = []
+    for module in (algebra_module, curve_module):
+        def counting(c, *args, _fn=module.real_roots):
+            seen.append(list(c))
+            return _fn(c, *args)
+        monkeypatch.setattr(module, "real_roots", counting)
+    return seen
 
 
 def witness_sections() -> list:
@@ -413,8 +452,8 @@ class TestIntegerCharts:
         for a in cubics:
             G = Poly(V, {(k, 3 - k, 0): c for k, c in enumerate(a)})
             G = G + Poly(V, {(0, 0, 3): 1})
-            old = a[0] != 0 and a[3] != 0 and _is_squarefree(a) \
-                and real_root_count(a) == 1
+            old = a[0] != 0 and a[3] != 0 and real_roots(a) is not None \
+                and len(real_roots(a)) == 1
             got = _one_point_at_infinity(form_tensor(G)[0], _IDENTITY)
             assert got == old, a
             outcomes.add(got)
@@ -691,6 +730,28 @@ class TestConicCubicMeet:
         for x0, y0 in got:
             assert min(max(abs(x0 - x1), abs(y0 - y1))
                        for x1, y1 in affine) < 1e-9
+
+    @pytest.mark.parametrize("conic,cubic,charts", [
+        # a curve pair symmetric in y: the identity chart's resultant,
+        # here (x + 1)^2 (x^2 - 3)^2, has degree 6 but repeated roots, so
+        # a second chart is isolated
+        ("x^2 + y^2 - 4", "y^2 - x^3 + 3*x - 1", 2),
+        ("x^2 + x*y + y^2 - 4", "y^2 - x^3 + 3*x - 1", 1),
+        # a degree-5 identity resultant is skipped without isolation
+        ("2*x*y - 3*x*z + 3*y^2 - y*z - 3*z^2",
+         "2*x^2*y - x^2*z + 2*x*y^2 - 3*x*y*z + x*z^2 + 2*y^3 - 2*y^2*z"
+         " - 3*y*z^2 + 2*z^3", 1),
+    ])
+    def test_one_isolation_per_degree_six_chart(self, monkeypatch, conic,
+                                                cubic, charts):
+        seen = record_real_roots(monkeypatch)
+        meet = conic_cubic_meet(plane_form(conic, 2, "conic"),
+                                plane_form(cubic, 3, "cubic"))
+        assert len(seen) == charts
+        assert all(univ_degree(c) == 6 for c in seen)
+        assert [Fraction(t) for t in seen[-1]] == \
+            [Fraction(seen[-1][-1]) / meet.resultant[-1] * t
+             for t in meet.resultant]
 
     def test_tangent_conic_not_transversal(self):
         C = plane_form("y^2 - x^3 + x", 3, "cubic")
