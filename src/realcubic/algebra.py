@@ -4,22 +4,33 @@ Coefficients are exact: integers or `fractions.Fraction`, and a float or
 complex coefficient is a TypeError (the parser reads decimals as
 Fractions).  Floats enter only as evaluation points.
 
+`Poly.parse` reads expanded text (a sum of coefficient * monomial terms)
+straight into a term dict, and anything else by recursive descent.
+
+The root toolkit takes exact coefficient lists and works in integers:
+denominators are cleared on entry (`to_int_primitive`), a value at a
+rational a/d is the homogeneous Horner sum of c_i a^i d^(n-i)
+(`hom_eval`), and a gcd is a primitive remainder sequence over Z
+(`int_gcd`).  Fractions remain only as interval endpoints, as exact roots
+and in the monic factors that `squarefree_decomposition` returns.
+
 Real roots take three steps.  `real_roots` isolates them exactly, by
-Descartes bisection, and takes squarefree input only: one gcd(p, p')
-checks that, and a repeated root gives None.  `certified_roots` certifies
-float roots: each, moved by one Newton step with an exact residual, gets a
-dyadic bracket whose end signs prove a root inside, and `real_root_floats`
-bisects the exact intervals only where that fails.  `sign_at` decides the
-sign of a polynomial at an isolated root, by Descartes' rule on the
-interval.
+Descartes bisection on an explicit stack (no recursion, whatever the
+depth), and takes squarefree input only: one gcd(p, p') checks that, and a
+repeated root gives None.  `certified_roots` certifies float roots: each,
+moved by one Newton step with an exact residual, gets a dyadic bracket
+whose end signs prove a root inside, and `real_root_floats` bisects the
+exact intervals only where that fails, as for coefficients beyond float
+range.  `sign_at` decides the sign of a polynomial at an isolated root, by
+Descartes' rule on the interval.
 
 Complex roots use simultaneous Aberth iteration, in floats and then with
-each step's p/p' evaluated exactly.  Resultants go through the Sylvester
-matrix: scalar entries get Bareiss's fraction-free elimination in integers
-(`bareiss_det`, the one exact determinant), polynomial entries a memoized
-Laplace expansion.  The conic-cubic meet and the singularity test of the
-curve layer work on integer forms of their own instead: `resultant` and
-`quadric_triple_resultant` are the references they are tested against.
+each step's p/p' evaluated exactly in Fractions.  Resultants go through the
+Sylvester matrix: scalar entries get Bareiss's fraction-free elimination in
+integers (`bareiss_det`, the one exact determinant), polynomial entries a
+memoized Laplace expansion.  The conic-cubic meet and the singularity test
+of the curve layer work on integer forms of their own instead: `resultant`
+and `quadric_triple_resultant` are the references they are tested against.
 """
 
 from __future__ import annotations
@@ -295,7 +306,11 @@ class Poly:
 
     @classmethod
     def parse(cls, text: str, vars: Sequence[str] = None) -> "Poly":
-        return _parse_poly(text, vars)
+        """Read text in `vars` (by default x, y, z, w): expanded text term
+        by term, anything else by the recursive descent."""
+        vs = CANONICAL_VARS if vars is None else tuple(vars)
+        terms = _flat_terms(text, vs)
+        return _parse_poly(text, vars) if terms is None else cls(vs, terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -323,6 +338,48 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+# -- flat reader for expanded text --------------------------------------------
+
+_NUMBER = r"(\d+)(?:\s*/\s*(\d+))?"
+_VAR_POWER = r"[A-Za-z_]\w*(?:\s*(?:\^|\*\*)\s*\d+)?"
+_MONOMIAL = rf"{_VAR_POWER}(?:\s*\*\s*{_VAR_POWER})*"
+_FLAT_TERM = re.compile(
+    rf"\s*([+-]?)\s*(?:(?:{_NUMBER}|\(\s*([+-]?)\s*{_NUMBER}\s*\))"
+    rf"(?:\s*\*\s*({_MONOMIAL}))?|({_MONOMIAL}))")
+_POWER = re.compile(r"([A-Za-z_]\w*)(?:\s*(?:\^|\*\*)\s*(\d+))?")
+
+
+def _flat_terms(text: str, vs: tuple):
+    """The term dict of a sum of terms [coefficient *] monomial, or None
+    for any other text.  A coefficient is n or n/d, bare or in parentheses
+    with a sign.  A sum that cancels leaves the dict and comes back at the
+    end, as in the recursive descent: both give one Poly and term order."""
+    index = {v: k for k, v in enumerate(vs)}
+    terms, pos = {}, 0
+    while pos < len(text):
+        m = _FLAT_TERM.match(text, pos)
+        if m is None or pos and not m[1]:
+            return None
+        n, d = m[2] or m[5] or "1", m[3] or m[6] or "1"
+        if int(d) == 0:
+            return None
+        c = Fraction(-int(n) if (m[1] == "-") != (m[4] == "-") else int(n),
+                     int(d))
+        e = [0] * len(vs)
+        for name, k in _POWER.findall(m[7] or m[8] or ""):
+            if name not in index:
+                return None
+            e[index[name]] += int(k or 1)
+        e = tuple(e)
+        c += terms.get(e, 0)
+        if c:
+            terms[e] = c
+        else:
+            terms.pop(e, None)
+        pos = m.end()
+    return terms if pos else None
 
 
 # -- recursive-descent parser -------------------------------------------------
@@ -432,7 +489,7 @@ def _parse_poly(text: str, vars) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# univariate exact helpers (dense Fraction/int lists, low degree first)
+# univariate exact helpers (dense lists, low degree first)
 # ---------------------------------------------------------------------------
 
 def strip_high(c: list) -> list:
@@ -477,74 +534,84 @@ def univ_sub(a: Sequence, b: Sequence) -> list:
     ])
 
 
-def univ_divmod(a: Sequence, b: Sequence) -> tuple:
-    """Exact Fraction division with remainder."""
-    a = [Fraction(t) for t in strip_high(a)]
-    b = [Fraction(t) for t in strip_high(b)]
-    if not b:
-        raise ZeroDivisionError("univariate division by zero polynomial")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = a
-    while len(r) >= len(b) and r:
-        k = len(r) - len(b)
-        f = r[-1] / b[-1]
-        q[k] = f
-        for i, bi in enumerate(b):
-            r[k + i] -= f * bi
-        r = strip_high(r)
-    return q, r
-
-
-def univ_gcd(a: Sequence, b: Sequence) -> list:
-    """Monic gcd over the rationals."""
-    a = strip_high([Fraction(t) for t in a])
-    b = strip_high([Fraction(t) for t in b])
-    while b:
-        _, r = univ_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return []
-    lead = a[-1]
-    return [t / lead for t in a]
+def _over_z(c: Sequence) -> tuple:
+    """(ints, den) with c = ints / den, for the exact list c: den > 0 is the
+    lcm of its denominators."""
+    den = math.lcm(*(t.denominator for t in c))
+    return [t.numerator * (den // t.denominator) for t in c], den
 
 
 def to_int_primitive(c: Sequence) -> list:
-    """Clear denominators and content; preserves roots."""
-    c = strip_high([Fraction(t) for t in c])
-    if not c:
-        return []
-    den = 1
-    for t in c:
-        den = den * t.denominator // math.gcd(den, t.denominator)
-    ints = [int(t * den) for t in c]
-    g = 0
-    for t in ints:
-        g = math.gcd(g, abs(t))
-    return [t // g for t in ints]
+    """Clear denominators and content; preserves roots and signs."""
+    ints = _over_z(strip_high(c))[0]
+    g = math.gcd(*ints)
+    return [t // g for t in ints] if g > 1 else ints
+
+
+def hom_eval(c: Sequence[int], x) -> int:
+    """d^n c(a/d) for the integer list c of length n + 1 and the rational
+    x = a/d, by homogeneous Horner: sum c_i a^i d^(n-i), an integer with
+    the sign of c(x)."""
+    a, d = x.numerator, x.denominator
+    acc, dk = 0, 1
+    for t in reversed(c):
+        acc = acc * a + t * dk
+        dk *= d
+    return acc
+
+
+def int_quo(a: Sequence[int], b: Sequence[int]):
+    """The quotient a / b of integer lists when b divides a in Z[x], else
+    None.  For b primitive, dividing over Q and over Z agree (Gauss)."""
+    a, m = list(a), len(b) - 1
+    q = [0] * max(0, len(a) - m)
+    for k in reversed(range(len(q))):
+        q[k], r = divmod(a[k + m], b[-1])
+        if r:
+            return None
+        for i, t in enumerate(b):
+            a[k + i] -= q[k] * t
+    return None if any(a) else q
+
+
+def int_gcd(a: Sequence, b: Sequence) -> list:
+    """A gcd of the exact polynomials a and b, primitive in Z[x] ([] when
+    both are zero): the primitive remainder sequence (Collins, J. ACM 14,
+    1967), whose every step is a pseudo-division in integers."""
+    a, b = to_int_primitive(a), to_int_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        while len(a) >= len(b):
+            g = math.gcd(a[-1], b[-1])
+            s, f, k = b[-1] // g, a[-1] // g, len(a) - len(b)
+            a = [t * s for t in a]
+            for i, t in enumerate(b):
+                a[k + i] -= f * t
+            a = strip_high(a)
+        a, b = b, to_int_primitive(a)
+    return a
 
 
 def squarefree_decomposition(c: Sequence) -> list:
-    """Yun's algorithm: [(factor, multiplicity)] with factors monic, coprime."""
-    f = strip_high([Fraction(t) for t in c])
-    if univ_degree(f) < 1:
+    """Yun's algorithm: [(factor, multiplicity)] with factors monic, coprime.
+    The steps divide exactly in Z[x], every divisor being primitive."""
+    f = to_int_primitive(c)
+    if len(f) < 2:
         return []
     fp = univ_derivative(f)
-    d = univ_gcd(f, fp)
-    if univ_degree(d) < 1:
-        lead = f[-1]
-        return [([t / lead for t in f], 1)]
-    b, _ = univ_divmod(f, d)
-    cpart, _ = univ_divmod(fp, d)
-    out = []
-    i = 1
-    dd = univ_sub(cpart, univ_derivative(b))
-    while univ_degree(b) > 0:
-        a = univ_gcd(b, dd)
-        if univ_degree(a) > 0:
-            out.append((a, i))
-        b, _ = univ_divmod(b, a)
-        c2, _ = univ_divmod(dd, a)
-        dd = univ_sub(c2, univ_derivative(b))
+    d = int_gcd(f, fp)
+    if len(d) < 2:
+        return [([Fraction(t, f[-1]) for t in f], 1)]
+    b, dd = int_quo(f, d), int_quo(fp, d)
+    dd = univ_sub(dd, univ_derivative(b))
+    out, i = [], 1
+    while len(b) > 1:
+        a = int_gcd(b, dd)
+        if len(a) > 1:
+            out.append(([Fraction(t, a[-1]) for t in a], i))
+        b = int_quo(b, a)
+        dd = univ_sub(int_quo(dd, a), univ_derivative(b))
         i += 1
     return out
 
@@ -577,13 +644,8 @@ class Interval:
 
 
 def _sign_variations(c: Sequence[int]) -> int:
-    n, prev = 0, 0
-    for a in c:
-        if a != 0:
-            if prev != 0 and (a > 0) != (prev > 0):
-                n += 1
-            prev = a
-    return n
+    signs = [a > 0 for a in c if a]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def _taylor_shift(c: list, a=1) -> list:
@@ -602,83 +664,68 @@ def _variations01(c: list) -> int:
     return _sign_variations(_taylor_shift(c[::-1]))
 
 
-def _div_linear_root1(c: list) -> list:
-    """Divide by (x - 1) assuming c(1) == 0."""
+def _on_unit(c: list, lo: Fraction, hi: Fraction) -> list:
+    """A positive integer multiple of c(lo + (hi - lo) t), for the integer
+    list c: its roots in (0, 1) are those of c in (lo, hi) moved there."""
+    d = math.lcm(lo.denominator, hi.denominator)
+    a, b = (x.numerator * (d // x.denominator) for x in (lo, hi))
     n = len(c) - 1
-    q = [0] * n
-    acc = c[n]
-    for k in range(n - 1, -1, -1):
-        q[k] = acc
-        acc += c[k]
-    assert acc == 0
-    return q
+    shifted = _taylor_shift([t * d ** (n - i) for i, t in enumerate(c)], a)
+    return [t * (b - a) ** k for k, t in enumerate(shifted)]
 
 
-def _vca(c: list, lo: Fraction, hi: Fraction, out: list):
-    """Collect isolating intervals for roots of the original poly in (lo, hi).
-
-    c encodes those roots mapped onto (0, 1); c has no root at 0 or 1.
-    """
-    v = _variations01(c)
-    if v == 0:
-        return
-    if v == 1:
-        out.append((lo, hi))
-        return
-    n = len(c) - 1
-    mid = (lo + hi) / 2
-    left = [a << (n - k) for k, a in enumerate(c)]     # 2^n c(x/2)
-    right = _taylor_shift(left)                        # 2^n c((x+1)/2)
-    if right[0] == 0:
-        out.append((mid, mid))
-        right = right[1:]
-        while right and right[0] == 0:  # pragma: no cover - squarefree input
+def _vca(c: list) -> list:
+    """Isolating intervals in (0, 1) for the roots of the squarefree integer
+    c, which has none at 0 or 1, by bisection on an explicit stack: a node
+    (c, j, k) stands for (j/2^k, (j+1)/2^k), its roots mapped onto (0, 1)."""
+    out, stack = [], [(c, 0, 0)]
+    while stack:
+        c, j, k = stack.pop()
+        v = _variations01(c)
+        if v == 1:
+            out.append((Fraction(j, 1 << k), Fraction(j + 1, 1 << k)))
+        if v < 2:
+            continue
+        n = len(c) - 1
+        left = [a << (n - i) for i, a in enumerate(c)]     # 2^n c(x/2)
+        right = _taylor_shift(left)                        # 2^n c((x+1)/2)
+        if right[0] == 0:
+            mid = Fraction(2 * j + 1, 2 << k)
+            out.append((mid, mid))
             right = right[1:]
-        left = _div_linear_root1(left)
-    _vca(left, lo, mid, out)
-    _vca(right, mid, hi, out)
-
-
-def _root_bound_pow2(c: Sequence[int]) -> int:
-    """Power of two strictly exceeding the Cauchy bound 1 + max|ai/an|."""
-    an = abs(c[-1])
-    m = max(abs(a) for a in c[:-1]) if len(c) > 1 else 0
-    b = 1
-    # want b > 1 + m/an  <=>  (b - 1) * an > m
-    while (b - 1) * an <= m:
-        b <<= 1
-    return b
-
-
-def _isolate_squarefree(c: list) -> list:
-    """Isolating intervals for a squarefree integer polynomial."""
-    c = strip_high(c)
-    out = []
-    if c and c[0] == 0:
-        out.append((Fraction(0), Fraction(0)))
-        c = c[1:]
-    if univ_degree(c) < 1:
-        return out
-    B = _root_bound_pow2(c)
-    # positive roots: map (0, B) to (0, 1)
-    pos = [a * B ** k for k, a in enumerate(c)]
-    buf: list = []
-    _vca(pos, Fraction(0), Fraction(1), buf)
-    out.extend((B * lo, B * hi) for lo, hi in buf)
-    # negative roots
-    neg = [a if k % 2 == 0 else -a for k, a in enumerate(c)]
-    buf = []
-    _vca([a * B ** k for k, a in enumerate(neg)], Fraction(0), Fraction(1), buf)
-    out.extend((-B * hi, -B * lo) for lo, hi in buf)
+            left = int_quo(left, [-1, 1])
+        stack += [(right, 2 * j + 1, k + 1), (left, 2 * j, k + 1)]
     return out
 
 
-def _bisect_once(c: Sequence, lo: Fraction, hi: Fraction) -> tuple:
+def _root_bound_pow2(c: Sequence[int]) -> int:
+    """Power of two strictly exceeding the Cauchy bound 1 + max|ai/an|: the
+    least b = 2^k with (b - 1) an > max|ai|, that is b >= max|ai| // an + 2."""
+    m = max(map(abs, c[:-1]), default=0)
+    return 1 << (m // abs(c[-1]) + 1).bit_length()
+
+
+def _isolate_squarefree(c: list) -> list:
+    """Isolating intervals for a squarefree integer polynomial of degree at
+    least 1: the root 0, then the roots in (0, B) and in (-B, 0), each
+    range mapped onto (0, 1)."""
+    out = [(Fraction(0), Fraction(0))] if c[0] == 0 else []
+    c = c[1:] if c[0] == 0 else c
+    if len(c) < 2:
+        return out
+    B = _root_bound_pow2(c)
+    out += [(B * lo, B * hi) for lo, hi in
+            _vca([a * B ** k for k, a in enumerate(c)])]
+    return out + [(-B * hi, -B * lo) for lo, hi in
+                  _vca([a * (-B) ** k for k, a in enumerate(c)])]
+
+
+def _bisect_once(c: Sequence[int], lo: Fraction, hi: Fraction) -> tuple:
     mid = (lo + hi) / 2
-    vm = univ_eval(c, mid)
+    vm = hom_eval(c, mid)
     if vm == 0:
         return mid, mid
-    if (univ_eval(c, lo) > 0) != (vm > 0):
+    if (hom_eval(c, lo) > 0) != (vm > 0):
         return lo, mid
     return mid, hi
 
@@ -686,7 +733,7 @@ def _bisect_once(c: Sequence, lo: Fraction, hi: Fraction) -> tuple:
 def refine_root(c: Sequence, iv: Interval, width: Fraction) -> Interval:
     """Shrink an isolating interval below the requested width."""
     lo, hi = iv.lo, iv.hi
-    c = [Fraction(t) for t in c]
+    c = to_int_primitive(c)
     while hi - lo > width and lo != hi:
         lo, hi = _bisect_once(c, lo, hi)
     return Interval(lo, hi)
@@ -697,31 +744,24 @@ def real_roots(p: Union[Poly, Sequence], var: str = None):
     increasing, or None when p has a repeated real or complex root.
 
     Accepts a Poly (univariate in `var` or in its only present variable) or
-    a dense coefficient list.  One gcd(p, p') decides squarefreeness; the
-    curve layer calls this on polynomials it needs squarefree anyway, so
-    None doubles as its rejection of a chart.
+    a dense list of exact coefficients.  One gcd(p, p') in integers decides
+    squarefreeness; the curve layer calls this on polynomials it needs
+    squarefree anyway, so None doubles as its rejection of a chart.
     """
-    if isinstance(p, Poly):
-        coeffs = p.to_univariate(var)
-    else:
-        coeffs = list(p)
-    coeffs = strip_high([Fraction(t) for t in coeffs])
-    if not coeffs:
+    c = to_int_primitive(p.to_univariate(var) if isinstance(p, Poly) else p)
+    if not c:
         raise ValueError("zero polynomial has every number as a root")
-    if univ_degree(coeffs) == 0:
+    if len(c) == 1:
         return []
-    if univ_degree(univ_gcd(coeffs, univ_derivative(coeffs))) > 0:
+    if len(int_gcd(c, univ_derivative(c))) > 1:
         return None
-    fi = to_int_primitive(coeffs)
-    found = [list(iv) for iv in _isolate_squarefree(fi)]
+    found = [list(iv) for iv in _isolate_squarefree(c)]
     # exact rational roots found during subdivision sit at endpoints of the
     # neighbouring intervals; divide them out so sign bisection keeps a
     # valid bracket on those intervals
-    refine_poly = [Fraction(t) for t in fi]
     for lo, hi in found:
         if lo == hi:
-            refine_poly, rem = univ_divmod(refine_poly, [-lo, Fraction(1)])
-            assert not rem
+            c = int_quo(c, [-lo.numerator, lo.denominator])
     # closures must end up strictly disjoint: no endpoint may equal any
     # root, and neighbours may not share an endpoint
     changed = True
@@ -732,7 +772,7 @@ def real_roots(p: Union[Poly, Sequence], var: str = None):
             if a[1] >= b[0] and not (a[0] == a[1] and b[0] == b[1]):
                 for r in (a, b):
                     if r[0] != r[1]:
-                        r[0], r[1] = _bisect_once(refine_poly, r[0], r[1])
+                        r[0], r[1] = _bisect_once(c, r[0], r[1])
                 changed = True
     return [Interval(lo, hi) for lo, hi in found]
 
@@ -749,21 +789,20 @@ def sign_at(p: Sequence, c: Sequence, iv: Interval) -> tuple:
     the midpoint.  Until then p vanishes at the root exactly when gcd(p, c)
     changes sign across iv, and iv is bisected on c.  Where p does not
     vanish, the variation count falls to 0 as iv shrinks: no width cap.
+    Both run in integers, on p and c with denominators cleared.
     """
+    p, c = to_int_primitive(p), to_int_primitive(c)
     lo, hi = iv.lo, iv.hi
     g = None
     while lo != hi:
-        shifted = _taylor_shift(p, lo)                    # p(x + lo)
-        w = hi - lo
-        if _variations01([a * w ** k for k, a in enumerate(shifted)]) == 0:
-            return _sign(univ_eval(p, (lo + hi) / 2)), Interval(lo, hi)
+        if _variations01(_on_unit(p, lo, hi)) == 0:
+            return _sign(hom_eval(p, (lo + hi) / 2)), Interval(lo, hi)
         if g is None:
-            g = univ_gcd(p, c)
-        if univ_degree(g) > 0 and \
-                (univ_eval(g, lo) > 0) != (univ_eval(g, hi) > 0):
+            g = int_gcd(p, c)
+        if len(g) > 1 and (hom_eval(g, lo) > 0) != (hom_eval(g, hi) > 0):
             return 0, Interval(lo, hi)
         lo, hi = _bisect_once(c, lo, hi)
-    return _sign(univ_eval(p, lo)), Interval(lo, hi)
+    return _sign(hom_eval(p, lo)), Interval(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -776,21 +815,26 @@ FALLBACK_WIDTH = Fraction(1, 10 ** 15)   # exact refinement where they fail
 
 def certified_roots(c: Sequence, n: int):
     """Isolating intervals for the n real roots of c, certified from its
-    float roots, or None where that fails, as where two roots nearly merge.
+    float roots, or None where that fails, as where two roots nearly merge
+    or a coefficient is beyond float range.
 
     Each real float root r, moved by one Newton step (c(r) exact, c'(r) in
     floats), gets the dyadic bracket r +- 2^-ENCLOSURE_BITS s, s the power
     of two at or above the largest root modulus.  n disjoint brackets, each
     with c of opposite nonzero signs at its ends, hold one root each.
     """
-    roots = np.roots([float(t) for t in reversed(c)])
+    try:
+        roots = np.roots([float(t) for t in reversed(c)])
+        dc = [float(t) for t in univ_derivative(c)]
+    except OverflowError:
+        return None
     if not np.isfinite(roots).all():
         return None
     real = [float(r.real) for r in roots if r.imag == 0]
     if len(real) != n:
         return None
-    dc = [float(t) for t in univ_derivative(c)]
-    real = sorted(_newton_step(c, dc, r) for r in real)
+    ci, den = _over_z(c)
+    real = sorted(_newton_step(ci, den, dc, r) for r in real)
     half = Fraction(2) ** (math.frexp(float(np.abs(roots).max()))[1]
                           - ENCLOSURE_BITS)
     out = []
@@ -798,19 +842,22 @@ def certified_roots(c: Sequence, n: int):
         lo, hi = Fraction(r) - half, Fraction(r) + half
         if out and lo <= out[-1].hi:
             return None
-        a, b = univ_eval(c, lo), univ_eval(c, hi)
+        a, b = hom_eval(ci, lo), hom_eval(ci, hi)
         if a == 0 or b == 0 or (a > 0) == (b > 0):
             return None
         out.append(Interval(lo, hi))
     return out
 
 
-def _newton_step(c: Sequence, dc: list, r: float) -> float:
-    """r - c(r)/c'(r), with c(r) exact at the float r and c'(r) in floats."""
+def _newton_step(ci: list, den: int, dc: list, r: float) -> float:
+    """r - c(r)/c'(r) for c = ci / den, with c(r) exact at the float r and
+    c'(r) in floats."""
     d = univ_eval(dc, r)
     if d == 0 or not math.isfinite(d):
         return r
-    return r - float(univ_eval(c, Fraction(r)) / Fraction(d))
+    x = Fraction(r)
+    exact = Fraction(hom_eval(ci, x), den * x.denominator ** (len(ci) - 1))
+    return r - float(exact / Fraction(d))
 
 
 def real_root_floats(c: Sequence, n: int, ivs: Sequence = None) -> list:

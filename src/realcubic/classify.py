@@ -495,7 +495,8 @@ def wall_label(f2, f3) -> WallLabel:
     x, y (text or Poly).  The six complex intersection points must be
     distinct; tangency raises NotTransversal and a singular cubic raises
     SingularCurve.  Counts the real intersections per component of the
-    cubic and packages them with the one-nodal surface w*f2 + f3.
+    cubic and packages them with the one-nodal surface w*f2 + f3.  On a
+    one-component cubic they are counted, not located (`ConicCubicMeet`).
     """
     B = plane_form(f2, 2, "conic")
     C = plane_form(f3, 3, "cubic")
@@ -509,9 +510,13 @@ def wall_label(f2, f3) -> WallLabel:
     if det == 0:
         raise DegenerateConfiguration("conic is degenerate")
     analysis = analyze_cubic(C)
+    meet = conic_cubic_meet(B, C)
     on = {"oval": 0, "pseudoline": 0}
-    for point in conic_cubic_meet(B, C).real_points:
-        on[locate(analysis, point)] += 1
+    if analysis.components == 1:
+        on["pseudoline"] = len(meet.intervals)
+    else:
+        for point in meet.real_points:
+            on[locate(analysis, point)] += 1
     if on["pseudoline"] % 2 or on["oval"] % 2:
         raise InternalInconsistency("odd crossing count against a conic")
 

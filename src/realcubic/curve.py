@@ -17,8 +17,15 @@ cubic at z = 0, which must have a negative discriminant.  Only a chart that
 passes gets the full chart change, and its y-discriminant one call of
 `real_roots`, which both tests it squarefree and isolates the folds.  The
 conic-cubic meet takes its y-resultant over dense integer polynomials in
-x.  Every Fraction the sweep sees is an integer
-result divided by a power of the form's denominator.
+x.  The sweep keeps the chart coefficients and the y-discriminant as
+integers, D and D^4 times the true ones for the form's denominator D, and
+hands them to the integer root toolkit of `algebra.py` as they are.
+
+The meet keeps the isolating intervals of its resultant's real roots.  Each
+carries exactly one real common point, so their number is the exact real
+count; the points themselves (`ConicCubicMeet.real_points`) are computed,
+Newton-polished and checked only when first read.  `wall_label` never
+reads them on a one-component cubic.
 
 Also here: exact conic utilities (conic through five points, conic-cubic
 intersection, the residual sixth intersection point) and the Weierstrass
@@ -31,7 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -39,16 +46,18 @@ from .algebra import (
     Interval,
     Poly,
     complex_roots,
+    hom_eval,
+    int_gcd,
+    int_quo,
     real_root_floats,
     real_roots,
     resultant,
     sign_at,
     strip_high,
+    to_int_primitive,
     univ_degree,
     univ_derivative,
-    univ_divmod,
     univ_eval,
-    univ_gcd,
     univ_mul,
     univ_sub,
 )
@@ -215,11 +224,10 @@ class CurveAnalysis:
     oval_cells: dict = field(default_factory=dict)   # cell -> (lo, hi) branch
 
 
-def _fold_sign(fold_iv: Interval, A: list, N: list, disc_dense: list,
-               c3: Fraction):
+def _fold_sign(fold_iv: Interval, A: list, N: list, disc: list, c3: int):
     """Exact sign of (y_survivor - y_double) at the fold, and the fold's
     interval as refined to decide it."""
-    sign, iv = sign_at(univ_mul(A, N), disc_dense, fold_iv)
+    sign, iv = sign_at(univ_mul(A, N), disc, fold_iv)
     if sign == 0:
         raise InternalInconsistency("subresultant vanishes at a fold")
     return (-sign if c3 < 0 else sign), iv
@@ -265,10 +273,9 @@ def analyze_cubic(G: Poly) -> CurveAnalysis:
         if ok is None:
             continue
         disc, fold_ivs = ok
-        cs = [[Fraction(t, D) for t in c] or [Fraction(0)] for c in cs]
         try:
-            return _sweep(G, M, _affine(G, M, terms, D), cs,
-                          [Fraction(t, D ** 4) for t in disc], fold_ivs)
+            return _sweep(G, M, _affine(G, M, terms, D), cs, disc, D,
+                          fold_ivs)
         except InternalInconsistency as exc:   # pragma: no cover - retried
             last = exc
             continue
@@ -277,8 +284,11 @@ def analyze_cubic(G: Poly) -> CurveAnalysis:
     raise ChartDegenerate("no usable sweep chart found")
 
 
-def _sweep(G: Poly, M, f: Poly, cs: list, disc_dense: list,
+def _sweep(G: Poly, M, f: Poly, cs: list, disc: list, D: int,
            fold_ivs: list) -> CurveAnalysis:
+    """The sweep of f in the chart M.  cs are the integer coefficients of
+    y^0 .. y^3 and disc the integer y-discriminant, D and D^4 times those
+    of f: positive multiples, which have the same signs and roots."""
     c0, c1, c2, (c3,) = cs
 
     # one rational sample per cell, strictly between consecutive fold roots
@@ -293,7 +303,7 @@ def _sweep(G: Poly, M, f: Poly, cs: list, disc_dense: list,
 
     # each sample lies strictly between folds, so its fibre cubic has a
     # nonzero discriminant, and three real roots exactly when it is positive
-    counts = [3 if univ_eval(disc_dense, x0) > 0 else 1 for x0 in samples]
+    counts = [3 if hom_eval(disc, x0) > 0 else 1 for x0 in samples]
     if counts[0] != 1 or counts[-1] != 1:
         raise InternalInconsistency("unbounded cells must have one branch")
     for a, b in zip(counts, counts[1:]):
@@ -309,7 +319,7 @@ def _sweep(G: Poly, M, f: Poly, cs: list, disc_dense: list,
     folds = []
     for k, iv in enumerate(fold_ivs):
         birth = counts[k] == 1
-        sign, iv = _fold_sign(iv, A, N, disc_dense, c3)
+        sign, iv = _fold_sign(iv, A, N, disc, c3)
         # sign > 0: the surviving branch lies above the merging pair
         pair_low = 0 if sign > 0 else 1
         folds.append(FoldPoint(x=iv, birth=birth, pair_low=pair_low))
@@ -368,7 +378,7 @@ def _sweep(G: Poly, M, f: Poly, cs: list, disc_dense: list,
         transform=M,
         inverse=_mat_inv3(M),
         f=f,
-        disc_dense=disc_dense,
+        disc_dense=[Fraction(t, D ** 4) for t in disc],
         folds=folds,
         cell_samples=samples,
         cell_counts=counts,
@@ -477,15 +487,13 @@ def locate(analysis: CurveAnalysis, point, tol: float = 1e-7) -> str:
 
 def _locate_at_fold(analysis, k: int, fy, y0, exact, tol: float) -> str:
     fp = analysis.folds[k]
-    # exact fold x: the fibre has a double root y* and a simple root
-    dfy = univ_derivative(fy)
-    g = univ_gcd(fy, dfy)
-    if univ_degree(g) != 1:
+    # exact fold x: the fibre has a double root y* and a simple root, whose
+    # three sum to -fy[2] / fy[3]
+    g = int_gcd(fy, univ_derivative(fy))
+    if len(g) != 2:
         raise InternalInconsistency("fold fibre without a double root")
-    ystar = -g[0] / g[1]
-    rem = univ_divmod(fy, [-ystar, Fraction(1)])[0]
-    rem = univ_divmod(rem, [-ystar, Fraction(1)])[0]
-    ysurv = -rem[0] / rem[1]
+    ystar = Fraction(-g[0], g[1])
+    ysurv = -fy[2] / fy[3] - 2 * ystar
     if exact:
         if y0 == ystar:
             return fp.pair_component
@@ -619,16 +627,29 @@ class ConicCubicMeet:
     `chart` maps chart coordinates to input coordinates and puts all six
     points in the affine part with distinct x.  `conic` and `cubic` are the
     affine curves in that chart, and `resultant`, their y-resultant dense
-    in x, is squarefree of degree 6.  `real_points` holds the real
-    intersections as float triples in input coordinates; their number is
-    exact.
+    in x, is squarefree of degree 6.  `intervals` isolate its real roots.
+
+    Each real root x carries exactly one common point, and that point is
+    real: a non-real y over a real x would bring its conjugate over the
+    same x.  So the number of real intersections is len(intervals), known
+    before any point is computed, and `real_points` computes the points
+    themselves only when first read, as `complex_points()` does.
     """
 
     chart: tuple
     conic: Poly
     cubic: Poly
     resultant: list
-    real_points: list
+    intervals: list
+
+    @cached_property
+    def real_points(self) -> list:
+        """The real intersections as float triples in input coordinates."""
+        M = self.chart
+        return [tuple(float(M[i][0]) * u + float(M[i][1]) * v + float(M[i][2])
+                      for i in range(3))
+                for u, v in _real_points_over(self.conic, self.cubic,
+                                              self.resultant, self.intervals)]
 
     def complex_points(self) -> list:
         """The non-real intersections as complex triples in input
@@ -641,7 +662,7 @@ class ConicCubicMeet:
         """
         M = self.chart
         xs = sorted(complex_roots(self.resultant),
-                    key=lambda r: -abs(r.imag))[:6 - len(self.real_points)]
+                    key=lambda r: -abs(r.imag))[:6 - len(self.intervals)]
         if xs and min(abs(r.imag) for r in xs) < 1e-9:
             raise InternalInconsistency("real/complex root split disagrees "
                                         "with the exact real count")
@@ -670,6 +691,8 @@ def _newton_polish(p: Poly, q: Poly, x: complex, y: complex) -> tuple:
         if det == 0:
             break
         dx, dy = (d * f - b * g) / det, (a * g - c * f) / det
+        if not np.isfinite([dx, dy]).all():     # beyond float range
+            break
         x, y = x - dx, y - dy
         if max(abs(dx), abs(dy)) <= 1e-14 * max(1.0, abs(x), abs(y)):
             return x, y
@@ -703,13 +726,9 @@ def conic_cubic_meet(conic: Poly, cubic: Poly) -> ConicCubicMeet:
         raise NotTransversal("conic and cubic meet non-transversally")
     # Res(P / Db, Q / Dc) = Res(P, Q) / (Db^n Dc^m), m and n the y-degrees
     scale = Db ** (len(Q) - 1) * Dc ** (len(P) - 1)
-    dense = [Fraction(t, scale) for t in res]
-    b_aff = _affine(conic, M, b_terms, Db)
-    c_aff = _affine(cubic, M, c_terms, Dc)
-    points = [tuple(float(M[i][0]) * u + float(M[i][1]) * v + float(M[i][2])
-                    for i in range(3))
-              for u, v in _real_points_over(b_aff, c_aff, dense, ivs)]
-    return ConicCubicMeet(M, b_aff, c_aff, dense, points)
+    return ConicCubicMeet(M, _affine(conic, M, b_terms, Db),
+                          _affine(cubic, M, c_terms, Dc),
+                          [Fraction(t, scale) for t in res], ivs)
 
 
 def _common_y(p: Poly, q: Poly, x):
@@ -719,10 +738,10 @@ def _common_y(p: Poly, q: Poly, x):
     a float or complex number, which gives y to float accuracy.
     """
     if isinstance(x, Fraction):
-        g = univ_gcd(fibre_dense(p, x), fibre_dense(q, x))
-        if univ_degree(g) != 1:
+        g = int_gcd(fibre_dense(p, x), fibre_dense(q, x))
+        if len(g) != 2:
             raise DegenerateConfiguration("fibre gcd is not a single point")
-        return float(-g[0] / g[1])
+        return float(Fraction(-g[0], g[1]))
     pc = [univ_eval([float(u) for u in _coeffs_in_x(c)], x)
           for c in p.coeffs_in("y")]
     qc = [univ_eval([float(u) for u in _coeffs_in_x(c)], x)
@@ -758,20 +777,19 @@ def residual_point(cubic: Poly, points) -> tuple:
     res = resultant(q_aff, cubic, "y")
     if res.is_zero():
         raise SharedComponent("conic and cubic share a component")
-    dense = _coeffs_in_x(res)
+    dense = to_int_primitive(_coeffs_in_x(res))
     for x0 in xs:
-        dense, rem = univ_divmod(dense, [-x0, Fraction(1)])
-        if rem:
+        dense = int_quo(dense, [-x0.numerator, x0.denominator])
+        if dense is None:
             raise InternalInconsistency("known root failed to divide out")
-    dense = strip_high(dense)
-    if univ_degree(dense) != 1:
+    if len(dense) != 2:
         raise DegenerateConfiguration(
             "sixth intersection is at infinity or multiple")
-    x6 = -dense[0] / dense[1]
-    g = univ_gcd(fibre_dense(q_aff, x6), fibre_dense(cubic, x6))
-    if univ_degree(g) != 1:
+    x6 = Fraction(-dense[0], dense[1])
+    g = int_gcd(fibre_dense(q_aff, x6), fibre_dense(cubic, x6))
+    if len(g) != 2:
         raise DegenerateConfiguration("sixth point fibre is not simple")
-    y6 = -g[0] / g[1]
+    y6 = Fraction(-g[0], g[1])
     if cubic.eval({"x": x6, "y": y6}) != 0:
         raise InternalInconsistency("residual point not on the cubic")
     return (x6, y6)

@@ -6,12 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from realcubic.classify import load_witnesses
 from realcubic.algebra import (
+    CANONICAL_VARS,
     Interval,
     Poly,
+    _flat_terms,
+    _parse_poly,
     bareiss_det,
     certified_roots,
     complex_roots,
+    int_gcd,
     quadric_triple_resultant,
     real_root_floats,
     real_roots,
@@ -23,12 +28,13 @@ from realcubic.algebra import (
     to_int_primitive,
     univ_degree,
     univ_derivative,
-    univ_divmod,
     univ_eval,
-    univ_gcd,
     univ_mul,
 )
 from realcubic.errors import InternalInconsistency, NonConvergence
+
+import fraction_reference
+from fraction_reference import univ_divmod, univ_gcd
 
 F = Fraction
 
@@ -77,6 +83,66 @@ def test_parse_rejects_garbage():
     for bad in ["x +", "x ^ y", "(x", "x ) y", "x^-2"]:
         with pytest.raises(ValueError):
             Poly.parse(bad)
+
+
+def same_parse(text, vars=None) -> Poly:
+    """Poly.parse of text, checked against the recursive descent: equal
+    terms, in the same order, with coefficients of the same type."""
+    got, ref = Poly.parse(text, vars), _parse_poly(text, vars)
+    assert got == ref and list(got.terms) == list(ref.terms)
+    assert [type(c) for c in got.terms.values()] == \
+        [type(c) for c in ref.terms.values()]
+    return got
+
+
+def expanded_text(rng, degree: int, vs: tuple) -> str:
+    """A sum of terms [coefficient *] monomial, with repeated monomials and
+    every coefficient form the flat reader takes: n, n/d and (+-n[/d])."""
+    out = []
+    for k in range(rng.randint(1, 14)):
+        e = [0] * len(vs)
+        for _ in range(degree):
+            e[rng.randrange(len(vs))] += 1
+        mono = "*".join(v if p == 1 else f"{v}{rng.choice(('^', '**'))}{p}"
+                        for v, p in zip(vs, e) if p)
+        n, d = rng.randint(0, 60), rng.choice((1, 1, 2, 3, 7))
+        coef = rng.choice((f"{n}", f"{n}/{d}", f"({rng.choice('+-')}{n}/{d})",
+                           f"({rng.choice('+-')}{n})", ""))
+        term = f"{coef}*{mono}" if coef and mono else coef or mono or "1"
+        out.append((rng.choice("+-") if k or rng.random() < 0.3 else "")
+                   + rng.choice(("", " ")) + term)
+    return rng.choice((" ", "")).join(out)
+
+
+def test_flat_reader_equals_the_recursive_descent():
+    # every witness surface and plane, and seeded expanded conics, cubics
+    # and surfaces, which the flat reader takes without falling back
+    for w in load_witnesses():
+        same_parse(w["surface"])
+        same_parse(w["plane"])
+    rng = random.Random("flat reader")
+    for degree, vs in ((2, ("x", "y", "z")), (3, ("x", "y", "z")),
+                       (3, CANONICAL_VARS)) * 100:
+        text = expanded_text(rng, degree, vs)
+        assert _flat_terms(text, vs) is not None, text
+        same_parse(text, vs)
+
+
+@pytest.mark.parametrize("text", ["(x+y)^3", "x**2", "2x", "0.5*x", "--x",
+                                  "x + x - 2*x", "0*y", "x + y - x + x",
+                                  "3/4/5*x", "x*2"])
+def test_parse_fallback_agrees(text):
+    same_parse(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("q", "unknown variables ['q']"),
+    ("x^-1", "exponent must be a nonnegative integer"),
+    ("(x", "unbalanced parenthesis"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ValueError, match=message.replace("[", r"\[")):
+        Poly.parse(text)
 
 
 coeff_st = st.fractions(
@@ -261,6 +327,58 @@ def test_interval_ordering_and_disjointness_random():
             assert r in iv or (iv.is_point() and iv.lo == r)
         for a, b in zip(rts, rts[1:]):
             assert a.hi <= b.lo
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-20, max_value=20), min_size=2,
+                max_size=7),
+       st.lists(st.integers(min_value=-9, max_value=9), min_size=2,
+                max_size=3).filter(lambda g: g[-1] != 0),
+       st.booleans())
+def test_integer_squarefree_test_matches_fraction_euclid(f, g, repeat):
+    # half the draws get a repeated factor g^2
+    c = strip_high(univ_mul(univ_mul(f, g), g) if repeat else f)
+    if len(c) < 2:
+        return
+    ref = univ_gcd(c, univ_derivative(c))
+    got = int_gcd(c, univ_derivative(c))
+    assert [F(t, got[-1]) for t in got] == ref
+    assert (real_roots(c) is None) == (len(ref) > 1)
+    if repeat:
+        assert len(ref) > 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=-9, max_value=9), min_size=2,
+                max_size=4),
+       st.lists(st.integers(min_value=-9, max_value=9), min_size=2,
+                max_size=4),
+       st.lists(st.integers(min_value=-9, max_value=9), min_size=1,
+                max_size=4))
+def test_integer_sign_at_matches_fraction_reference(f1, f2, h):
+    # at each root of c = f1 f2, of p = f1 h (zero at the roots of f1),
+    # of h, and of h / 7: the same sign and the same refined interval
+    c = strip_high(univ_mul(f1, f2))
+    rts = real_roots(c) if len(c) > 1 else None
+    if not rts:
+        return
+    for p in (univ_mul(f1, h), h, [F(t, 7) for t in h]):
+        p = strip_high(p)
+        for iv in rts:
+            assert sign_at(p, c, iv) == fraction_reference.sign_at(
+                [F(t) for t in p], [F(t) for t in c], iv)
+
+
+def test_isolation_deeper_than_the_recursion_limit():
+    # (x - N)(3x - 3N - 1) for N = 10^400: its roots N and N + 1/3 part
+    # some 1330 halvings below the root bound, and its coefficients are
+    # beyond float range, so the float certificate gives way
+    N = 10 ** 400
+    c = univ_mul([-N, 1], [-3 * N - 1, 3])
+    ivs = real_roots(c)
+    assert [N in iv for iv in ivs] == [True, False]
+    assert [N + F(1, 3) in iv for iv in ivs] == [False, True]
+    assert certified_roots(c, 2) is None
 
 
 def _below(c, bound):

@@ -324,6 +324,27 @@ class TestBatch:
         assert out == ""
         assert "--jobs" in err
 
+    def test_huge_coefficients_label_alone_and_in_a_batch(self, capsys,
+                                                           tmp_path):
+        # a 201-digit coefficient once overflowed the recursion of the
+        # root isolation and the float root certificate, and took the
+        # whole batch down with it; the cubic is connected, with two real
+        # meet points
+        big = 10 ** 200
+        conic = f"2*x^2 - x*y + x*z - 2*y^2 - y*z - 3{big}*z^2"
+        cubic = f"x^3 + 3*x*y^2 - 7*y^3 + 1{big}*x*z^2 + 5*y*z^2 + z^3"
+        code, out, _ = run(capsys, "wall-label", "--conic", conic,
+                           "--cubic", cubic)
+        assert code == 0 and json.loads(out)["label"] == 2
+        batch = tmp_path / "pairs.jsonl"
+        batch.write_text("".join(json.dumps({"conic": b, "cubic": c}) + "\n"
+                                 for b, c in ((CIRCLE, CUBIC2), (conic, cubic),
+                                              (CIRCLE, CUBIC2))))
+        code, out, _ = run(capsys, "wall-label", "--batch", str(batch),
+                           "--jobs", "1")
+        assert code == 0
+        assert [r["label"] for r in json.loads(out)] == [[2, 4], 2, [2, 4]]
+
     def test_batch_format_text_is_usage_error(self, capsys, tmp_path):
         batch = tmp_path / "t.txt"
         batch.write_text("x^3+y^3+z^3+1\n")

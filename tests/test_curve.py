@@ -52,6 +52,7 @@ from realcubic.errors import (
     MultiplicityAmbiguity,
     NotOnCurve,
     NotTransversal,
+    RealcubicError,
     SharedComponent,
     SingularCurve,
 )
@@ -752,6 +753,30 @@ class TestConicCubicMeet:
         assert [Fraction(t) for t in seen[-1]] == \
             [Fraction(seen[-1][-1]) / meet.resultant[-1] * t
              for t in meet.resultant]
+
+    def test_connected_cubics_count_their_meet(self, monkeypatch):
+        # on the one-component cubics among the wall draws, the real roots
+        # of the meet's resultant number its real points, which all lie on
+        # the pseudoline; wall_label reads that count and computes no point
+        pairs = []
+        for B, C in wall_draws(60):
+            try:
+                meet, analysis = conic_cubic_meet(B, C), analyze_cubic(C)
+                classify_module.wall_label(B, C)
+            except RealcubicError:
+                continue
+            if analysis.components == 1:
+                assert len(meet.intervals) == len(meet.real_points)
+                assert all(locate(analysis, p) == "pseudoline"
+                           for p in meet.real_points)
+                pairs.append((B, C, len(meet.intervals)))
+        assert len(pairs) > 20 and any(n for _, _, n in pairs)
+        labels, inner = calls_inside(
+            monkeypatch, (classify_module, "wall_label"),
+            ((classify_module, "locate"), (curve_module, "_real_points_over")))
+        for B, C, n in pairs:
+            assert classify_module.wall_label(B, C).pseudoline_crossings == n
+        assert len(labels) == len(pairs) and inner == []
 
     def test_tangent_conic_not_transversal(self):
         C = plane_form("y^2 - x^3 + x", 3, "cubic")
