@@ -138,4 +138,8 @@ def y_resultant(P: list, Q: list) -> list:
             memo[mask] = total
         return memo[mask]
 
-    return minor(0, (1 << size) - 1)
+    det = minor(0, (1 << size) - 1)
+    # minor refers to itself, a cycle that only the cyclic collector frees:
+    # drop the minors now
+    memo.clear()
+    return det
