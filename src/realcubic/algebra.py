@@ -536,8 +536,10 @@ def univ_sub(a: Sequence, b: Sequence) -> list:
 
 def _over_z(c: Sequence) -> tuple:
     """(ints, den) with c = ints / den, for the exact list c: den > 0 is the
-    lcm of its denominators."""
-    den = math.lcm(*(t.denominator for t in c))
+    lcm of its denominators.  lcm gets a list, not a generator: the argument
+    tuple of a generator is built at one size and shrunk, and then stays on
+    the interpreter's free list of the smaller size."""
+    den = math.lcm(*[t.denominator for t in c])
     return [t.numerator * (den // t.denominator) for t in c], den
 
 
