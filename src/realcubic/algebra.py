@@ -355,16 +355,19 @@ def _flat_terms(text: str, vs: tuple):
     """The term dict of a sum of terms [coefficient *] monomial, or None
     for any other text.  A coefficient is n or n/d, bare or in parentheses
     with a sign.  A sum that cancels leaves the dict and comes back at the
-    end, as in the recursive descent: both give one Poly and term order."""
+    end, as in the recursive descent: both give one Poly and term order.
+    A zero d raises ValueError once all the text has read as such a sum."""
     index = {v: k for k, v in enumerate(vs)}
-    terms, pos = {}, 0
-    while pos < len(text):
+    terms, pos, end, by_zero = {}, 0, len(text.rstrip()), False
+    while pos < end:
         m = _FLAT_TERM.match(text, pos)
         if m is None or pos and not m[1]:
             return None
+        pos = m.end()
         n, d = m[2] or m[5] or "1", m[3] or m[6] or "1"
         if int(d) == 0:
-            return None
+            by_zero = True
+            continue
         c = Fraction(-int(n) if (m[1] == "-") != (m[4] == "-") else int(n),
                      int(d))
         e = [0] * len(vs)
@@ -378,7 +381,8 @@ def _flat_terms(text: str, vs: tuple):
             terms[e] = c
         else:
             terms.pop(e, None)
-        pos = m.end()
+    if by_zero:
+        raise ValueError("division by zero")
     return terms if pos else None
 
 
@@ -388,8 +392,8 @@ _TOKEN = re.compile(r"\s*(\d+\.\d+|\d+|[A-Za-z_]\w*|\*\*|[-+*/^()])")
 
 
 def _tokenize(text: str) -> list:
-    out, pos = [], 0
-    while pos < len(text):
+    out, pos, end = [], 0, len(text.rstrip())
+    while pos < end:
         m = _TOKEN.match(text, pos)
         if not m:
             raise ValueError(f"bad character in polynomial at {text[pos:pos + 10]!r}")
@@ -442,6 +446,8 @@ def _parse_poly(text: str, vars) -> Poly:
                 op = take()
                 rhs = parse_factor()
                 if op == "/":
+                    if rhs.constant_value() == 0:
+                        raise ValueError("division by zero")
                     node = node / rhs.constant_value()
                 else:
                     node = node * rhs

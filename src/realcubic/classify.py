@@ -5,19 +5,20 @@ the two three-line types separated by the number of conjugation-invariant
 tritangent planes.  The affine type adds the topology of the section by the
 plane at infinity: number of real curve components, how many real lines meet
 the oval, and, on surfaces with a spherical part, whether the oval sits on
-the sphere.  All root counting along probe lines is cyclic in the projective
-parameter so points at infinity need no special casing.
+the sphere, which a positivity proof decides exactly (`oval_in_sphere`).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .algebra import Poly, real_root_floats
+from .algebra import Poly, real_roots, refine_root
 from .combinat import CLASSES, PROJECTIVE_CLASSES, class_id_for
 from .config import DEFAULT, Config
 from .curve import (
@@ -25,6 +26,7 @@ from .curve import (
     CurveAnalysis,
     analyze_cubic,
     conic_cubic_meet,
+    cubic_discriminant,
     fibre_dense,
     locate,
     plane_form,
@@ -33,14 +35,11 @@ from .errors import (
     DegenerateConfiguration,
     InternalInconsistency,
     NotTransversal,
-    SamplingInconclusive,
     Undecided,
 )
-from .forms import nonsingular_cubic
+from .forms import form_tensor, nonsingular_cubic, positive_definite
 from .lines import (
     LineSet,
-    cubic_tensor,
-    cubic_values,
     line_plane_point,
     solve_lines,
     tritangent_triples,
@@ -54,9 +53,6 @@ AMBIENT_VARS = ("x", "y", "z", "w")
 REAL_TRITANGENT_PLANES = {"C27": 45, "C15": 15, "C7": 5, "C3a": 7, "C3b": 13}
 
 _LINE_COUNT_CLASS = {27: "C27", 15: "C15", 7: "C7"}
-
-PROBE_LINES = 24                 # random lines for the sphere probe
-PROBE_EXTRA = 16                 # escalation when the first round ties
 
 
 # ---------------------------------------------------------------------------
@@ -193,156 +189,72 @@ def projective_class(lineset: LineSet, warnings: Optional[list] = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# probe lines: fast float evaluation of F along projective segments
-# ---------------------------------------------------------------------------
-
-class _SurfaceProbe:
-    def __init__(self, F: Poly, seed: int):
-        self.T = cubic_tensor(F)
-        self.scale = float(sum(abs(c) for c in F.terms.values()))
-        self.rng = np.random.default_rng(seed)
-
-    def eval(self, pts: np.ndarray) -> np.ndarray:
-        return cubic_values(self.T, pts)
-
-    def segment_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Coefficients of F((1-t) a + t b) as a cubic in t, low to high:
-        with d = b - a they are T(a,a,a), 3 T(a,a,d), 3 T(a,d,d), T(d,d,d)."""
-        d = b - a
-        Ta, Td = self.T @ a, self.T @ d
-        return np.array([a @ Ta @ a, 3 * (a @ Ta @ d), 3 * (a @ Td @ d),
-                         d @ Td @ d])
-
-    def real_roots_separated(self, c: np.ndarray, sep: float = 1e-7):
-        """All-real-and-separated test for a probe cubic; None when unclear."""
-        mag = np.abs(c).max()
-        if mag == 0 or abs(c[3]) < 1e-12 * mag:
-            return None                  # third root escaped to infinity
-        r = np.roots(c[::-1])
-        realness = np.abs(r.imag) <= 1e-7 * (1 + np.abs(r.real))
-        if not realness.all():
-            return sorted(r[realness].real) if realness.sum() == 1 else None
-        rr = np.sort(r.real)
-        if np.diff(rr).min() < sep * (1 + np.abs(rr).max()):
-            return None                  # tangential contact, retry elsewhere
-        return list(rr)
-
-
-def _find_sphere_interior(probe: _SurfaceProbe) -> Optional[np.ndarray]:
-    """A point of the open ball bounded by the spherical component.
-
-    A projective line meets the surface in at most three points, so it
-    crosses the sphere at most twice and the region it bounds meets every
-    line in a single arc.  A point is inside exactly when every line
-    through it sees three real intersections; candidates are midpoints of
-    adjacent intersections along random probe lines.
-    """
-    rng = probe.rng
-    for _ in range(PROBE_LINES * 20):
-        a = np.append(rng.uniform(-4, 4, 3), 1.0)
-        b = np.append(rng.uniform(-4, 4, 3), 1.0)
-        c = probe.segment_coeffs(a, b)
-        rr = probe.real_roots_separated(c)
-        if rr is None or len(rr) != 3:
-            continue
-        for lo, hi in zip(rr, rr[1:]):
-            t = 0.5 * (lo + hi)
-            q = (1 - t) * a + t * b
-            mag = max(1.0, float(np.abs(q).max())) ** 3
-            if abs(probe.eval(q[None, :])[0]) < 1e-4 * probe.scale * mag:
-                continue
-            if _verify_interior(probe, q, PROBE_EXTRA + 24):
-                return q
-    return None
-
-
-def _verify_interior(probe: _SurfaceProbe, q: np.ndarray, ndir: int) -> bool:
-    rng = probe.rng
-    good = 0
-    for _ in range(ndir * 3):
-        if good >= ndir:
-            return True
-        d = rng.normal(size=4)
-        d[3] = 0.0                      # direction point on the far plane
-        b = q + d / np.linalg.norm(d)
-        c = probe.segment_coeffs(q, b)
-        rr = probe.real_roots_separated(c)
-        if rr is None:
-            continue                    # tangential direction, resample
-        if len(rr) != 3:
-            return False
-        good += 1
-    return good >= ndir
-
-
-def _point_separated_from(probe: _SurfaceProbe, q: np.ndarray,
-                          p: np.ndarray) -> Optional[bool]:
-    """True when p's intersection is cyclically adjacent to q along qp.
-
-    Walking from q to the surface point p inside the region bounded by the
-    sphere crosses nothing, so adjacency along one of the two arcs of the
-    projective line is equivalent to p lying on the sphere.
-    """
-    c = probe.segment_coeffs(q, p)
-    r = np.roots(c[::-1])
-    near_p = np.argmin(np.abs(r - 1.0))
-    if abs(r[near_p] - 1.0) > 5e-3:
-        return None
-    rest = np.delete(r, near_p)
-    if (np.abs(rest.imag) > 1e-7 * (1 + np.abs(rest.real))).any():
-        return None                     # probe line missed the sphere
-    rest = rest.real
-    if (np.abs(rest) < 1e-6).any() or (np.abs(rest - 1.0) < 1e-6).any():
-        return None
-    inside = ((rest > 0) & (rest < 1)).sum()
-    if inside == 1:
-        return False                    # both arcs blocked: p off the sphere
-    return True                         # one arc clean: p on the sphere
-
-
-def oval_in_sphere(probe: _SurfaceProbe, q: np.ndarray,
-                   oval_pts: list) -> bool:
-    votes = []
-    for p in oval_pts:
-        v = _point_separated_from(probe, q, np.asarray(p, dtype=float))
-        if v is not None:
-            votes.append(v)
-    if not votes:
-        raise SamplingInconclusive(
-            "every probe from the sphere interior to the oval was tangential")
-    if len(set(votes)) != 1:
-        raise Undecided(f"oval placement votes disagree: {votes}")
-    return votes[0]
-
-
-# ---------------------------------------------------------------------------
 # section geometry
 # ---------------------------------------------------------------------------
 
-def _embed_matrix(restriction: PlaneRestriction) -> np.ndarray:
-    return np.array([[float(c) for c in row] for row in restriction.embed])
+def oval_interior_point(restriction: PlaneRestriction,
+                        analysis: CurveAnalysis) -> list:
+    """An integer point of the plane at infinity strictly inside the oval,
+    which is bounded in the sweep chart: the midpoint of the widest gap
+    between the two oval branches' isolating intervals, each refined to at
+    most the gap, over the sample of an oval cell."""
+    found = []
+    for cell, (lo, _) in analysis.oval_cells.items():
+        fibre = fibre_dense(analysis.f, analysis.cell_samples[cell])
+        a, b = real_roots(fibre)[lo:lo + 2]     # oval branches are adjacent
+        while max(a.hi - a.lo, b.hi - b.lo) > b.lo - a.hi:
+            a, b = (refine_root(fibre, iv, (iv.hi - iv.lo) / 2)
+                    for iv in (a, b))
+        found.append((b.lo - a.hi, analysis.cell_samples[cell],
+                      (a.hi + b.lo) / 2))
+    _, x0, y0 = max(found)
+    u = [m[0] * x0 + m[1] * y0 + m[2] for m in analysis.transform]
+    r = [sum(e * v for e, v in zip(row, u)) for row in restriction.embed]
+    den = math.lcm(*[c.denominator for c in r])
+    return [int(c * den) for c in r]
 
 
-def oval_curve_points(analysis: CurveAnalysis, count: int = 3) -> list:
-    """Float points on the oval, in input plane coordinates."""
-    cells = sorted(analysis.oval_cells)
-    if not cells:
-        raise ValueError("curve has no oval")
-    chosen = []
-    for cell in (cells[len(cells) // 2],) + tuple(cells):
-        if cell not in chosen:
-            chosen.append(cell)
-        if len(chosen) >= count:
-            break
-    T = np.array([[float(c) for c in row] for row in analysis.transform])
-    pts = []
-    for cell in chosen:
-        x0 = analysis.cell_samples[cell]
-        ys = real_root_floats(fibre_dense(analysis.f, x0),
-                              analysis.cell_counts[cell])
-        for branch in analysis.oval_cells[cell]:
-            pts.append(T @ np.array([float(x0), ys[branch], 1.0]))
-    return pts
+def line_discriminant(F: Poly, r: list) -> Poly:
+    """Delta_r(d), the discriminant of the binary cubic F(s r + t d) for d
+    in the coordinate plane without r's largest coordinate, a sextic in the
+    other three coordinates, times D^4 for D of `forms.form_tensor`.
+
+    The tensor T of D F, contracted with the columns r, e_i, e_j, e_k as in
+    `forms.chart_terms`, gives c0 = T(r,r,r), c1 = 3 T(r,r,d),
+    c2 = 3 T(r,d,d) and c3 = T(d,d,d), multiplied as dense lists with
+    d0^a d1^b d2^c as X^(a + 7 b): a + b <= 6, so no two monomials meet."""
+    T, _ = form_tensor(F)
+    k = max(range(4), key=lambda i: (abs(r[i]), i))
+    m0, m1, m2, m3 = ([r[a]] + [int(a == j) for j in range(4) if j != k]
+                      for a in range(4))
+    for _ in range(3):
+        T = [T[i] * m0[b] + T[16 + i] * m1[b] + T[32 + i] * m2[b]
+             + T[48 + i] * m3[b] for i in range(16) for b in range(4)]
+    cs = [[0] * (7 * m + 1) for m in range(4)]
+    for flat, idx in enumerate(itertools.product(range(4), repeat=3)):
+        a, b, c = (idx.count(v) for v in (1, 2, 3))
+        cs[a + b + c][a + 7 * b] += T[flat]
+    return Poly(PLANE_VARS, {(n % 7, n // 7, 6 - n % 7 - n // 7): v
+                             for n, v in enumerate(cubic_discriminant(*cs))})
+
+
+def oval_in_sphere(F: Poly, restriction: PlaneRestriction,
+                   analysis: CurveAnalysis) -> bool:
+    """Whether the oval O of the section at infinity P lies on the sphere
+    S2 of a surface X whose real part is RP2 and S2: proved, or Undecided.
+
+    S2 bounds an open ball B; the pseudoline lies on the RP2 part, outside
+    B.  If O lies on S2, B meets P in the open disc inside O, which holds
+    the point r of `oval_interior_point`; if not, S2 and B miss P.  So O
+    lies on S2 exactly when r is in B, that is, when every real line
+    through r meets X in three distinct real points: through B a line
+    crosses S2 twice and the one-sided RP2 part an odd number of times,
+    while outside B some line through r touches S2, between those in P and
+    those through B.  As F(r) != 0, that is the positivity of the sextic
+    `line_discriminant` at every real d (`positive_definite`).
+    """
+    r = oval_interior_point(restriction, analysis)
+    return positive_definite(line_discriminant(F, r))
 
 
 def _line_section_tally(lineset: LineSet, restriction: PlaneRestriction,
@@ -415,16 +327,8 @@ def classify_surface(surface, plane=(0, 0, 0, 1),
     if tally["oval"] + tally["pseudoline"] != lineset.real_count:
         raise InternalInconsistency(f"lost a line in the section tally {tally}")
 
-    sphere_flag = None
-    if cls == "C3b" and components == 2:
-        probe = _SurfaceProbe(F, cfg.classify.seed)
-        q = _find_sphere_interior(probe)
-        if q is None:
-            raise SamplingInconclusive(
-                "no verified interior point of the spherical component")
-        embed = _embed_matrix(restriction)
-        oval_pts = [embed @ p for p in oval_curve_points(analysis)]
-        sphere_flag = oval_in_sphere(probe, q, oval_pts)
+    sphere_flag = (oval_in_sphere(F, restriction, analysis)
+                   if cls == "C3b" and components == 2 else None)
 
     oval_lines = tally["oval"] if components == 2 else None
     class_id = class_id_for(cls, components,

@@ -80,7 +80,6 @@ def render_json(payload) -> str:
 def build_config(seed: int, tol) -> Config:
     cfg = Config()
     cfg.lines.seed = seed
-    cfg.classify.seed = seed
     if tol is not None:
         if tol <= 0:
             raise UsageError("--tol must be positive")
@@ -384,7 +383,7 @@ def build_parser() -> _Parser:
 
     def common(sp, batchable=False):
         sp.add_argument("--seed", type=int, default=0,
-                        help="random seed for the numeric pipelines")
+                        help="random seed for the line solver's patches")
         sp.add_argument("--tol", type=float, default=None,
                         help="residual tolerance override for line solving")
         sp.add_argument("--format", choices=("json", "dot", "text"),

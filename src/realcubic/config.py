@@ -1,7 +1,7 @@
 """Tunable knobs, grouped by the stage that consumes them.
 
-The seeds and thresholds that tests and the CLI set, one stage at a time;
-settings no caller changes are constants of the module that uses them.
+The line solver's seed and residual tolerance, which tests and the CLI
+set; settings no caller changes are constants of the module that uses them.
 """
 
 from __future__ import annotations
@@ -16,14 +16,8 @@ class LineSolveConfig:
 
 
 @dataclass
-class ClassifyConfig:
-    seed: int = 0
-
-
-@dataclass
 class Config:
     lines: LineSolveConfig = field(default_factory=LineSolveConfig)
-    classify: ClassifyConfig = field(default_factory=ClassifyConfig)
 
 
 DEFAULT = Config()

@@ -171,7 +171,7 @@ def _one_point_at_infinity(T: list, M) -> bool:
     a = [terms.get((k, 3 - k), 0) for k in range(4)]
     if a[0] == 0 or a[3] == 0:
         return False
-    disc = _y_discriminant(*([t] for t in a))
+    disc = cubic_discriminant(*([t] for t in a))
     return bool(disc) and disc[0] < 0
 
 
@@ -179,16 +179,17 @@ def _chart_ok(cs: list):
     """(disc, folds) for the affine curve with coefficients c0..c3 in y:
     its y-discriminant dense in x and the isolating intervals of its real
     roots, when it is constant or squarefree; else None."""
-    dense = _y_discriminant(*cs)
+    dense = cubic_discriminant(*cs)
     if univ_degree(dense) < 1:
         return dense, []
     folds = real_roots(dense)
     return None if folds is None else (dense, folds)
 
 
-def _y_discriminant(c0, c1, c2, c3) -> list:
+def cubic_discriminant(c0, c1, c2, c3) -> list:
     """c1^2 c2^2 - 4 c0 c2^3 - 4 c1^3 c3 - 27 c0^2 c3^2 + 18 c0 c1 c2 c3, the
-    discriminant of c3 y^3 + c2 y^2 + c1 y + c0 dense in x: -Res(f, f_y)/c3."""
+    discriminant of c3 y^3 + c2 y^2 + c1 y + c0 dense in x: -Res(f, f_y)/c3,
+    or of any c0 .. c3 multiplied as dense lists."""
     out = []
     for k, *factors in ((-1, c1, c1, c2, c2), (4, c0, c2, c2, c2),
                         (4, c1, c1, c1, c3), (27, c0, c0, c3, c3),

@@ -67,12 +67,8 @@ class ChartDegenerate(ComputationFailure):
     """No admissible sweep chart found within the retry budget."""
 
 
-class SamplingInconclusive(ComputationFailure):
-    pass
-
-
 class Undecided(ComputationFailure):
-    """Independent decision procedures disagree."""
+    """A decision procedure reached no verdict, or two disagree."""
 
 
 class InternalInconsistency(ComputationFailure):

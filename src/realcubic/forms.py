@@ -9,7 +9,8 @@ test of a cubic is a 6 x 6 Bareiss determinant built from T
 (`nonsingular_cubic`), and the resultant in y of two chart curves is a
 Sylvester determinant over dense integer polynomials in x (`y_resultant`).
 `lines.cubic_tensor` rounds the same tensor of a quaternary cubic to
-floats.
+floats.  `positive_definite` proves a ternary form positive, or not, by
+integer Taylor shifts on the triangles of an octahedron.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .algebra import Poly, bareiss_det, univ_mul, univ_sub
+from .algebra import Poly, _taylor_shift, bareiss_det, univ_mul, univ_sub
+from .errors import Undecided
 
 
 @lru_cache(maxsize=None)
@@ -143,3 +145,49 @@ def y_resultant(P: list, Q: list) -> list:
     # drop the minors now
     memo.clear()
     return det
+
+
+POSITIVITY_DEPTH = 16            # bisection levels before Undecided
+
+
+def positive_definite(G: Poly) -> bool:
+    """Whether the ternary form G of even degree n is positive at every
+    nonzero real point: proved either way, or Undecided.
+
+    The octahedron faces (+-e0, +-e1, e2) cover the real projective plane.
+    q(s, t, u) = G(s V1 + t V2 + u V3) on a triangle has the signs of its
+    Bernstein coefficients, so q > 0 there when all are positive (Farin,
+    CAGD 3, 1986); a vertex with G <= 0 refutes.  Else the edge opposite the
+    newest vertex V3 is split at V1 + V2, into q(s + t, t, u) and
+    q(s, s + t, u), and the coefficients tend to the values (Powers &
+    Reznick, J. Pure Appl. Algebra 164, 2001).  q[c][a] multiplies
+    s^a t^(n-c-a) u^c."""
+    n = G.homogeneous_degree()
+    if len(G.vars) != 3 or not n or n % 2:
+        raise ValueError("expected a ternary form of even degree")
+    den = math.lcm(*[c.denominator for c in G.terms.values()])
+    level = [[[int(G.terms.get((a, n - c - a, c), 0) * den)
+               * i ** a * j ** (n - c - a) for a in range(n - c + 1)]
+              for c in range(n + 1)] for i in (1, -1) for j in (1, -1)]
+    if min(level[0][0][0], level[0][0][n], level[0][n][0]) <= 0:
+        return False
+    for depth in range(POSITIVITY_DEPTH + 1):
+        level = [q for q in level if min(map(min, q)) <= 0]
+        if not level:
+            return True
+        if depth == POSITIVITY_DEPTH:
+            raise Undecided(f"no positivity proof in {depth} levels")
+        split = []
+        for q in level:
+            # the halves as (V1, V3, V1 + V2) and (V2, V3, V1 + V2), the new
+            # vertex last; p is reversed for the second, so both move alike
+            left, right = ([[0] * (k + 1) for k in range(n, -1, -1)]
+                           for _ in range(2))
+            for c, p in enumerate(q):
+                for a, (x, y) in enumerate(zip(_taylor_shift(p),
+                                               _taylor_shift(p[::-1]))):
+                    left[n - c - a][a], right[n - c - a][a] = x, y
+            if left[n][0] <= 0:
+                return False
+            split += (left, right)
+        level = split

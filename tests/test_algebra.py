@@ -120,6 +120,9 @@ def test_flat_reader_equals_the_recursive_descent():
     for w in load_witnesses():
         same_parse(w["surface"])
         same_parse(w["plane"])
+    padded = " x^3+y^3+z^3+1 \t\n"
+    assert _flat_terms(padded, CANONICAL_VARS) is not None
+    same_parse(padded)
     rng = random.Random("flat reader")
     for degree, vs in ((2, ("x", "y", "z")), (3, ("x", "y", "z")),
                        (3, CANONICAL_VARS)) * 100:
@@ -139,6 +142,8 @@ def test_parse_fallback_agrees(text):
     ("q", "unknown variables ['q']"),
     ("x^-1", "exponent must be a nonnegative integer"),
     ("(x", "unbalanced parenthesis"),
+    ("1/0*x^3 + y^3 + z^3 + 1", "division by zero"),
+    ("x/(y - y)", "division by zero"),
 ])
 def test_parse_error_messages(text, message):
     with pytest.raises(ValueError, match=message.replace("[", r"\[")):

@@ -9,7 +9,10 @@ from realcubic.classify import (
     as_projective_cubic,
     classify_surface,
     homogenize,
+    line_discriminant,
     load_witnesses,
+    oval_in_sphere,
+    oval_interior_point,
     parse_plane,
     projective_class,
     restrict_to_plane,
@@ -17,12 +20,16 @@ from realcubic.classify import (
     wall_label,
 )
 from realcubic.combinat import load_wall_graph
+from realcubic.config import Config
+from realcubic.curve import analyze_cubic
 from realcubic.errors import (
     MathematicalRejection,
     MultiplicityAmbiguity,
     NearDiscriminant,
     NotTransversal,
+    Undecided,
 )
+from realcubic.forms import form_tensor, positive_definite
 from realcubic.lines import meet_matrix, solve_lines
 
 WITNESSES = load_witnesses()
@@ -59,6 +66,65 @@ WITNESS9_MAP14 = (
     " + (14055/1331)*y^2*w + (109449/1331)*y*z^2"
     " + (60099/1331)*y*z*w + (-50673/2662)*y*w^2 + (39384/1331)*z^3"
     " + (43095/1331)*z^2*w + (11469/2662)*z*w^2 + (1663/1331)*w^3")
+
+
+# affine images of witnesses 2 and 3 (classes 2 and 3) with the plane sent
+# to w, from perfbench/inputs.py transformed_entry; CHANGES.md names the
+# generator key of each.  A sampled sphere test put "witness 2 a" in class
+# 3 at some seeds and refused the others at some or all seeds.
+SPHERE_IMAGES = {
+    "witness 2 a": (
+        "(47/8)*x^3 + (51/16)*x^2*y + (-41/4)*x^2*z + (15/16)*x^2*w"
+        " + (-13/32)*x*y^2 + 2*x*y*z + (43/16)*x*y*w + (33/8)*x*z^2"
+        " + (17/4)*x*z*w + (-57/32)*x*w^2 + (47/64)*y^3 + (-1/4)*y^2*z"
+        " + (445/64)*y^2*w + (-25/16)*y*z^2 + (-17/8)*y*z*w"
+        " + (265/64)*y*w^2 + (-3/4)*z^3 + (35/16)*z^2*w + (23/8)*z*w^2"
+        " + (75/64)*w^3"
+    ),
+    "witness 3 a": (
+        "(-21)*x^3 + (-63)*x^2*y + (-169/2)*x^2*z + (37/2)*x^2*w"
+        " + (-65)*x*y^2 + (-161)*x*y*z + 41*x*y*w + (-235/2)*x*z^2"
+        " + 38*x*z*w + (-15/2)*x*w^2 + (-23)*y^3 + (-157/2)*y^2*z"
+        " + (47/2)*y^2*w + (-219/2)*y*z^2 + 38*y*z*w + (-19/2)*y*w^2"
+        " + (-53)*z^3 + (43/2)*z^2*w + (-5/2)*z*w^2 + 2*w^3"
+    ),
+    "witness 3 b": (
+        "(-1)*x^3 + (41/4)*x^2*y + (-17/4)*x^2*z + 2*x^2*w + (-117/8)*x*y^2"
+        " + (-31/4)*x*y*z + (5/2)*x*y*w + (83/8)*x*z^2 + (-13/2)*x*z*w"
+        " + (-1)*x*w^2 + (47/8)*y^3 + (61/8)*y^2*z + (-21/8)*y^2*w"
+        " + (9/8)*y*z^2 + (-15/4)*y*z*w + (17/4)*y*w^2 + (-53/8)*z^3"
+        " + (59/8)*z^2*w + (-9/4)*z*w^2 + 1*w^3"
+    ),
+    "witness 3 c": (
+        "(-3/2)*x^3 + (15/4)*x^2*y + (-43/8)*x^2*z + (39/8)*x^2*w"
+        " + (-14)*x*y^2 + (45/2)*x*y*z + (-9)*x*y*w + (-21/2)*x*z^2"
+        " + (49/4)*x*z*w + (-25/4)*x*w^2 + (-8)*y^3 + (-2)*y^2*z"
+        " + (-7)*y^2*w + (51/4)*y*z^2 + (-3)*y*z*w + (-4)*y*w^2"
+        " + (-45/8)*z^3 + (51/8)*z^2*w + (-13/4)*z*w^2 + 2*w^3"
+    ),
+    "witness 3 d": (
+        "(-3/2)*x^3 + (-63/8)*x^2*y + (13/2)*x^2*z + (-1/2)*x^2*w"
+        " + (-83/4)*x*y^2 + (79/4)*x*y*z + (-47/4)*x*y*w + (-19/2)*x*z^2"
+        " + (-1)*x*z*w + (-9/2)*x*w^2 + (-21)*y^3 + (83/4)*y^2*z"
+        " + (-95/4)*y^2*w + (-111/8)*y*z^2 + (31/4)*y*z*w + (-95/8)*y*w^2"
+        " + (9/2)*z^3 + (3/2)*z^2*w + (9/2)*z*w^2 + (-1/2)*w^3"
+    ),
+    "witness 3 e": (
+        "1*x^3 + (7/4)*x^2*y + (7/4)*x^2*z + (-9/4)*x^2*w + (-15/8)*x*y^2"
+        " + (-23/4)*x*y*z + (-59/4)*x*y*w + (-31/8)*x*z^2 + (-59/4)*x*z*w"
+        " + (-23/8)*x*w^2 + (-49/4)*y^3 + (-139/4)*y^2*z + (-23)*y^2*w"
+        " + (-135/4)*y*z^2 + (-46)*y*z*w + (-37/4)*y*w^2 + (-45/4)*z^3"
+        " + (-23)*z^2*w + (-37/4)*z*w^2 + (-1/2)*w^3"
+    ),
+    "witness 2 b": (
+        "(-53/8)*x^3 + (113/8)*x^2*y + (21/2)*x^2*z + (135/16)*x^2*w"
+        " + (-303/32)*x*y^2 + (-137/8)*x*y*z + (-25/2)*x*y*w"
+        " + (-29/8)*x*z^2 + (-23/4)*x*z*w + (165/32)*x*w^2 + (61/32)*y^3"
+        " + 7*y^2*z + (335/64)*y^2*w + (11/4)*y*z^2 + (13/16)*y*z*w"
+        " + (-101/32)*y*w^2 + (3/4)*z^3 + (97/16)*z^2*w + (-9/4)*z*w^2"
+        " + (105/64)*w^3"
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -282,3 +348,63 @@ class TestStability:
             f = Poly(plane_vars, affine_terms)
             rep = classify_surface(f.substitute(sub))
             assert rep.class_id == cid
+
+
+class TestSphereFlag:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_misclassified_image_is_class_2_at_every_seed(self, seed):
+        cfg = Config()
+        cfg.lines.seed = seed
+        rep = classify_surface(SPHERE_IMAGES["witness 2 a"], "w", cfg)
+        assert rep.class_id == 2 and rep.oval_in_sphere is False
+
+    @pytest.mark.parametrize("key, class_id", [
+        ("witness 3 a", 3), ("witness 3 b", 3), ("witness 3 c", 3),
+        ("witness 3 d", 3), ("witness 3 e", 3), ("witness 2 b", 2)])
+    def test_refused_images_get_their_source_class(self, key, class_id):
+        rep = classify_surface(SPHERE_IMAGES[key], "w")
+        assert rep.class_id == class_id
+        assert rep.oval_in_sphere is (class_id == 3)
+
+    @pytest.mark.parametrize("cid, plane", [
+        (2, "w"), (3, "w"), (5, "w"), (3, "10*w + x"), (3, "x + 2*y - 5*w")])
+    def test_interior_point_is_on_the_plane_and_off_the_surface(self, cid,
+                                                                plane):
+        F = as_projective_cubic(WITNESSES[cid - 1]["surface"])
+        h = parse_plane(plane)
+        restriction = restrict_to_plane(F, h)
+        r = oval_interior_point(restriction,
+                                analyze_cubic(restriction.ternary))
+        assert sum(a * b for a, b in zip(h, r)) == 0
+        assert F.eval(r) != 0
+
+    def test_line_discriminant_matches_sympy(self):
+        sp = pytest.importorskip("sympy")
+        F = as_projective_cubic(WITNESSES[2]["surface"])
+        restriction = restrict_to_plane(F, parse_plane("w"))
+        r = oval_interior_point(restriction,
+                                analyze_cubic(restriction.ternary))
+        k = max(range(4), key=lambda i: abs(r[i]))
+        t, *d = sp.symbols("t d0 d1 d2")
+        direction = d[:k] + [0] + d[k:]
+        point = {sp.Symbol(v): ri + t * di
+                 for v, ri, di in zip(AMB, r, direction)}
+        expr = sp.sympify(str(F).replace("^", "**")).subs(point,
+                                                          simultaneous=True)
+        disc = sp.Poly(sp.discriminant(sp.expand(expr), t), *d)
+        D = form_tensor(F)[1]
+        want = {e: D ** 4 * Fraction(int(c.p), int(c.q))
+                for e, c in zip(disc.monoms(), disc.coeffs())}
+        assert line_discriminant(F, r).terms == want
+
+    def test_positive_definite_proves_and_refutes(self):
+        x, y, z = (Poly.var(v, ("x", "y", "z")) for v in ("x", "y", "z"))
+        assert positive_definite((x * x + y * y + z * z) ** 3) is True
+        assert positive_definite(x ** 6 + y ** 6 - z ** 6) is False
+        # (9x^2 + 25y^2 + 49z^2)^3 >= 27 * 105^2 x^2 y^2 z^2 (AM-GM), so
+        # this is positive, with a relative minimum near 4e-14 at
+        # 3|x| = 5|y| = 7|z|
+        hard = 10 ** 12 * (9 * x * x + 25 * y * y + 49 * z * z) ** 3 \
+            - (27 * 10 ** 12 - 1) * 105 ** 2 * x * x * y * y * z * z
+        with pytest.raises(Undecided):
+            positive_definite(hard)

@@ -68,6 +68,7 @@ class TestExitCodes:
         ("wall-label", "--conic", CIRCLE),
         ("classify", "--surface", FERMAT, "--batch", "whatever"),
         ("classify", "--batch", "/nonexistent/batch/file"),
+        ("classify", "--surface", "1/0*x^3 + y^3 + z^3 + 1"),
     ])
     def test_usage_errors_are_sixty_four(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -259,6 +260,19 @@ class TestBatch:
                            "--jobs", "1")
         assert code == 0
         assert json.loads(out)[0]["class_id"] == 4
+
+    def test_zero_denominator_in_a_batch_is_one_error_record(self, capsys,
+                                                             tmp_path):
+        batch = tmp_path / "zero.txt"
+        batch.write_text("x^3+y^3+z^3+1\n1/0*x^3 + y^3 + z^3 + 1\n")
+        code, out, _ = run(capsys, "classify", "--batch", str(batch),
+                           "--jobs", "1")
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema("batch"))
+        assert payload[0]["class_id"] == 4
+        assert payload[1]["error"] == {"type": "ValueError",
+                                       "message": "division by zero"}
+        assert code == 1
 
     def test_batch_from_stdin(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr("sys.stdin", io.StringIO("x^3+y^3+z^3+1\n"))
