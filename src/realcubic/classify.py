@@ -35,6 +35,7 @@ from .errors import (
     DegenerateConfiguration,
     InternalInconsistency,
     NotTransversal,
+    SingularCurve,
     Undecided,
 )
 from .forms import form_tensor, nonsingular_cubic, positive_definite
@@ -162,10 +163,8 @@ def transversal_at_infinity(F: Poly, h=(0, 0, 0, 1)) -> bool:
 # projective class
 # ---------------------------------------------------------------------------
 
-def real_tritangent_count(lineset: LineSet, triples=None) -> int:
-    if triples is None:
-        triples = tritangent_triples(lineset)
-    return sum(1 for t in triples if t["real"])
+def real_tritangent_count(lineset: LineSet) -> int:
+    return sum(t["real"] for t in tritangent_triples(lineset))
 
 
 def projective_class(lineset: LineSet, warnings: Optional[list] = None) -> str:
@@ -259,7 +258,9 @@ def oval_in_sphere(F: Poly, restriction: PlaneRestriction,
 
 def _line_section_tally(lineset: LineSet, restriction: PlaneRestriction,
                         analysis: CurveAnalysis, h) -> dict:
-    hnp = np.array([float(Fraction(c)) for c in h])
+    # divided by its largest coefficient, which moves no point
+    top = max(abs(Fraction(c)) for c in h)
+    hnp = np.array([float(Fraction(c) / top) for c in h])
     counts = {"oval": 0, "pseudoline": 0}
     for line in lineset.lines:
         if not line.real:
@@ -309,9 +310,16 @@ def classify_surface(surface, plane=(0, 0, 0, 1),
     warnings: list = []
 
     restriction = restrict_to_plane(F, h)
-    if not nonsingular_cubic(restriction.ternary):
+    # the sweep tests the section nonsingular, that is the plane transversal
+    section = restriction.ternary
+    try:
+        analysis = None if section.is_zero() else analyze_cubic(section)
+    except SingularCurve:
+        analysis = None
+    if analysis is None:
         raise NotTransversal(
             "the plane at infinity meets the surface in a singular curve")
+    components = analysis.components
 
     # a full set of 27 well-separated lines doubles as the smoothness check:
     # surfaces at or near the discriminant are rejected by the solver
@@ -319,9 +327,6 @@ def classify_surface(surface, plane=(0, 0, 0, 1),
     cls = projective_class(lineset, warnings)
     if lineset.real_count != PROJECTIVE_CLASSES[cls]["real_lines"]:
         raise InternalInconsistency("line count does not match class")
-
-    analysis = analyze_cubic(restriction.ternary)
-    components = analysis.components
 
     tally = _line_section_tally(lineset, restriction, analysis, h)
     if tally["oval"] + tally["pseudoline"] != lineset.real_count:
@@ -414,7 +419,7 @@ def wall_label(f2, f3) -> WallLabel:
     if det == 0:
         raise DegenerateConfiguration("conic is degenerate")
     analysis = analyze_cubic(C)
-    meet = conic_cubic_meet(B, C)
+    meet = conic_cubic_meet(B, C, analysis.tensor)
     on = {"oval": 0, "pseudoline": 0}
     if analysis.components == 1:
         on["pseudoline"] = len(meet.intervals)

@@ -73,7 +73,7 @@ from .errors import (
     SharedComponent,
     SingularCurve,
 )
-from .forms import chart_terms, form_tensor, nonsingular_cubic, y_resultant
+from .forms import _nonsingular, chart_terms, form_tensor, y_resultant
 
 PLANE_VARS = ("x", "y", "z")
 AFFINE_VARS = ("x", "y")
@@ -222,6 +222,7 @@ class CurveAnalysis:
     cell_samples: list          # one rational x per cell
     cell_counts: list
     components: int
+    tensor: tuple               # form_tensor(ternary): (T, D)
     oval_cells: dict = field(default_factory=dict)   # cell -> (lo, hi) branch
 
 
@@ -260,9 +261,9 @@ def analyze_cubic(G: Poly) -> CurveAnalysis:
         raise ValueError("expected a ternary cubic")
     if G.homogeneous_degree() != 3:
         raise ValueError("expected a homogeneous cubic")
-    if not nonsingular_cubic(G):
+    tensor = T, D = form_tensor(G)
+    if not _nonsingular(T):
         raise SingularCurve("plane section is singular")
-    T, D = form_tensor(G)
 
     last = None
     for M in _chart_candidates(CHART_ATTEMPTS):
@@ -275,7 +276,7 @@ def analyze_cubic(G: Poly) -> CurveAnalysis:
             continue
         disc, fold_ivs = ok
         try:
-            return _sweep(G, M, _affine(G, M, terms, D), cs, disc, D,
+            return _sweep(G, M, _affine(G, M, terms, D), cs, disc, tensor,
                           fold_ivs)
         except InternalInconsistency as exc:   # pragma: no cover - retried
             last = exc
@@ -285,12 +286,13 @@ def analyze_cubic(G: Poly) -> CurveAnalysis:
     raise ChartDegenerate("no usable sweep chart found")
 
 
-def _sweep(G: Poly, M, f: Poly, cs: list, disc: list, D: int,
+def _sweep(G: Poly, M, f: Poly, cs: list, disc: list, tensor: tuple,
            fold_ivs: list) -> CurveAnalysis:
-    """The sweep of f in the chart M.  cs are the integer coefficients of
-    y^0 .. y^3 and disc the integer y-discriminant, D and D^4 times those
-    of f: positive multiples, which have the same signs and roots."""
+    """The sweep of f in the chart M.  cs and disc, the integer y^0 .. y^3
+    coefficients and y-discriminant, are D and D^4 times those of f for
+    G's tensor (T, D): positive multiples, with the same signs and roots."""
     c0, c1, c2, (c3,) = cs
+    D = tensor[1]
 
     # one rational sample per cell, strictly between consecutive fold roots
     samples = []
@@ -384,6 +386,7 @@ def _sweep(G: Poly, M, f: Poly, cs: list, disc: list, D: int,
         cell_samples=samples,
         cell_counts=counts,
         components=components,
+        tensor=tensor,
         oval_cells=oval_cells,
     )
 
@@ -700,19 +703,22 @@ def _newton_polish(p: Poly, q: Poly, x: complex, y: complex) -> tuple:
     raise NonConvergence("Newton did not settle on a conic-cubic point")
 
 
-def conic_cubic_meet(conic: Poly, cubic: Poly) -> ConicCubicMeet:
+def conic_cubic_meet(conic: Poly, cubic: Poly,
+                     cubic_tensor: tuple = None) -> ConicCubicMeet:
     """Where a ternary conic and cubic meet, when they meet transversally.
 
-    Both inputs are exact homogeneous forms in x, y, z.  Searches for a
-    chart where all six intersections are affine with distinct x, so the
-    y-resultant there has degree exactly 6 and is squarefree.  Raises
-    SharedComponent when the curves share a component, NotTransversal
-    when no chart has six distinct intersections, and ValueError when the
-    inputs are not a conic form and a cubic form.
+    Both inputs are exact homogeneous forms in x, y, z; `cubic_tensor` is
+    the cubic's `form_tensor`, if built.  Searches for a chart where all six
+    intersections are affine with distinct x, so the y-resultant there has
+    degree exactly 6 and is squarefree.  Raises SharedComponent when the
+    curves share a component, NotTransversal when no chart has six distinct
+    intersections, and ValueError when the inputs are not a conic form and
+    a cubic form.
     """
     if conic.homogeneous_degree() != 2 or cubic.homogeneous_degree() != 3:
         raise ValueError("expected a ternary conic and a ternary cubic")
-    (Tb, Db), (Tc, Dc) = form_tensor(conic), form_tensor(cubic)
+    Tb, Db = form_tensor(conic)
+    Tc, Dc = cubic_tensor or form_tensor(cubic)
     for M in _chart_candidates(60):
         b_terms, c_terms = chart_terms(Tb, M, 2), chart_terms(Tc, M, 3)
         P, Q = _dense_in_y(b_terms, 2), _dense_in_y(c_terms, 3)

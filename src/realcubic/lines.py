@@ -11,25 +11,29 @@ system and its Jacobian.  C(F) is linear in the cubic F.  With F written
 as its symmetric 4 x 4 x 4 tensor T, F(x) = T(x, x, x), the span is
 y A for y = (s, t, s a + t c, s b + t d), so F restricted to it is
 T_A(y, y, y) with T_A = T(A., A., A.), and C(F) = K T_A for one fixed
-integer matrix K built at import.  The same tensor evaluates F wherever a
-float value of it is needed.
+integer matrix K built at import.  The same tensor, scaled to largest
+entry 1, evaluates F wherever a float value of it is needed.
 
 The 27 lines of the Fermat cubic are known in closed form.  They are mapped
 into the patch and tracked along the coefficient-parameter homotopy
 (1 - t) gamma C(Fermat) + t C(F) with a random complex gamma (Morgan and
 Sommese, Appl. Math. Comput. 29, 1989), all 27 paths as one numpy batch.
-Newton on C(F) finishes every path that did not diverge, also one that
-stalled short of t = 1: on surfaces close to the discriminant the lines
-are ill-conditioned and paths stall or merge near them.  A solution is
-kept when its residual is small and Newton has stopped moving it.  When
-fewer than 27 distinct lines come out, the same 27 paths are tracked again
-in a fresh patch with a fresh gamma, up to ATTEMPTS times.  The 27 lines
-are accepted only when each meets exactly 10 others.
+A step extrapolates the cubic Hermite interpolant of the last two accepted
+points and their tangents, from the Jacobians their residual checks have
+already evaluated, and corrects by three Newton steps.  Newton on C(F)
+finishes every path that did not diverge, also one that stalled short of
+t = 1: on surfaces close to the discriminant the lines are ill-conditioned
+and paths stall or merge near them.  Each path stops at its own noise
+floor, and is kept when its residual is small and Newton has stopped
+moving it.  When fewer than 27 distinct lines come out, the same 27 paths
+are tracked again in a fresh patch with a fresh gamma, up to ATTEMPTS
+times.  The 27 lines are accepted only when each meets exactly 10 others.
 
 Line bookkeeping is done on normalized Pluecker vectors: the canonical
 representative divides by the largest-modulus coordinate, which also makes
-real lines literally real.  The vectors are stacked, so that each dedupe
-test and the meet matrix are one array operation.
+real lines literally real.  A patch's solutions become lines in one array
+pass; the dedupe, conjugate pairing and tritangent planes each work from
+one matrix of Pluecker distances or meet forms.
 """
 
 from __future__ import annotations
@@ -42,13 +46,13 @@ import numpy as np
 
 from .algebra import Poly
 from .config import DEFAULT, LineSolveConfig
-from .errors import InternalInconsistency, LineInPlane, NearDiscriminant
+from .errors import LineInPlane, NearDiscriminant
 from .forms import form_tensor
 
 ATTEMPTS = 6                 # patches tried before NearDiscriminant
 DEDUPE_TOL = 1e-6            # Pluecker distance for merging paths
 IMAG_TOL = 1e-7              # reality threshold after phase fix
-NEWTON_STEPS = 40            # endgame Newton steps on the target system
+NEWTON_STEPS = 40            # most endgame Newton steps of a path
 NEWTON_SETTLED = 1e-6        # largest last endgame step (relative) kept
 DT_MIN = 1e-7                # a path whose step falls below this dies
 DT_MAX = 0.1
@@ -60,11 +64,13 @@ DIVERGENCE_CUTOFF = 1e7      # patch coordinates past this: path diverged
 # ---------------------------------------------------------------------------
 
 def cubic_tensor(F: Poly) -> np.ndarray:
-    """The symmetric tensor T of the cubic form F, so that F(x) = T(x, x, x):
-    the exact tensor of `forms.form_tensor`, each entry rounded once."""
+    """The tensor T with F(x) = s T(x, x, x) for s > 0 and largest entry
+    +-1: that of `forms.form_tensor` divided by its largest entry's modulus
+    before each entry is rounded once, so that none overflows."""
     n = len(F.vars)
-    T, D = form_tensor(F)
-    return np.array([float(Fraction(t, D)) for t in T]).reshape(n, n, n)
+    T, _ = form_tensor(F)
+    top = max(map(abs, T))
+    return np.array([float(Fraction(t, top)) for t in T]).reshape(n, n, n)
 
 
 def cubic_values(T: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -81,6 +87,9 @@ def cubic_values(T: np.ndarray, X: np.ndarray) -> np.ndarray:
 _MONOMIALS = np.array([e for e in itertools.product(range(4), repeat=4)
                        if sum(e) <= 3])
 _MONOMIAL_INDEX = {e: m for m, e in enumerate(map(tuple, _MONOMIALS.tolist()))}
+# each monomial as a product of three entries of (1, a, b, c, d)
+_FACTORS = np.array([[v + 1 for v in range(4) for _ in range(e[v])]
+                     + [0] * (3 - sum(e)) for e in _MONOMIALS.tolist()]).T
 
 # the point s u + t v of the line is y A with y = (s, t, s a + t c, s b + t d);
 # each entry of y as its terms (power of t, exponent of (a, b, c, d))
@@ -125,9 +134,9 @@ def patch_matrix(T: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 def _monomial_values(X: np.ndarray) -> np.ndarray:
     """Points (n, 4) -> the values of _MONOMIALS at them, (n, 35)."""
-    P = X[:, :, None] ** np.arange(4)
-    return (P[:, 0, _MONOMIALS[:, 0]] * P[:, 1, _MONOMIALS[:, 1]]
-            * P[:, 2, _MONOMIALS[:, 2]] * P[:, 3, _MONOMIALS[:, 3]])
+    Y = np.ones((len(X), 5), dtype=X.dtype)
+    Y[:, 1:] = X
+    return Y[:, _FACTORS[0]] * Y[:, _FACTORS[1]] * Y[:, _FACTORS[2]]
 
 
 def _patch_coordinates(bases: list, A: np.ndarray) -> np.ndarray:
@@ -145,16 +154,13 @@ def _patch_coordinates(bases: list, A: np.ndarray) -> np.ndarray:
 def _solve_batched(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Batched 4x4 linear solve that degrades gracefully on singular or
     non-finite systems (failed entries come back as nan)."""
-    bad = ~(np.isfinite(J).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1))
-    if bad.any():
-        J = J.copy()
-        rhs = rhs.copy()
-        J[bad] = np.eye(4)
-        rhs[bad] = np.nan
     try:
         return np.linalg.solve(J, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         pass
+    bad = ~(np.isfinite(J).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1))
+    J = np.where(bad[:, None, None], np.eye(4), J)
+    rhs = np.where(bad[:, None], np.nan, rhs)
     mag = np.abs(J).max(axis=(1, 2), keepdims=True)
     ridge = (1e-12 + 1e-12j) * np.maximum(mag, 1.0)
     J = J + ridge * np.eye(4)[None, :, :]
@@ -168,6 +174,19 @@ def _solve_batched(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             except np.linalg.LinAlgError:
                 out[m] = np.nan
         return out
+
+
+def _predict(x0, t0, v0, x1, t1, v1, t2) -> np.ndarray:
+    """Each path's point at t2 from its last two accepted points x0 at t0
+    and x1 at t1, with tangents v0 and v1: the cubic Hermite extrapolation
+    x1 + tau v1 + A r^2 + B r^3, tau = t2 - t1 and r = tau / (t1 - t0),
+    or the Euler step where t0 == t1."""
+    h, tau = t1 - t0, t2 - t1
+    r = np.divide(tau, h, out=np.zeros_like(tau), where=h > 0)[:, None]
+    e1 = x0 - x1 + h[:, None] * v1
+    e2 = h[:, None] * (v0 - v1)
+    return x1 + tau[:, None] * v1 + r ** 2 * (3 * e1 + e2) \
+        + r ** 3 * (2 * e1 + e2)
 
 
 def _track(C0: np.ndarray, C1: np.ndarray, gamma: complex,
@@ -190,47 +209,67 @@ def _track(C0: np.ndarray, C1: np.ndarray, gamma: complex,
         dHdt = V[:, 20:24] - V[:, :4]
         return Vt[:, :4], Vt[:, 4:].reshape(-1, 4, 4), dHdt
 
-    max_steps = 2000
-    for _ in range(max_steps):
-        act = alive & (t < 1.0)
-        if not act.any():
+    # the tangent dX/dt = -J^-1 dH/dt of each accepted point, and the point
+    # accepted before it (t0 == t marks a path that has none yet)
+    _, J, dHdt = H_and_J(X, t)
+    Xt = _solve_batched(J, -dHdt)
+    X0, t0, Xt0 = X.copy(), t.copy(), Xt.copy()
+    for _ in range(2000):
+        idx = np.flatnonzero(alive & (t < 1.0))
+        if not len(idx):
             break
-        Xa, ta, dta = X[act], t[act], dt[act]
-        t2 = np.minimum(1.0, ta + dta)
-        H, J, dHdt = H_and_J(Xa, ta)
-        X2 = Xa + _solve_batched(J, -dHdt) * (t2 - ta)[:, None]
+        t2 = np.minimum(1.0, t[idx] + dt[idx])
+        X2 = _predict(X0[idx], t0[idx], Xt0[idx], X[idx], t[idx], Xt[idx],
+                      t2)
         # Newton correction at t2
+        steps = []
         for _ in range(3):
             H2, J2, _ = H_and_J(X2, t2)
-            X2 = X2 + _solve_batched(J2, -H2)
-        H2, _, _ = H_and_J(X2, t2)
+            steps.append(_solve_batched(J2, -H2))
+            X2 = X2 + steps[-1]
+        H2, J2, dHdt2 = H_and_J(X2, t2)
         mag = np.maximum(1.0, np.abs(X2).max(axis=1)) ** 3
         ok = (np.abs(H2).max(axis=1) < 1e-6 * scale * mag)
         ok &= np.isfinite(X2).all(axis=1)
-        idx = np.flatnonzero(act)
+        # a first correction past 0.3 of the point's size marks a poor
+        # prediction, from which Newton may reach another path
+        ok &= np.abs(steps[0]).max(axis=1) \
+            <= 0.3 * np.maximum(1.0, np.abs(X[idx]).max(axis=1))
         good, bad = idx[ok], idx[~ok]
+        X0[good], t0[good], Xt0[good] = X[good], t[good], Xt[good]
         X[good] = X2[ok]
         t[good] = t2[ok]
+        Xt[good] = _solve_batched(J2[ok], -dHdt2[ok])
         dt[good] = np.minimum(dt[good] * 1.7, DT_MAX)
         dt[bad] *= 0.4
         alive[bad] &= dt[bad] >= DT_MIN
         alive &= np.abs(X).max(axis=1) <= DIVERGENCE_CUTOFF
 
     # endgame: plain Newton on the target system, also from paths that
-    # stalled short of t = 1
+    # stalled short of t = 1.  A path stops at its noise floor: once its
+    # step is below 1e-12 of it, or below 1e-9 of it and no longer
+    # shrinking fourfold, as it would under Newton's quadratic convergence.
     Xe = X[np.abs(X).max(axis=1) <= DIVERGENCE_CUTOFF]
+    last = np.full(len(Xe), np.inf)     # each path's last step
+    run = np.arange(len(Xe))
     for _ in range(NEWTON_STEPS):
-        V = _monomial_values(Xe) @ C1
-        step = _solve_batched(V[:, 4:].reshape(-1, 4, 4), -V[:, :4])
-        Xe = Xe + step
-        if np.abs(step).max(initial=0) < 1e-14 * np.abs(Xe).max(initial=1):
+        if not len(run):
             break
+        V = _monomial_values(Xe[run]) @ C1
+        step = _solve_batched(V[:, 4:].reshape(-1, 4, 4), -V[:, :4])
+        Xe[run] += step
+        size = np.abs(step).max(axis=1)
+        mag = np.maximum(1.0, np.abs(Xe[run]).max(axis=1))
+        floor = (size < 1e-12 * mag) \
+            | ((size > last[run] / 4) & (size < 1e-9 * mag))
+        last[run] = size
+        run = run[~floor & np.isfinite(size)]
     FX = _monomial_values(Xe) @ C1[:, :4]
     mag = np.maximum(1.0, np.abs(Xe).max(axis=1))
     keep = np.abs(FX).max(axis=1) < 1e-9 * np.abs(C1[:, :4]).max() * mag ** 3
     # where the patch is ill-conditioned at a line a small residual is not
     # enough: Newton must also have stopped moving the solution
-    keep &= np.abs(step).max(axis=1) < NEWTON_SETTLED * mag
+    keep &= last < NEWTON_SETTLED * mag
     keep &= np.isfinite(Xe).all(axis=1)
     return Xe[keep]
 
@@ -240,35 +279,11 @@ def _track(C0: np.ndarray, C1: np.ndarray, gamma: complex,
 # ---------------------------------------------------------------------------
 
 PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_PI, _PJ = np.array(PLUCKER_PAIRS).T
 
-
-def plucker_from_basis(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.array([u[i] * v[j] - u[j] * v[i] for i, j in PLUCKER_PAIRS],
-                    dtype=complex)
-
-
-def normalize_plucker(p: np.ndarray) -> np.ndarray:
-    # smallest index within a whisker of the max modulus, so that two noisy
-    # copies of one line pick the same pivot even when moduli tie
-    mods = np.abs(p)
-    k = int(np.flatnonzero(mods >= mods.max() * (1 - 1e-8))[0])
-    return p / p[k]
-
-
-def plucker_residual(p: np.ndarray) -> float:
-    """The quadric relation p01 p23 - p02 p13 + p03 p12, scaled."""
-    val = p[0] * p[5] - p[1] * p[4] + p[2] * p[3]
-    return float(abs(val) / max(np.abs(p).max() ** 2, 1e-300))
-
-
-# the polarized Pluecker quadric as a matrix: meet_form(p, q) = p _MEET q
+# the polarized Pluecker quadric, zero on a pair of lines that meet:
+# p _MEET q = p01 q23 - p02 q13 + p03 q12 + q01 p23 - q02 p13 + q03 p12
 _MEET = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
-
-
-def meet_form(p: np.ndarray, q: np.ndarray) -> complex:
-    """Polarized quadric; zero iff the lines intersect."""
-    return (p[0] * q[5] - p[1] * q[4] + p[2] * q[3]
-            + q[0] * p[5] - q[1] * p[4] + q[2] * p[3])
 
 
 @dataclass
@@ -277,9 +292,6 @@ class PluckerLine:
     basis: np.ndarray            # (2, 4) spanning points
     real: bool
     residual: float
-
-    def conjugate_plucker(self) -> np.ndarray:
-        return normalize_plucker(np.conj(self.plucker))
 
     def real_points(self):
         """Two independent real points when the line is real."""
@@ -290,19 +302,19 @@ class PluckerLine:
         return vt[0], vt[1]
 
 
-def plucker_distances(P: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Projective (phase-invariant) separation of q from each row of P
-    (n, 6): the sine of the angle between Pluecker vectors, computed as a
-    projection residual so that nearly equal lines resolve down to machine
-    precision."""
+def plucker_distances(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Projective (phase-invariant) separation of each row of Q (m, 6)
+    from each row of P (n, 6), (n, m), or of the one vector Q (6,) from
+    each row of P, (n,): the sine of the angle between Pluecker vectors,
+    computed as a projection residual so that nearly equal lines resolve
+    down to machine precision."""
     Ph = P / np.linalg.norm(P, axis=1, keepdims=True)
-    qh = q / np.linalg.norm(q)
-    return np.linalg.norm(Ph - np.outer(Ph @ qh.conj(), qh), axis=1)
-
-
-def plucker_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """`plucker_distances` for one pair of lines."""
-    return float(plucker_distances(p[None, :], q)[0])
+    Qh = np.atleast_2d(Q)
+    Qh = Qh / np.linalg.norm(Qh, axis=1, keepdims=True)
+    G = Ph @ Qh.conj().T
+    D = np.linalg.norm(Ph[:, None, :] - G[:, :, None] * Qh[None, :, :],
+                       axis=2)
+    return D if np.ndim(Q) == 2 else D[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +328,35 @@ class LineSet:
     conj_pairs: list             # index pairs (i, j), i < j, conjugate lines
 
 
-def _line_from_solution(sol: np.ndarray, A: np.ndarray, T: np.ndarray,
-                        norm: float) -> PluckerLine:
-    u = np.array([1.0, 0.0, sol[0], sol[1]]) @ A
-    v = np.array([0.0, 1.0, sol[2], sol[3]]) @ A
-    p = normalize_plucker(plucker_from_basis(u, v))
-    samples = np.array([u, v, u + v, u - v, u + 2 * v])
-    samples = samples / np.linalg.norm(samples, axis=1, keepdims=True)
-    vals = np.abs(cubic_values(T, samples))
-    resid = float(vals.max() / max(norm, 1e-300))
-    real = bool(np.abs(p.imag).max() < IMAG_TOL)
-    if real:
-        p = p.real.astype(complex)
-    return PluckerLine(plucker=p, basis=np.vstack([u, v]), real=real,
-                       residual=resid)
+def _new_lines(S: np.ndarray, A: np.ndarray, T: np.ndarray, norm: float,
+               found: list, tol: float) -> list:
+    """The lines of the solutions S (m, 4) in the patch A, in order, with
+    residual at most tol in T relative to `norm` and DEDUPE_TOL or more
+    from each line found and each one kept before them."""
+    B = A[:2] + S.reshape(-1, 2, 2) @ A[2:]        # the bases (u, v)
+    u, v = B[:, 0], B[:, 1]
+    P = u[:, _PI] * v[:, _PJ] - u[:, _PJ] * v[:, _PI]
+    # divide by the first coordinate within a whisker of the largest
+    # modulus, so that two noisy copies of a line pick the same pivot
+    mods = np.abs(P)
+    pivot = np.argmax(mods >= mods.max(axis=1, keepdims=True) * (1 - 1e-8),
+                      axis=1)
+    P = P / P[np.arange(len(P)), pivot][:, None]
+    real = np.abs(P.imag).max(axis=1) < IMAG_TOL
+    P[real] = P[real].real
+    samples = np.stack([u, v, u + v, u - v, u + 2 * v], axis=1)
+    samples /= np.linalg.norm(samples, axis=2, keepdims=True)
+    vals = np.abs(cubic_values(T, samples.reshape(-1, 4))).reshape(-1, 5)
+    resid = vals.max(axis=1) / max(norm, 1e-300)
+    # the same greedy order as taking the solutions one by one
+    close = plucker_distances(np.vstack([l.plucker for l in found] + [P]),
+                              P) < DEDUPE_TOL
+    kept, out = list(range(len(found))), []
+    for i in np.flatnonzero(resid <= tol):
+        if not close[kept, i].any():
+            kept.append(len(found) + i)
+            out.append(PluckerLine(P[i], B[i], bool(real[i]), float(resid[i])))
+    return out
 
 
 def solve_lines(F: Poly, cfg: LineSolveConfig = None) -> LineSet:
@@ -346,23 +373,16 @@ def solve_lines(F: Poly, cfg: LineSolveConfig = None) -> LineSet:
         raise ValueError("surface must be a homogeneous cubic")
     rng = np.random.default_rng(cfg.seed)
     T = cubic_tensor(F)
-    coeffs = [abs(c) for c in F.terms.values()]
-    scale, norm = float(max(coeffs)), float(sum(coeffs))
+    norm = float(np.abs(T).sum())     # the sum of |coefficients| of T
     found: list = []
-    P = np.zeros((0, 6), dtype=complex)     # Pluecker vectors of found
     for _ in range(ATTEMPTS):
         A = np.linalg.qr(rng.normal(size=(4, 4))
                          + 1j * rng.normal(size=(4, 4)))[0]
         gamma = np.exp(2j * np.pi * rng.random())
         C0 = patch_matrix(_FERMAT_TENSOR, A)
-        C1 = patch_matrix(T, A) / scale
-        for sol in _track(C0, C1, gamma,
-                          _patch_coordinates(_FERMAT_LINES, A)):
-            line = _line_from_solution(sol, A, T, norm)
-            if line.residual <= cfg.residual_tol and (plucker_distances(
-                    P, line.plucker) >= DEDUPE_TOL).all():
-                found.append(line)
-                P = np.vstack([P, line.plucker])
+        C1 = patch_matrix(T, A)
+        S = _track(C0, C1, gamma, _patch_coordinates(_FERMAT_LINES, A))
+        found += _new_lines(S, A, T, norm, found, cfg.residual_tol)
         if len(found) >= 27:
             break
     if len(found) < 27:
@@ -371,9 +391,6 @@ def solve_lines(F: Poly, cfg: LineSolveConfig = None) -> LineSet:
     if len(found) > 27:
         raise NearDiscriminant(
             f"found {len(found)} line candidates, expected 27")
-    for line in found:
-        if plucker_residual(line.plucker) > 1e-8:
-            raise InternalInconsistency("Pluecker relation violated")
 
     def sort_key(line):
         return tuple((round(float(c.real), 8), round(float(c.imag), 8))
@@ -394,25 +411,25 @@ def solve_lines(F: Poly, cfg: LineSolveConfig = None) -> LineSet:
 
 
 def _conjugate_pairs(lines: list, tol: float) -> list:
+    """Each complex line with the first later complex line, not yet paired,
+    within tol of its conjugate."""
+    P = np.array([l.plucker for l in lines])
+    free = np.array([not l.real for l in lines])
+    near = plucker_distances(P.conj(), P) < tol
     pairs = []
-    used = set()
-    for i, li in enumerate(lines):
-        if li.real or i in used:
+    for i in range(len(lines)):
+        if not free[i]:
             continue
-        ci = li.conjugate_plucker()
-        for j in range(i + 1, len(lines)):
-            if j in used or lines[j].real:
-                continue
-            if plucker_distance(ci, lines[j].plucker) < tol:
-                pairs.append((i, j))
-                used.update((i, j))
-                break
-        else:
+        free[i] = False
+        partners = np.flatnonzero(near[i] & free)
+        if not len(partners):
             # a real surface's complex lines come in conjugate pairs; a
             # missing partner means the numeric lines cannot be trusted,
             # as happens next to the discriminant
             raise NearDiscriminant(
                 f"complex line {i} has no conjugate partner")
+        pairs.append((i, int(partners[0])))
+        free[partners[0]] = False
     return pairs
 
 
@@ -421,7 +438,7 @@ def _conjugate_pairs(lines: list, tol: float) -> list:
 # ---------------------------------------------------------------------------
 
 def meet_matrix(lines: list, tol: float = 1e-6) -> np.ndarray:
-    """Which pairs of lines meet: |meet_form| < tol, off the diagonal."""
+    """Which pairs of lines meet: |p _MEET q| < tol, off the diagonal."""
     P = np.array([l.plucker for l in lines])
     M = np.abs(P @ _MEET @ P.T) < tol
     np.fill_diagonal(M, False)
@@ -431,39 +448,30 @@ def meet_matrix(lines: list, tol: float = 1e-6) -> np.ndarray:
 def tritangent_triples(lineset: LineSet, tol: float = 1e-6) -> list:
     """All triples of pairwise intersecting, coplanar lines, with the plane.
 
-    Returns dicts {lines: (i, j, k), plane: ndarray(4), real: bool}.  On a
-    nonsingular cubic there are exactly 45.
+    Returns dicts {lines: (i, j, k), plane: ndarray(4), real: bool}, with
+    i < j < k in lexicographic order.  On a nonsingular cubic there are
+    exactly 45.
     """
     lines = lineset.lines
-    M = meet_matrix(lines, tol)
-    conj_index = {}
+    U = np.triu(meet_matrix(lines, tol))         # i < j that meet
+    trips = np.argwhere(U[:, :, None] & U[:, None, :] & U[None, :, :])
+    bases = np.array([l.basis for l in lines])
+    _, sv, vt = np.linalg.svd(bases[trips].reshape(-1, 6, 4))
+    coplanar = sv[:, -1] <= tol * sv[:, 0]    # else concurrent only
+    trips, planes = trips[coplanar], vt[coplanar, -1]
+    big = np.argmax(np.abs(planes), axis=1)
+    planes = planes / planes[np.arange(len(planes)), big][:, None]
+    # conj[m]: the index of line m's conjugate, m itself for a real line
+    conj = np.arange(len(lines))
     for i, j in lineset.conj_pairs:
-        conj_index[i], conj_index[j] = j, i
-    for i, l in enumerate(lines):
-        if l.real:
-            conj_index[i] = i
+        conj[i], conj[j] = j, i
+    real = (conj[trips][:, :, None] == trips[:, None, :]).any(axis=2) \
+        .all(axis=1)
     out = []
-    n = len(lines)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not M[i, j]:
-                continue
-            for k in range(j + 1, n):
-                if not (M[i, k] and M[j, k]):
-                    continue
-                stacked = np.vstack([lines[i].basis, lines[j].basis,
-                                     lines[k].basis])
-                _, sv, vt = np.linalg.svd(stacked)
-                if sv[-1] > tol * sv[0]:
-                    continue            # concurrent but not coplanar
-                plane = vt[-1]
-                big = int(np.argmax(np.abs(plane)))
-                plane = plane / plane[big]
-                trip = (i, j, k)
-                real = all(conj_index[m] in trip for m in trip)
-                if real and np.abs(plane.imag).max() < 1e-6:
-                    plane = plane.real.astype(complex)
-                out.append({"lines": trip, "plane": plane, "real": real})
+    for trip, plane, r in zip(trips.tolist(), planes, real.tolist()):
+        if r and np.abs(plane.imag).max() < 1e-6:
+            plane = plane.real.astype(complex)
+        out.append({"lines": tuple(trip), "plane": plane, "real": r})
     return out
 
 

@@ -45,11 +45,13 @@ from realcubic.lines import (
     clebsch_surface,
     fermat_lines_closed_form,
     fermat_surface,
+    solve_lines,
+    tritangent_triples,
+)
+from lines_reference import (
     normalize_plucker,
     plucker_distance,
     plucker_from_basis,
-    solve_lines,
-    tritangent_triples,
 )
 
 AMB = ("x", "y", "z", "w")

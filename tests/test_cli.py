@@ -359,6 +359,32 @@ class TestBatch:
         assert code == 0
         assert [r["label"] for r in json.loads(out)] == [[2, 4], 2, [2, 4]]
 
+    def test_huge_coefficients_classify_alone_and_in_a_batch(self, capsys,
+                                                              tmp_path):
+        # a 401-digit coefficient once overflowed the float tensor of the
+        # line solver, and of the plane in the section tally, and took the
+        # whole batch down with it; rounded after scaling, the surface is
+        # refused with a type and the plane classifies
+        big = 10 ** 400
+        surface = f"{big}*x^3 + y^3 + z^3 + w^3 + x*y*z"
+        for cmd in ("classify", "lines"):
+            code, out, err = run(capsys, cmd, "--surface", surface)
+            assert (code, out) == (2, "") and "NearDiscriminant" in err
+        plane = f"{big}*w + x"
+        code, out, _ = run(capsys, "classify", "--surface",
+                           "x^3 + y^3 + z^3 + w^3 + x*y*z", "--plane", plane)
+        assert code == 0 and json.loads(out)["class_id"] == 4
+        batch = tmp_path / "surfaces.jsonl"
+        batch.write_text("".join(json.dumps(e) + "\n" for e in (
+            {"surface": FERMAT}, {"surface": surface},
+            {"surface": "x^3 + y^3 + z^3 + w^3 + x*y*z", "plane": plane})))
+        code, out, _ = run(capsys, "classify", "--batch", str(batch),
+                           "--jobs", "1")
+        assert code == 2
+        got = json.loads(out)
+        assert [r.get("class_id") for r in got] == [4, None, 4]
+        assert got[1]["error"]["type"] == "NearDiscriminant"
+
     def test_batch_format_text_is_usage_error(self, capsys, tmp_path):
         batch = tmp_path / "t.txt"
         batch.write_text("x^3+y^3+z^3+1\n")

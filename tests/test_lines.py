@@ -8,11 +8,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lines_reference
 from realcubic import lines as lines_module
 from realcubic.algebra import CANONICAL_VARS, Poly
+from realcubic.classify import as_projective_cubic, load_witnesses
 from realcubic.errors import LineInPlane, NearDiscriminant
+from realcubic.forms import form_tensor
 from realcubic.lines import (
     ATTEMPTS,
+    DEDUPE_TOL,
     LineSet,
     _MONOMIAL_INDEX,
     _conjugate_pairs,
@@ -24,16 +28,19 @@ from realcubic.lines import (
     fermat_lines_closed_form,
     fermat_surface,
     line_plane_point,
-    meet_form,
     meet_matrix,
-    normalize_plucker,
-    plucker_distance,
     plucker_distances,
-    plucker_from_basis,
-    plucker_residual,
     patch_matrix,
     solve_lines,
     tritangent_triples,
+)
+from lines_reference import (
+    conjugate_plucker,
+    meet_form,
+    normalize_plucker,
+    plucker_distance,
+    plucker_from_basis,
+    plucker_residual,
 )
 
 
@@ -42,6 +49,12 @@ def random_cubic(seed: int) -> Poly:
     mons = [e for e in itertools.product(range(4), repeat=4) if sum(e) == 3]
     terms = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for e in mons}
     return Poly(CANONICAL_VARS, terms)
+
+
+def tensor_scale(F: Poly) -> float:
+    """s with F(x) = s T(x, x, x) for T = cubic_tensor(F)."""
+    T, D = form_tensor(F)
+    return max(map(abs, T)) / D
 
 
 def lines_meet_rank_oracle(l1, l2) -> bool:
@@ -170,7 +183,7 @@ class TestFermat:
     def test_distances_are_the_projection_residual(self, fermat):
         P = np.array([l.plucker for l in fermat.lines])
         for line in fermat.lines:
-            q = line.conjugate_plucker()
+            q = conjugate_plucker(line)
             d = plucker_distances(P, q)
             assert d.shape == (27,)
             qh = q / np.linalg.norm(q)
@@ -249,7 +262,7 @@ class TestRandomSurfaces:
         paired = set()
         for i, j in ls.conj_pairs:
             paired.update((i, j))
-            ci = ls.lines[i].conjugate_plucker()
+            ci = conjugate_plucker(ls.lines[i])
             assert plucker_distance(ci, ls.lines[j].plucker) < 1e-8
         real_idx = {i for i, l in enumerate(ls.lines) if l.real}
         assert paired | real_idx == set(range(27))
@@ -339,7 +352,8 @@ class TestFusedEvaluation:
         rng = np.random.default_rng(17)
         X = (rng.normal(size=(40, 4)) + 1j * rng.normal(size=(40, 4))) \
             * rng.uniform(0.1, 3.0, size=(40, 1))
-        got = _monomial_values(X) @ patch_matrix(cubic_tensor(F), A)
+        got = _monomial_values(X) @ patch_matrix(cubic_tensor(F), A) \
+            * tensor_scale(F)
         assert got.shape == (40, 20)
         h = 1e-5
         for x, row in zip(X, got):
@@ -393,9 +407,17 @@ class TestCubicTensor:
     def test_values_match_eval(self, F):
         rng = np.random.default_rng(41)
         X = rng.normal(size=(10, 4)) + 1j * rng.normal(size=(10, 4))
-        got = cubic_values(cubic_tensor(F), X)
+        got = cubic_values(cubic_tensor(F), X) * tensor_scale(F)
         want = np.array([complex(F.eval([complex(t) for t in x])) for x in X])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_largest_entry_is_one_past_float_range(self):
+        # 10^400 F has the tensor of F, and no entry overflows
+        F = random_cubic(19)
+        big = F * Poly(CANONICAL_VARS, {(0, 0, 0, 0): 10 ** 400})
+        T = cubic_tensor(big)
+        assert np.abs(T).max() == 1.0
+        assert np.array_equal(T, cubic_tensor(F))
 
 
 class TestPatchAttempts:
@@ -459,3 +481,102 @@ class TestLinePlanePoint:
             assert not np.iscomplexobj(a) and not np.iscomplexobj(b)
             p = plucker_from_basis(a.astype(complex), b.astype(complex))
             assert plucker_distance(p, line.plucker) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the batched bookkeeping against the per-line loops, and the endgame
+# ---------------------------------------------------------------------------
+
+def witness_surfaces() -> list:
+    """The 15 witness surfaces: the line solves of the 20 pool entries of
+    the benchmark, whose 5 extra entries reuse witness surfaces."""
+    return [as_projective_cubic(w["surface"]) for w in load_witnesses()]
+
+
+def seeded_image(F: Poly, seed: int) -> Poly:
+    """F after a seeded integer change of the four coordinates."""
+    rng = random.Random(f"image {seed}")
+    while True:
+        M = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
+        if round(np.linalg.det(np.array(M, dtype=float))):
+            break
+    return F.substitute({v: Poly(CANONICAL_VARS, {
+        tuple(int(k == j) for k in range(4)): M[i][j] for j in range(4)})
+        for i, v in enumerate(CANONICAL_VARS)})
+
+
+def assert_same_lines(got: list, want: list) -> None:
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.real == b.real
+        assert np.abs(a.plucker - b.plucker).max() < 1e-12
+        assert np.abs(a.basis - b.basis).max() < 1e-12
+        # residuals of true lines are rounding noise, near 1e-17
+        assert a.residual == pytest.approx(b.residual, rel=1e-6, abs=1e-15)
+
+
+@pytest.fixture(scope="module")
+def bookkeeping():
+    """Solve the witness surfaces and seeded images of five of them, with
+    each patch's `_new_lines` checked against the per-line loop, once as
+    tracked and once with every solution given twice; returns the line
+    sets of the solves that succeed and the number of patches checked."""
+    batched = lines_module._new_lines
+    patches = []
+
+    def both(S, A, T, norm, found, tol):
+        for sols in (S, np.vstack([S, S])):
+            assert_same_lines(batched(sols, A, T, norm, found, tol),
+                              lines_reference.new_lines(sols, A, T, norm,
+                                                        found, tol))
+        patches.append(len(found))
+        return batched(S, A, T, norm, found, tol)
+
+    surfaces = witness_surfaces()
+    surfaces += [seeded_image(surfaces[i], i) for i in range(0, 15, 3)]
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lines_module, "_new_lines", both)
+        for F in surfaces:
+            try:
+                out.append(solve_lines(F))
+            except NearDiscriminant:
+                pass
+    return out, patches
+
+
+class TestBatchedBookkeeping:
+    """The array passes of the solver give what the per-line loops of
+    `lines_reference` give."""
+
+    def test_new_lines_match_the_per_line_loop(self, bookkeeping):
+        linesets, patches = bookkeeping
+        assert len(patches) >= 20 and len(linesets) >= 15
+
+    def test_conjugate_pairs_match_the_per_line_loop(self, bookkeeping):
+        for ls in bookkeeping[0]:
+            want = lines_reference.conjugate_pairs(ls.lines, DEDUPE_TOL)
+            assert ls.conj_pairs == want
+            assert _conjugate_pairs(ls.lines, DEDUPE_TOL) == want
+
+    def test_tritangent_triples_match_the_triple_loop(self, bookkeeping):
+        for ls in bookkeeping[0]:
+            got = tritangent_triples(ls)
+            want = lines_reference.tritangent_triples(ls)
+            assert [(t["lines"], t["real"]) for t in got] \
+                == [(t["lines"], t["real"]) for t in want]
+            for a, b in zip(got, want):
+                assert np.abs(a["plane"] - b["plane"]).max() < 1e-12
+
+
+def test_endgame_settles_within_four_newton_steps(monkeypatch):
+    # each path leaves the endgame at its noise floor, two or three Newton
+    # steps past its tracked point: capped at four steps, the endgame moves
+    # no line of a witness surface
+    surfaces = witness_surfaces()
+    full = [solve_lines(F) for F in surfaces]
+    monkeypatch.setattr(lines_module, "NEWTON_STEPS", 4)
+    for F, ls in zip(surfaces, full):
+        capped = solve_lines(F)
+        assert [l.plucker.tolist() for l in capped.lines] \
+            == [l.plucker.tolist() for l in ls.lines]
