@@ -153,7 +153,8 @@ def curve_payload(cubic: str, conic, cfg: Config) -> dict:
     if conic is None:
         return payload
     try:
-        meet = conic_cubic_meet(plane_form(conic, 2, "conic"), C)
+        meet = conic_cubic_meet(plane_form(conic, 2, "conic"), C,
+                                cubic_tensor=analysis.tensor)
     except NotTransversal:
         payload["transversal"] = False
         return payload

@@ -19,15 +19,20 @@ into the patch and tracked along the coefficient-parameter homotopy
 (1 - t) gamma C(Fermat) + t C(F) with a random complex gamma (Morgan and
 Sommese, Appl. Math. Comput. 29, 1989), all 27 paths as one numpy batch.
 A step extrapolates the cubic Hermite interpolant of the last two accepted
-points and their tangents, from the Jacobians their residual checks have
-already evaluated, and corrects by three Newton steps.  Newton on C(F)
-finishes every path that did not diverge, also one that stalled short of
-t = 1: on surfaces close to the discriminant the lines are ill-conditioned
-and paths stall or merge near them.  Each path stops at its own noise
-floor, and is kept when its residual is small and Newton has stopped
-moving it.  When fewer than 27 distinct lines come out, the same 27 paths
-are tracked again in a fresh patch with a fresh gamma, up to ATTEMPTS
-times.  The 27 lines are accepted only when each meets exactly 10 others.
+points and their tangents and corrects by two Newton steps; the second
+shares its factorization with the tangent at the corrected point, so a
+step costs two evaluations of the system and two batched solves.  A step
+is accepted when the first correction is small against the point and the
+second is smaller still (Bates, Hauenstein, Sommese and Wampler,
+Numerically Solving Polynomial Systems with Bertini, SIAM 2013).  Newton
+on C(F) finishes every path that did not diverge, also one that stalled
+short of t = 1: on surfaces close to the discriminant the lines are
+ill-conditioned and paths stall or merge near them.  Each path stops at
+its own noise floor, and is kept when its residual is small and Newton has
+stopped moving it.  When fewer than 27 distinct lines come out, the same
+27 paths are tracked again in a fresh patch with a fresh gamma, up to
+ATTEMPTS times.  The 27 lines are accepted only when each meets exactly 10
+others.
 
 Line bookkeeping is done on normalized Pluecker vectors: the canonical
 representative divides by the largest-modulus coordinate, which also makes
@@ -38,9 +43,9 @@ one matrix of Pluecker distances or meet forms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -56,6 +61,13 @@ NEWTON_STEPS = 40            # most endgame Newton steps of a path
 NEWTON_SETTLED = 1e-6        # largest last endgame step (relative) kept
 DT_MIN = 1e-7                # a path whose step falls below this dies
 DT_MAX = 0.1
+# the largest second Newton correction of an accepted step, relative to the
+# point.  On 270 surfaces (30 benchmark batch entries and 240 affine images
+# of the pool), bounds of 1e-2, 2e-2, 3e-2 and 5e-2 took 280, 281, 287 and
+# 323 patches and 499k, 465k, 460k and 497k point evaluations: 2e-2 costs 1%
+# more evaluations than the cheapest bound and loses hardly more paths than
+# the strictest, while past 3e-2 more steps jump paths or are retried
+CORRECTION_TOL = 2e-2
 DIVERGENCE_CUTOFF = 1e7      # patch coordinates past this: path diverged
 
 
@@ -70,7 +82,7 @@ def cubic_tensor(F: Poly) -> np.ndarray:
     n = len(F.vars)
     T, _ = form_tensor(F)
     top = max(map(abs, T))
-    return np.array([float(Fraction(t, top)) for t in T]).reshape(n, n, n)
+    return np.array([t / top for t in T]).reshape(n, n, n)
 
 
 def cubic_values(T: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -119,6 +131,11 @@ def _patch_map() -> np.ndarray:
 
 
 _K = _patch_map()
+# K's 472 nonzeros: C(F) = K T_A as a sum over them, which makes no BLAS
+# call (a dense 700 x 64 product is large enough for BLAS to wake all its
+# threads, and would cast K to complex each time)
+_K_ROWS, _K_COLS = np.nonzero(_K)
+_K_VALUES = _K[_K_ROWS, _K_COLS]
 
 
 def patch_matrix(T: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -128,8 +145,10 @@ def patch_matrix(T: np.ndarray, A: np.ndarray) -> np.ndarray:
     their 16 partial derivatives: column m holds equation m, column
     4 + 4 m + n its derivative in unknown n.  T is the cubic's tensor; a
     permutation matrix A gives a coordinate chart."""
-    TA = np.einsum("ijk,pi,qj,rk->pqr", T, A, A, A)
-    return (_K @ TA.reshape(64)).reshape(len(_MONOMIALS), 20)
+    TA = np.einsum("ijk,pi,qj,rk->pqr", T, A, A, A).reshape(64)
+    C = np.zeros(len(_K), dtype=TA.dtype)
+    np.add.at(C, _K_ROWS, _K_VALUES * TA[_K_COLS])
+    return C.reshape(len(_MONOMIALS), 20)
 
 
 def _monomial_values(X: np.ndarray) -> np.ndarray:
@@ -152,28 +171,31 @@ def _patch_coordinates(bases: list, A: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _solve_batched(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched 4x4 linear solve that degrades gracefully on singular or
-    non-finite systems (failed entries come back as nan)."""
+    """Batched 4x4 linear solve of J x = rhs for rhs (n, 4), or (n, 4, k)
+    for k right-hand sides that share one factorization, degrading
+    gracefully on singular or non-finite systems (failed entries come back
+    as nan, each column as if solved alone)."""
+    B = rhs[..., None] if rhs.ndim == 2 else rhs
     try:
-        return np.linalg.solve(J, rhs[..., None])[..., 0]
+        out = np.linalg.solve(J, B)
     except np.linalg.LinAlgError:
-        pass
-    bad = ~(np.isfinite(J).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1))
-    J = np.where(bad[:, None, None], np.eye(4), J)
-    rhs = np.where(bad[:, None], np.nan, rhs)
-    mag = np.abs(J).max(axis=(1, 2), keepdims=True)
-    ridge = (1e-12 + 1e-12j) * np.maximum(mag, 1.0)
-    J = J + ridge * np.eye(4)[None, :, :]
-    try:
-        return np.linalg.solve(J, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.zeros_like(rhs)
-        for m in range(len(J)):
-            try:
-                out[m] = np.linalg.lstsq(J[m], rhs[m], rcond=None)[0]
-            except np.linalg.LinAlgError:
-                out[m] = np.nan
-        return out
+        bad = ~np.isfinite(J).all(axis=(1, 2))
+        J = np.where(bad[:, None, None], np.eye(4), J)
+        B = np.where(bad[:, None, None]
+                     | ~np.isfinite(B).all(axis=1, keepdims=True), np.nan, B)
+        mag = np.abs(J).max(axis=(1, 2), keepdims=True)
+        ridge = (1e-12 + 1e-12j) * np.maximum(mag, 1.0)
+        J = J + ridge * np.eye(4)[None, :, :]
+        try:
+            out = np.linalg.solve(J, B)
+        except np.linalg.LinAlgError:
+            out = np.zeros_like(B)
+            for m in range(len(J)):
+                try:
+                    out[m] = np.linalg.lstsq(J[m], B[m], rcond=None)[0]
+                except np.linalg.LinAlgError:
+                    out[m] = np.nan
+    return out[..., 0] if rhs.ndim == 2 else out
 
 
 def _predict(x0, t0, v0, x1, t1, v1, t2) -> np.ndarray:
@@ -193,15 +215,12 @@ def _track(C0: np.ndarray, C1: np.ndarray, gamma: complex,
            X: np.ndarray) -> np.ndarray:
     """Track the paths of the homotopy (1 - t) gamma C0 + t C1 from the
     solutions X (n, 4) of C0 at t = 0; returns the converged solutions of
-    C1, (m, 4).  C0 and C1 are `patch_matrix` results."""
-    X = X.copy()
-    npaths = len(X)
-    t = np.zeros(npaths)
-    dt = np.full(npaths, 0.05)
-    alive = np.ones(npaths, dtype=bool)
+    C1, (m, 4).  C0 and C1 are `patch_matrix` results.
 
+    A step predicts, corrects once by Newton, and evaluates the homotopy
+    once more at the corrected point: one solve there gives the second
+    Newton correction and the tangent dX/dt for the next prediction."""
     CC = np.hstack([gamma * C0, C1])
-    scale = max(np.abs(C0[:, :4]).max(), np.abs(C1[:, :4]).max())
 
     def H_and_J(Xv, tv):
         V = _monomial_values(Xv) @ CC
@@ -209,47 +228,56 @@ def _track(C0: np.ndarray, C1: np.ndarray, gamma: complex,
         dHdt = V[:, 20:24] - V[:, :4]
         return Vt[:, :4], Vt[:, 4:].reshape(-1, 4, 4), dHdt
 
-    # the tangent dX/dt = -J^-1 dH/dt of each accepted point, and the point
-    # accepted before it (t0 == t marks a path that has none yet)
+    # the arrays hold the paths still being tracked, path[i] naming row i;
+    # a path's last point goes to `ends` when it reaches t = 1 or dies.
+    # Each keeps its last accepted point X at t with tangent Xt, and the
+    # point accepted before it (t0 == t marks a path that has none yet)
+    X = X.copy()
+    ends = np.empty_like(X)
+    path = np.arange(len(X))
+    t = np.zeros(len(X))
+    dt = np.full(len(X), 0.05)
     _, J, dHdt = H_and_J(X, t)
     Xt = _solve_batched(J, -dHdt)
     X0, t0, Xt0 = X.copy(), t.copy(), Xt.copy()
     for _ in range(2000):
-        idx = np.flatnonzero(alive & (t < 1.0))
-        if not len(idx):
+        if not len(path):
             break
-        t2 = np.minimum(1.0, t[idx] + dt[idx])
-        X2 = _predict(X0[idx], t0[idx], Xt0[idx], X[idx], t[idx], Xt[idx],
-                      t2)
-        # Newton correction at t2
-        steps = []
-        for _ in range(3):
-            H2, J2, _ = H_and_J(X2, t2)
-            steps.append(_solve_batched(J2, -H2))
-            X2 = X2 + steps[-1]
+        t2 = np.minimum(1.0, t + dt)
+        X2 = _predict(X0, t0, Xt0, X, t, Xt, t2)
+        H2, J2, _ = H_and_J(X2, t2)
+        step1 = _solve_batched(J2, -H2)
+        X2 = X2 + step1
         H2, J2, dHdt2 = H_and_J(X2, t2)
-        mag = np.maximum(1.0, np.abs(X2).max(axis=1)) ** 3
-        ok = (np.abs(H2).max(axis=1) < 1e-6 * scale * mag)
-        ok &= np.isfinite(X2).all(axis=1)
+        sol = _solve_batched(J2, -np.stack([H2, dHdt2], axis=2))
+        step2, tangent = sol[:, :, 0], sol[:, :, 1]
+        X2 = X2 + step2
         # a first correction past 0.3 of the point's size marks a poor
-        # prediction, from which Newton may reach another path
-        ok &= np.abs(steps[0]).max(axis=1) \
-            <= 0.3 * np.maximum(1.0, np.abs(X[idx]).max(axis=1))
-        good, bad = idx[ok], idx[~ok]
-        X0[good], t0[good], Xt0[good] = X[good], t[good], Xt[good]
-        X[good] = X2[ok]
-        t[good] = t2[ok]
-        Xt[good] = _solve_batched(J2[ok], -dHdt2[ok])
-        dt[good] = np.minimum(dt[good] * 1.7, DT_MAX)
-        dt[bad] *= 0.4
-        alive[bad] &= dt[bad] >= DT_MIN
-        alive &= np.abs(X).max(axis=1) <= DIVERGENCE_CUTOFF
+        # prediction, from which Newton may reach another path; a second
+        # one past CORRECTION_TOL marks a first that did not contract
+        ok = np.abs(step1).max(axis=1) \
+            <= 0.3 * np.maximum(1.0, np.abs(X).max(axis=1))
+        ok &= np.abs(step2).max(axis=1) \
+            <= CORRECTION_TOL * np.maximum(1.0, np.abs(X2).max(axis=1))
+        ok &= np.isfinite(X2).all(axis=1)
+        X0[ok], t0[ok], Xt0[ok] = X[ok], t[ok], Xt[ok]
+        X[ok], t[ok], Xt[ok] = X2[ok], t2[ok], tangent[ok]
+        dt[ok] = np.minimum(dt[ok] * 1.3, DT_MAX)
+        dt[~ok] *= 0.4
+        done = (t >= 1.0) | (dt < DT_MIN) \
+            | (np.abs(X).max(axis=1) > DIVERGENCE_CUTOFF)
+        if done.any():
+            ends[path[done]] = X[done]
+            live = ~done
+            path, X, t, dt, Xt, X0, t0, Xt0 = (
+                a[live] for a in (path, X, t, dt, Xt, X0, t0, Xt0))
+    ends[path] = X
 
     # endgame: plain Newton on the target system, also from paths that
     # stalled short of t = 1.  A path stops at its noise floor: once its
     # step is below 1e-12 of it, or below 1e-9 of it and no longer
     # shrinking fourfold, as it would under Newton's quadratic convergence.
-    Xe = X[np.abs(X).max(axis=1) <= DIVERGENCE_CUTOFF]
+    Xe = ends[np.abs(ends).max(axis=1) <= DIVERGENCE_CUTOFF]
     last = np.full(len(Xe), np.inf)     # each path's last step
     run = np.arange(len(Xe))
     for _ in range(NEWTON_STEPS):
@@ -359,6 +387,24 @@ def _new_lines(S: np.ndarray, A: np.ndarray, T: np.ndarray, norm: float,
     return out
 
 
+@functools.lru_cache(maxsize=4 * ATTEMPTS)
+def _start_system(seed: int, attempt: int) -> tuple:
+    """The patch A, the gamma, C(Fermat) in the patch and the Fermat lines'
+    patch coordinates of the attempt-th patch drawn from the seed: they
+    depend on nothing else, so each is built once.  The arrays are shared
+    and read-only."""
+    rng = np.random.default_rng(seed)
+    for _ in range(attempt + 1):
+        M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        gamma = np.exp(2j * np.pi * rng.random())
+    A = np.linalg.qr(M)[0]
+    C0 = patch_matrix(_FERMAT_TENSOR, A)
+    X = _patch_coordinates(_FERMAT_LINES, A)
+    for a in (A, C0, X):
+        a.setflags(write=False)
+    return A, gamma, C0, X
+
+
 def solve_lines(F: Poly, cfg: LineSolveConfig = None) -> LineSet:
     """All 27 lines of the cubic surface F = 0.
 
@@ -371,17 +417,12 @@ def solve_lines(F: Poly, cfg: LineSolveConfig = None) -> LineSet:
     cfg = cfg or DEFAULT.lines
     if F.homogeneous_degree() != 3:
         raise ValueError("surface must be a homogeneous cubic")
-    rng = np.random.default_rng(cfg.seed)
     T = cubic_tensor(F)
     norm = float(np.abs(T).sum())     # the sum of |coefficients| of T
     found: list = []
-    for _ in range(ATTEMPTS):
-        A = np.linalg.qr(rng.normal(size=(4, 4))
-                         + 1j * rng.normal(size=(4, 4)))[0]
-        gamma = np.exp(2j * np.pi * rng.random())
-        C0 = patch_matrix(_FERMAT_TENSOR, A)
-        C1 = patch_matrix(T, A)
-        S = _track(C0, C1, gamma, _patch_coordinates(_FERMAT_LINES, A))
+    for attempt in range(ATTEMPTS):
+        A, gamma, C0, X = _start_system(cfg.seed, attempt)
+        S = _track(C0, patch_matrix(T, A), gamma, X)
         found += _new_lines(S, A, T, norm, found, cfg.residual_tol)
         if len(found) >= 27:
             break
@@ -523,6 +564,7 @@ def fermat_lines_closed_form() -> list:
     return out
 
 
-# the homotopy's start system, built once
+# the homotopy's start cubic and its lines, built once; `_start_system`
+# maps them into each patch
 _FERMAT_TENSOR = cubic_tensor(fermat_surface())
 _FERMAT_LINES = fermat_lines_closed_form()

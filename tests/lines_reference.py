@@ -1,17 +1,30 @@
-"""The line solver's bookkeeping one line at a time: the per-line helpers
-and loops that the batched array passes of `realcubic.lines` are tested
-against."""
+"""What the array passes of `realcubic.lines` are tested against: the
+bookkeeping one line at a time, the homotopy tracker with three Newton
+corrections and a residual test per step, and the start patches drawn in
+turn from one generator."""
 
 import numpy as np
 
 from realcubic.errors import NearDiscriminant
 from realcubic.lines import (
     DEDUPE_TOL,
+    DIVERGENCE_CUTOFF,
+    DT_MAX,
+    DT_MIN,
     IMAG_TOL,
+    NEWTON_SETTLED,
+    NEWTON_STEPS,
     PLUCKER_PAIRS,
     PluckerLine,
+    _FERMAT_LINES,
+    _FERMAT_TENSOR,
+    _monomial_values,
+    _patch_coordinates,
+    _predict,
+    _solve_batched,
     cubic_values,
     meet_matrix,
+    patch_matrix,
     plucker_distances,
 )
 
@@ -130,3 +143,89 @@ def tritangent_triples(lineset, tol: float = 1e-6) -> list:
                     plane = plane.real.astype(complex)
                 out.append({"lines": trip, "plane": plane, "real": real})
     return out
+
+
+def track(C0: np.ndarray, C1: np.ndarray, gamma: complex,
+          X: np.ndarray) -> np.ndarray:
+    """`lines._track` with four evaluations and four solves per step: three
+    Newton corrections, then a residual test whose Jacobian also gives the
+    tangent; it gathers and scatters all paths by index every step."""
+    X = X.copy()
+    npaths = len(X)
+    t = np.zeros(npaths)
+    dt = np.full(npaths, 0.05)
+    alive = np.ones(npaths, dtype=bool)
+
+    CC = np.hstack([gamma * C0, C1])
+    scale = max(np.abs(C0[:, :4]).max(), np.abs(C1[:, :4]).max())
+
+    def H_and_J(Xv, tv):
+        V = _monomial_values(Xv) @ CC
+        Vt = (1 - tv)[:, None] * V[:, :20] + tv[:, None] * V[:, 20:]
+        dHdt = V[:, 20:24] - V[:, :4]
+        return Vt[:, :4], Vt[:, 4:].reshape(-1, 4, 4), dHdt
+
+    _, J, dHdt = H_and_J(X, t)
+    Xt = _solve_batched(J, -dHdt)
+    X0, t0, Xt0 = X.copy(), t.copy(), Xt.copy()
+    for _ in range(2000):
+        idx = np.flatnonzero(alive & (t < 1.0))
+        if not len(idx):
+            break
+        t2 = np.minimum(1.0, t[idx] + dt[idx])
+        X2 = _predict(X0[idx], t0[idx], Xt0[idx], X[idx], t[idx], Xt[idx],
+                      t2)
+        steps = []
+        for _ in range(3):
+            H2, J2, _ = H_and_J(X2, t2)
+            steps.append(_solve_batched(J2, -H2))
+            X2 = X2 + steps[-1]
+        H2, J2, dHdt2 = H_and_J(X2, t2)
+        mag = np.maximum(1.0, np.abs(X2).max(axis=1)) ** 3
+        ok = (np.abs(H2).max(axis=1) < 1e-6 * scale * mag)
+        ok &= np.isfinite(X2).all(axis=1)
+        ok &= np.abs(steps[0]).max(axis=1) \
+            <= 0.3 * np.maximum(1.0, np.abs(X[idx]).max(axis=1))
+        good, bad = idx[ok], idx[~ok]
+        X0[good], t0[good], Xt0[good] = X[good], t[good], Xt[good]
+        X[good] = X2[ok]
+        t[good] = t2[ok]
+        Xt[good] = _solve_batched(J2[ok], -dHdt2[ok])
+        dt[good] = np.minimum(dt[good] * 1.7, DT_MAX)
+        dt[bad] *= 0.4
+        alive[bad] &= dt[bad] >= DT_MIN
+        alive &= np.abs(X).max(axis=1) <= DIVERGENCE_CUTOFF
+
+    Xe = X[np.abs(X).max(axis=1) <= DIVERGENCE_CUTOFF]
+    last = np.full(len(Xe), np.inf)
+    run = np.arange(len(Xe))
+    for _ in range(NEWTON_STEPS):
+        if not len(run):
+            break
+        V = _monomial_values(Xe[run]) @ C1
+        step = _solve_batched(V[:, 4:].reshape(-1, 4, 4), -V[:, :4])
+        Xe[run] += step
+        size = np.abs(step).max(axis=1)
+        mag = np.maximum(1.0, np.abs(Xe[run]).max(axis=1))
+        floor = (size < 1e-12 * mag) \
+            | ((size > last[run] / 4) & (size < 1e-9 * mag))
+        last[run] = size
+        run = run[~floor & np.isfinite(size)]
+    FX = _monomial_values(Xe) @ C1[:, :4]
+    mag = np.maximum(1.0, np.abs(Xe).max(axis=1))
+    keep = np.abs(FX).max(axis=1) < 1e-9 * np.abs(C1[:, :4]).max() * mag ** 3
+    keep &= last < NEWTON_SETTLED * mag
+    keep &= np.isfinite(Xe).all(axis=1)
+    return Xe[keep]
+
+
+def start_systems(seed: int):
+    """`lines._start_system(seed, k)` for k = 0, 1, ... in turn, drawn from
+    one generator."""
+    rng = np.random.default_rng(seed)
+    while True:
+        A = np.linalg.qr(rng.normal(size=(4, 4))
+                         + 1j * rng.normal(size=(4, 4)))[0]
+        gamma = np.exp(2j * np.pi * rng.random())
+        yield (A, gamma, patch_matrix(_FERMAT_TENSOR, A),
+               _patch_coordinates(_FERMAT_LINES, A))

@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from realcubic import cli
+from realcubic import cli, curve, forms
 from realcubic.errors import NonConvergence
 from realcubic.lines import LineSet, PluckerLine
 
@@ -118,7 +118,8 @@ class TestDeterminism:
         signs = []
         for d in (1e-15, -1e-15):
             monkeypatch.setattr(cli, "conic_cubic_meet",
-                                lambda conic, cubic, d=d: Meet(d))
+                                lambda conic, cubic, cubic_tensor=None, d=d:
+                                Meet(d))
             payload = cli.curve_payload(CUBIC2, CIRCLE,
                                         cli.build_config(0, None))
             signs.append([rec["point"][0][1] > 0
@@ -176,6 +177,22 @@ class TestSchemas:
         assert len(reals) == 6
         by_comp = sorted(r["component"] for r in reals)
         assert by_comp == ["oval"] * 4 + ["pseudoline"] * 2
+
+    def test_curve_builds_each_tensor_once(self, monkeypatch):
+        # the cubic's tensor from the sweep goes on to the meet: one tensor
+        # for the cubic and one for the conic
+        built = forms.form_tensor
+        degrees = []
+
+        def counted(G):
+            degrees.append(G.homogeneous_degree())
+            return built(G)
+
+        monkeypatch.setattr(forms, "form_tensor", counted)
+        monkeypatch.setattr(curve, "form_tensor", counted)
+        payload = cli.curve_payload(CUBIC2, CIRCLE, cli.build_config(0, None))
+        assert payload["transversal"] is True
+        assert sorted(degrees) == [2, 3]
 
     def test_curve_without_conic_validates(self, capsys):
         _, out, _ = run(capsys, "curve", "--cubic", CUBIC2)

@@ -12,16 +12,19 @@ import lines_reference
 from realcubic import lines as lines_module
 from realcubic.algebra import CANONICAL_VARS, Poly
 from realcubic.classify import as_projective_cubic, load_witnesses
+from realcubic.config import LineSolveConfig
 from realcubic.errors import LineInPlane, NearDiscriminant
 from realcubic.forms import form_tensor
 from realcubic.lines import (
     ATTEMPTS,
     DEDUPE_TOL,
     LineSet,
+    _K,
     _MONOMIAL_INDEX,
     _conjugate_pairs,
     _monomial_values,
     _patch_coordinates,
+    _solve_batched,
     clebsch_surface,
     cubic_tensor,
     cubic_values,
@@ -42,6 +45,15 @@ from lines_reference import (
     plucker_from_basis,
     plucker_residual,
 )
+
+
+# an affine image of witness 12 whose solve at seed 0 needs a second patch
+TWO_PATCH_IMAGE = (
+    "(37/4)*x^3 + (-219/4)*x^2*y + (-339/2)*x^2*z + (291/4)*x^2*w"
+    " + (111/4)*x*y^2 + 285*x*y*z + (-375/2)*x*y*w + 75*x*z^2"
+    " + (-111)*x*z*w + (99/4)*x*w^2 + (-57/4)*y^3 + (-27/2)*y^2*z"
+    " + (-141/4)*y^2*w + 225*y*z^2 + (-291)*y*z*w + (273/4)*y*w^2"
+    " + 150*z^3 + (-249)*z^2*w + (249/2)*z*w^2 + (-75/4)*w^3")
 
 
 def random_cubic(seed: int) -> Poly:
@@ -286,13 +298,7 @@ class TestRandomSurfaces:
         # is so ill-conditioned at one line that Newton leaves it with a
         # small residual but 1.7e-7 off the real line, which then reads
         # as complex; that solution must count as lost, not as a line
-        F = Poly.parse(
-            "(37/4)*x^3 + (-219/4)*x^2*y + (-339/2)*x^2*z + (291/4)*x^2*w"
-            " + (111/4)*x*y^2 + 285*x*y*z + (-375/2)*x*y*w + 75*x*z^2"
-            " + (-111)*x*z*w + (99/4)*x*w^2 + (-57/4)*y^3 + (-27/2)*y^2*z"
-            " + (-141/4)*y^2*w + 225*y*z^2 + (-291)*y*z*w + (273/4)*y*w^2"
-            " + 150*z^3 + (-249)*z^2*w + (249/2)*z*w^2 + (-75/4)*w^3")
-        ls = solve_lines(F)
+        ls = solve_lines(Poly.parse(TWO_PATCH_IMAGE))
         assert ls.real_count == 27
 
     def test_complex_line_without_partner_rejected(self, fermat):
@@ -382,6 +388,20 @@ class TestFusedEvaluation:
                 want[_MONOMIAL_INDEX[e], col] = cf
         assert np.array_equal(C, want)
 
+    @pytest.mark.parametrize("seed", [3, 5, 8])
+    def test_sparse_product_is_the_dense_one(self, seed):
+        # C(F) = K T_A summed over K's nonzeros, against the dense product
+        rng = np.random.default_rng(seed)
+        T = rng.normal(size=(4, 4, 4))
+        T = sum(T.transpose(p) for p in itertools.permutations(range(3)))
+        A = np.linalg.qr(rng.normal(size=(4, 4))
+                         + 1j * rng.normal(size=(4, 4)))[0]
+        TA = np.einsum("ijk,pi,qj,rk->pqr", T, A, A, A)
+        want = (_K @ TA.reshape(64)).reshape(-1, 20)
+        got = patch_matrix(T, A)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
     @pytest.mark.parametrize("seed", [29, 31, 37])
     def test_fermat_start_points_solve_fermat_system(self, seed):
         A = random_patch(seed)
@@ -418,6 +438,16 @@ class TestCubicTensor:
         T = cubic_tensor(big)
         assert np.abs(T).max() == 1.0
         assert np.array_equal(T, cubic_tensor(F))
+
+
+    def test_rounds_as_the_fraction_route(self):
+        # each entry t / top of ints is correctly rounded, as Fraction's is
+        huge = Poly.parse(f"{10 ** 400}*x^3 + y^3 + z^3 + w^3 + x*y*z")
+        for F in witness_surfaces() + [huge]:
+            T, _ = form_tensor(F)
+            top = max(map(abs, T))
+            want = np.array([float(Fraction(t, top)) for t in T])
+            assert cubic_tensor(F).tobytes() == want.tobytes()
 
 
 class TestPatchAttempts:
@@ -580,3 +610,156 @@ def test_endgame_settles_within_four_newton_steps(monkeypatch):
         capped = solve_lines(F)
         assert [l.plucker.tolist() for l in capped.lines] \
             == [l.plucker.tolist() for l in ls.lines]
+
+
+# ---------------------------------------------------------------------------
+# the tracker and its start systems against the reference
+# ---------------------------------------------------------------------------
+
+def solve_with(F: Poly, track, seed: int = 0) -> tuple:
+    """The line set of F solved with `track` as the tracker, and the
+    number of patches tracked."""
+    patches = []
+
+    def counted(*args):
+        patches.append(len(args[3]))
+        return track(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lines_module, "_track", counted)
+        ls = solve_lines(F, LineSolveConfig(seed=seed))
+    return ls, len(patches)
+
+
+def assert_near_lines(got: list, want: list, tol: float) -> None:
+    """The same lines as sets, each within tol and of the same reality."""
+    P = np.array([l.plucker for l in got])
+    Q = np.array([l.plucker for l in want])
+    D = np.abs(P[:, None, :] - Q[None, :, :]).max(axis=2)
+    match = D.argmin(axis=1)
+    assert sorted(match.tolist()) == list(range(len(want)))
+    assert D[np.arange(len(got)), match].max() < tol
+    assert [l.real for l in got] == [want[m].real for m in match]
+
+
+class TestTracker:
+    """Two Newton corrections per step find the lines that three
+    corrections and a residual test find, with two evaluations per step."""
+
+    def test_witness_lines_and_patches_match_the_reference(self):
+        for F in witness_surfaces():
+            got, patches = solve_with(F, lines_module._track)
+            want, ref_patches = solve_with(F, lines_reference.track)
+            assert patches == ref_patches
+            assert_near_lines(got.lines, want.lines, 2e-7)
+
+    def test_seeded_image_lines_match_the_reference(self):
+        surfaces = witness_surfaces()
+        for i in range(20):
+            F = seeded_image(surfaces[i % 15], 100 + i)
+            got, _ = solve_with(F, lines_module._track)
+            want, _ = solve_with(F, lines_reference.track)
+            assert_near_lines(got.lines, want.lines, 2e-7)
+
+    def test_two_evaluations_per_predictor_step(self, monkeypatch):
+        # each patch: one evaluation for the start tangents, then each step
+        # a prediction and two evaluations of its paths, then the endgame
+        events = []
+
+        def logged(kind, f, points):
+            def wrapped(*args):
+                events.append((kind, len(args[points])))
+                return f(*args)
+            return wrapped
+
+        for kind, name, points in (("track", "_track", 3),
+                                   ("eval", "_monomial_values", 0),
+                                   ("predict", "_predict", 0)):
+            monkeypatch.setattr(lines_module, name, logged(
+                kind, getattr(lines_module, name), points))
+        surfaces = witness_surfaces() + [Poly.parse(TWO_PATCH_IMAGE)]
+        for F in surfaces:
+            solve_lines(F)
+        starts = [i for i, (kind, _) in enumerate(events) if kind == "track"]
+        assert len(starts) == len(surfaces) + 1
+        for a, b in zip(starts, starts[1:] + [len(events)]):
+            patch = events[a + 1:b]
+            steps = [i for i, (kind, _) in enumerate(patch)
+                     if kind == "predict"]
+            assert patch[0] == ("eval", 27) and steps[0] == 1
+            assert steps == list(range(1, steps[-1] + 1, 3))
+            for i in steps:
+                assert patch[i + 1:i + 3] == [("eval", patch[i][1])] * 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_start_systems_are_the_draws_in_turn(self, seed, monkeypatch):
+        # each (seed, attempt) is built once, as drawing the patches in
+        # turn from a fresh generator builds it, and solves the same
+        draws = list(itertools.islice(lines_reference.start_systems(seed),
+                                      ATTEMPTS))
+        for k, (A, gamma, C0, X) in enumerate(draws):
+            got = lines_module._start_system(seed, k)
+            assert got[1] == gamma
+            for a, b in zip((got[0], got[2], got[3]), (A, C0, X)):
+                assert np.array_equal(a, b) and not a.flags.writeable
+        surfaces = [clebsch_surface(), random_cubic(7),
+                    Poly.parse(TWO_PATCH_IMAGE)]
+        patches = []
+        for F in surfaces:
+            cached, n = solve_with(F, lines_module._track, seed)
+            patches.append(n)
+            with monkeypatch.context() as mp:
+                mp.setattr(lines_module, "_start_system",
+                           lambda s, k: draws[k])
+                fresh = solve_lines(F, LineSolveConfig(seed=seed))
+            assert [l.plucker.tolist() for l in cached.lines] \
+                == [l.plucker.tolist() for l in fresh.lines]
+        assert max(patches) == (2 if seed == 0 else 1)
+
+
+class TestSolveBatched:
+    """Right-hand sides that share a factorization give what one solve per
+    column gives, in the fallbacks for singular and non-finite systems
+    too."""
+
+    @staticmethod
+    def systems():
+        rng = np.random.default_rng(43)
+        J = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+        B = rng.normal(size=(6, 4, 2)) + 1j * rng.normal(size=(6, 4, 2))
+        J[1, :, 2] = 0              # singular: the whole batch falls back
+        J[2, 0, 3] = np.nan         # a non-finite system
+        B[3, 1, 1] = np.inf         # one non-finite right-hand side
+        return J, B
+
+    @staticmethod
+    def assert_columnwise(J, B):
+        got = _solve_batched(J, B)
+        want = np.stack([_solve_batched(J, B[:, :, k]) for k in range(2)],
+                        axis=2)
+        assert got.shape == want.shape == B.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        return got
+
+    def test_regular_systems(self):
+        J, B = self.systems()
+        keep = [0, 4, 5]
+        got = self.assert_columnwise(J[keep], B[keep])
+        assert np.abs(J[keep] @ got - B[keep]).max() < 1e-12
+
+    def test_singular_and_non_finite_systems(self):
+        got = self.assert_columnwise(*self.systems())
+        assert np.isnan(got[2]).all() and np.isnan(got[3, :, 1]).all()
+        finite = np.isfinite(got).all(axis=1)
+        assert finite.tolist() == [[True, True]] * 2 + [[False, False],
+                                                          [True, False]] \
+            + [[True, True]] * 2
+
+    def test_least_squares_fallback(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        got = self.assert_columnwise(*self.systems())
+        assert np.isnan(got[2]).all() and np.isnan(got[3, :, 1]).all()
+        assert np.isfinite(got[[0, 1, 4, 5]]).all()
