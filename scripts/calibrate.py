@@ -29,7 +29,6 @@ from realcubic.classify import (
     real_tritangent_count,
     restrict_to_plane,
 )
-from realcubic.config import DEFAULT
 from realcubic.curve import analyze_cubic
 from realcubic.lines import solve_lines
 
@@ -49,7 +48,7 @@ def main() -> int:
     for cls, cid in REPRESENTATIVES.items():
         F = as_projective_cubic(by_id[cid]["surface"])
         t0 = time.perf_counter()
-        ls = solve_lines(F, DEFAULT.lines)
+        ls = solve_lines(F)
         nreal = real_tritangent_count(ls)
         dt = time.perf_counter() - t0
         frozen = REAL_TRITANGENT_PLANES[cls]

@@ -25,12 +25,9 @@ range.  `sign_at` decides the sign of a polynomial at an isolated root, by
 Descartes' rule on the interval.
 
 Complex roots use simultaneous Aberth iteration, in floats and then with
-each step's p/p' evaluated exactly in Fractions.  Resultants go through the
-Sylvester matrix: scalar entries get Bareiss's fraction-free elimination in
-integers (`bareiss_det`, the one exact determinant), polynomial entries a
-memoized Laplace expansion.  The conic-cubic meet and the singularity test
-of the curve layer work on integer forms of their own instead: `resultant`
-and `quadric_triple_resultant` are the references they are tested against.
+each step's p/p' evaluated exactly in Fractions.  `bareiss_det`, the one
+exact determinant, is Bareiss's fraction-free elimination in integers; the
+singularity test of `forms.py` runs on it.
 """
 
 from __future__ import annotations
@@ -98,20 +95,6 @@ class Poly:
         e = [0] * len(vs)
         e[vs.index(name)] = 1
         return cls(vs, {tuple(e): Fraction(1)})
-
-    @classmethod
-    def from_univariate(cls, coeffs: Sequence[Scalar], var: str,
-                        vars: Sequence[str] = CANONICAL_VARS) -> "Poly":
-        vs = tuple(vars)
-        i = vs.index(var)
-        terms = {}
-        for k, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            e = [0] * len(vs)
-            e[i] = k
-            terms[tuple(e)] = c
-        return cls(vs, terms)
 
     # -- predicates / views --
 
@@ -982,7 +965,7 @@ def complex_roots(p: Union[Poly, Sequence], var: str = None,
 
 
 # ---------------------------------------------------------------------------
-# resultants
+# exact determinant
 # ---------------------------------------------------------------------------
 
 def bareiss_det(m: Sequence[Sequence[int]]) -> int:
@@ -1004,123 +987,3 @@ def bareiss_det(m: Sequence[Sequence[int]]) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[-1][-1] if n else 1
-
-
-def _det_scalar(m: list) -> Fraction:
-    """Exact determinant of a rational matrix: each row cleared of its
-    denominators, then `bareiss_det`."""
-    dens = [math.lcm(*(Fraction(x).denominator for x in row)) for row in m]
-    ints = [[int(Fraction(x) * d) for x in row] for row, d in zip(m, dens)]
-    return Fraction(bareiss_det(ints), math.prod(dens))
-
-
-def _det_poly(m: list, vars: tuple) -> Poly:
-    """Determinant with Poly entries via Laplace expansion, memoized on
-    (row, remaining column mask).  Fine for the sizes resultants need."""
-    n = len(m)
-    one = Poly.const(Fraction(1), vars)
-    zero = Poly.zero(vars)
-    memo: dict = {}
-
-    def minor(row: int, mask: int) -> Poly:
-        if row == n:
-            return one
-        key = (row, mask)
-        if key in memo:
-            return memo[key]
-        total = zero
-        sign = 1
-        for col in range(n):
-            bit = 1 << col
-            if not mask & bit:
-                continue    # sign only advances over columns of the submatrix
-            entry = m[row][col]
-            if not entry.is_zero():
-                sub = minor(row + 1, mask & ~bit)
-                term = entry * sub
-                total = total + term if sign > 0 else total - term
-            sign = -sign
-        memo[key] = total
-        return total
-
-    return minor(0, (1 << n) - 1)
-
-
-def sylvester_matrix(p: Poly, q: Poly, var: str) -> list:
-    cp = p.coeffs_in(var)
-    cq = q.coeffs_in(var)
-    m, n = len(cp) - 1, len(cq) - 1
-    size = m + n
-    zero = Poly.zero(p.vars)
-    rows = []
-    for i in range(n):
-        row = [zero] * size
-        for k, c in enumerate(reversed(cp)):
-            row[i + k] = c
-        rows.append(row)
-    for j in range(m):
-        row = [zero] * size
-        for k, c in enumerate(reversed(cq)):
-            row[j + k] = c
-        rows.append(row)
-    return rows
-
-
-def resultant(p: Poly, q: Poly, var: str) -> Poly:
-    """Sylvester resultant eliminating var; a Poly in the remaining variables."""
-    if p.vars != q.vars:
-        raise ValueError("variable mismatch")
-    if p.is_zero() or q.is_zero():
-        return Poly.zero(p.vars)
-    m, n = p.degree(var), q.degree(var)
-    if m == 0:
-        return p ** n if n > 0 else Poly.const(Fraction(1), p.vars)
-    if n == 0:
-        return q ** m
-    rows = sylvester_matrix(p, q, var)
-    if all(e.is_constant() for row in rows for e in row):
-        val = _det_scalar([[e.constant_value() for e in row] for row in rows])
-        return Poly.const(val, p.vars)
-    return _det_poly(rows, p.vars)
-
-
-# ---------------------------------------------------------------------------
-# resultant of three ternary quadrics
-# ---------------------------------------------------------------------------
-
-def quadric_triple_resultant(q1: Poly, q2: Poly, q3: Poly,
-                             vars3: Sequence[str]) -> Fraction:
-    """Resultant (up to a fixed nonzero constant) of three quadratic forms in
-    three variables.  Vanishes iff they share a projective zero.
-
-    The construction: J is the Jacobian determinant of the three forms, a
-    cubic form; the 6x6 matrix of coefficients of q1, q2, q3 and the three
-    partials of J in the six degree-2 monomials has the resultant as its
-    determinant.
-    """
-    vs = tuple(vars3)
-    forms = [q1, q2, q3]
-    for f in forms:
-        if f.homogeneous_degree() not in (2, 0):
-            raise ValueError("inputs must be quadratic forms")
-    jac = [[f.derivative(v) for v in vs] for f in forms]
-    J = (jac[0][0] * (jac[1][1] * jac[2][2] - jac[1][2] * jac[2][1])
-         - jac[0][1] * (jac[1][0] * jac[2][2] - jac[1][2] * jac[2][0])
-         + jac[0][2] * (jac[1][0] * jac[2][1] - jac[1][1] * jac[2][0]))
-    rows_src = forms + [J.derivative(v) for v in vs]
-    monos = []
-    idx = {v: k for k, v in enumerate(q1.vars)}
-    pos = [idx[v] for v in vs]
-    for i in range(3):
-        for j in range(i, 3):
-            e = [0] * len(q1.vars)
-            e[pos[i]] += 1
-            e[pos[j]] += 1
-            monos.append(tuple(e))
-    mat = []
-    for f in rows_src:
-        extra = set(f.terms) - set(monos)
-        if extra:
-            raise ValueError("form involves unexpected monomials")
-        mat.append([f.terms.get(mo, Fraction(0)) for mo in monos])
-    return _det_scalar(mat)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .algebra import Poly, real_roots, refine_root
 from .combinat import CLASSES, PROJECTIVE_CLASSES, class_id_for
-from .config import DEFAULT, Config
 from .curve import (
     PLANE_VARS,
     CurveAnalysis,
@@ -38,7 +37,7 @@ from .errors import (
     SingularCurve,
     Undecided,
 )
-from .forms import form_tensor, nonsingular_cubic, positive_definite
+from .forms import form_tensor, positive_definite
 from .lines import (
     LineSet,
     line_plane_point,
@@ -152,11 +151,6 @@ def restrict_to_plane(F: Poly, h) -> PlaneRestriction:
             embed.append(tuple(Fraction(1) if j == i else Fraction(0)
                                for j in free))
     return PlaneRestriction(G, tuple(embed), free, pivot)
-
-
-def transversal_at_infinity(F: Poly, h=(0, 0, 0, 1)) -> bool:
-    """True when the plane cuts the surface in a nonsingular curve."""
-    return nonsingular_cubic(restrict_to_plane(F, h).ternary)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +298,9 @@ class SurfaceReport:
 
 
 def classify_surface(surface, plane=(0, 0, 0, 1),
-                     cfg: Config = DEFAULT) -> SurfaceReport:
+                     seed: int = 0) -> SurfaceReport:
+    """The deformation class of the surface with the given plane at
+    infinity; `seed` draws the line solver's patches (`solve_lines`)."""
     F = as_projective_cubic(surface)
     h = parse_plane(plane)
     warnings: list = []
@@ -323,7 +319,7 @@ def classify_surface(surface, plane=(0, 0, 0, 1),
 
     # a full set of 27 well-separated lines doubles as the smoothness check:
     # surfaces at or near the discriminant are rejected by the solver
-    lineset = solve_lines(F, cfg.lines)
+    lineset = solve_lines(F, seed)
     cls = projective_class(lineset, warnings)
     if lineset.real_count != PROJECTIVE_CLASSES[cls]["real_lines"]:
         raise InternalInconsistency("line count does not match class")

@@ -7,9 +7,11 @@ combinatorial tables.  Data goes to stdout, diagnostics to stderr.  Exit
 codes: 0 success, 2 mathematical rejection (singular or non-transversal
 input), 1 computation failure, 64 usage error.
 
-Output is deterministic: a fixed argv (including --seed) produces
-byte-identical bytes on stdout.  JSON is rendered with sorted keys and a
-two-space indent; `--format dot` is available for `graph` only.
+Output is deterministic: a fixed argv (including --seed, which `classify`
+and `lines` take for the line solver) produces byte-identical bytes on
+stdout.  JSON is rendered with sorted keys and a two-space indent;
+`classify`, `lines` and `curve` also write `--format text`, and `graph`
+writes `--format dot`.
 """
 
 from __future__ import annotations
@@ -36,14 +38,8 @@ from .combinat import (
     validate_wall_graph,
     wall_table,
 )
-from .config import Config
 from .curve import analyze_cubic, conic_cubic_meet, locate, plane_form
-from .errors import (
-    InternalInconsistency,
-    MathematicalRejection,
-    NotTransversal,
-    RealcubicError,
-)
+from .errors import MathematicalRejection, NotTransversal, RealcubicError
 from .lines import solve_lines
 
 EXIT_OK = 0
@@ -77,32 +73,41 @@ def render_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def build_config(seed: int, tol) -> Config:
-    cfg = Config()
-    cfg.lines.seed = seed
-    if tol is not None:
-        if tol <= 0:
-            raise UsageError("--tol must be positive")
-        cfg.lines.residual_tol = tol
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # payload builders
 # ---------------------------------------------------------------------------
 
-def classify_payload(surface: str, plane: str, cfg: Config) -> dict:
-    return classify_surface(surface, plane, cfg).as_dict()
+# the input flags of each numeric subcommand, and how many of them, from
+# the first, every input needs
+_INPUTS = {
+    "classify": (("surface", "plane"), 1),
+    "lines": (("surface",), 1),
+    "curve": (("cubic", "conic"), 1),
+    "wall-label": (("conic", "cubic"), 2),
+}
 
 
-def lines_payload(surface: str, cfg: Config) -> list:
+def entry_payload(cmd: str, entry: dict, seed: int):
+    """The output of a numeric subcommand on one input, given as a dict of
+    its input flags: what a single run prints and a batch worker returns."""
+    if cmd == "classify":
+        return classify_surface(entry["surface"], entry.get("plane", "w"),
+                                seed).as_dict()
+    if cmd == "lines":
+        return lines_payload(entry["surface"], seed)
+    if cmd == "curve":
+        return curve_payload(entry["cubic"], entry.get("conic"))
+    return wall_label(entry["conic"], entry["cubic"]).as_dict()
+
+
+def lines_payload(surface: str, seed: int = 0) -> list:
     """The 27 lines as records.  Real lines and conjugate pairs are sorted
     as units by their rounded real parts, a pair by the mean of its two
     (then by the mean moduli of its imaginary parts), and a pair lists
     first the member whose largest imaginary coordinate is positive.  So
     an ill-conditioned pair, whose real parts differ by float noise, keeps
     both its place and its order."""
-    lineset = solve_lines(as_projective_cubic(surface), cfg.lines)
+    lineset = solve_lines(as_projective_cubic(surface), seed)
     records = [{
         "plucker": [[float(c.real), float(c.imag)] for c in line.plucker],
         "real": bool(line.real),
@@ -141,7 +146,7 @@ def _normalized_triple(v) -> list:
     return [[float(t.real), float(t.imag)] for t in vals]
 
 
-def curve_payload(cubic: str, conic, cfg: Config) -> dict:
+def curve_payload(cubic: str, conic=None) -> dict:
     C = plane_form(cubic, 3, "cubic")
     analysis = analyze_cubic(C)
     payload = {
@@ -169,10 +174,6 @@ def curve_payload(cubic: str, conic, cfg: Config) -> dict:
     entries.sort(key=lambda rec: (not rec["real"], _rounded(rec["point"])))
     payload["intersections"] = entries
     return payload
-
-
-def wall_label_payload(conic: str, cubic: str) -> dict:
-    return wall_label(conic, cubic).as_dict()
 
 
 def graph_payload() -> dict:
@@ -294,12 +295,13 @@ def _curve_text(payload: dict) -> str:
     return "\n".join(out) + "\n"
 
 
+_TEXT = {"classify": _classify_text, "lines": _lines_text,
+         "curve": _curve_text}
+
+
 # ---------------------------------------------------------------------------
 # batch mode
 # ---------------------------------------------------------------------------
-
-_BATCH_PRIMARY = {"classify": "surface", "lines": "surface", "curve": "cubic"}
-
 
 def _parse_batch_line(cmd: str, line: str) -> dict:
     if line.lstrip().startswith("{"):
@@ -310,26 +312,18 @@ def _parse_batch_line(cmd: str, line: str) -> dict:
         if not isinstance(entry, dict):
             raise UsageError("batch JSON lines must be objects")
         return entry
-    primary = _BATCH_PRIMARY.get(cmd)
-    if primary is None:
+    flags, needed = _INPUTS[cmd]
+    if needed > 1:
         raise UsageError(f"{cmd} batch lines must be JSON objects")
-    return {primary: line.strip()}
+    return {flags[0]: line.strip()}
 
 
 def _batch_worker(job) -> dict:
-    cmd, entry, seed, tol = job
+    cmd, entry, seed = job
     try:
-        cfg = build_config(seed, tol)
-        if cmd == "classify":
-            out = classify_payload(entry["surface"],
-                                   entry.get("plane", "w"), cfg)
-        elif cmd == "lines":
-            out = {"lines": lines_payload(entry["surface"], cfg)}
-        elif cmd == "curve":
-            out = curve_payload(entry["cubic"], entry.get("conic"), cfg)
-        else:
-            out = wall_label_payload(entry["conic"], entry["cubic"])
-        return {"ok": True, "result": out}
+        out = entry_payload(cmd, entry, seed)
+        return {"ok": True,
+                "result": {"lines": out} if cmd == "lines" else out}
     except MathematicalRejection as exc:
         return {"ok": False, "rejected": True,
                 "error": {"type": type(exc).__name__, "message": str(exc)}}
@@ -338,7 +332,7 @@ def _batch_worker(job) -> dict:
                 "error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
-def run_batch(cmd: str, path: str, seed: int, tol, jobs) -> tuple:
+def run_batch(cmd: str, path: str, seed: int, jobs) -> tuple:
     try:
         if path == "-":
             raw = [ln.rstrip("\n") for ln in sys.stdin]
@@ -351,11 +345,10 @@ def run_batch(cmd: str, path: str, seed: int, tol, jobs) -> tuple:
                if ln.strip() and not ln.lstrip().startswith("#")]
     if not entries:
         raise UsageError("batch file holds no inputs")
-    build_config(seed, tol)        # validate once, outside the workers
     # the pool starts all its workers at once: never more than there are
     # entries to hand out or cores to run them
     workers = min(jobs or 8, len(entries), os.cpu_count() or 1)
-    jobs_arg = [(cmd, e, seed, tol) for e in entries]
+    jobs_arg = [(cmd, e, seed) for e in entries]
     if workers == 1:
         results = [_batch_worker(j) for j in jobs_arg]
     else:
@@ -380,103 +373,76 @@ def build_parser() -> _Parser:
                 description="deformation classes of real affine cubic "
                             "surfaces and their combinatorics")
     p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="cmd")
+    sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, batchable=False):
-        sp.add_argument("--seed", type=int, default=0,
-                        help="random seed for the line solver's patches")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="residual tolerance override for line solving")
-        sp.add_argument("--format", choices=("json", "dot", "text"),
-                        default="json")
-        if batchable:
-            sp.add_argument("--batch", metavar="FILE",
-                            help="file of inputs, one per line ('-' for "
-                                 "stdin); results come back in input order")
-            sp.add_argument("--jobs", type=_positive_int, default=None,
-                            help="parallel workers for --batch (at most "
-                                 "one per entry and per core)")
+    def numeric(name, helptext, text=False, seed=False):
+        sp = sub.add_parser(name, help=helptext)
+        if text:
+            sp.add_argument("--format", choices=("json", "text"),
+                            default="json")
+        if seed:
+            sp.add_argument("--seed", type=int, default=0,
+                            help="random seed for the line solver's patches")
+        sp.add_argument("--batch", metavar="FILE",
+                        help="file of inputs, one per line ('-' for "
+                             "stdin); results come back in input order")
+        sp.add_argument("--jobs", type=_positive_int, default=None,
+                        help="parallel workers for --batch (at most "
+                             "one per entry and per core)")
+        return sp
 
-    sp = sub.add_parser("classify", help="deformation class of a surface")
+    sp = numeric("classify", "deformation class of a surface", text=True,
+                 seed=True)
     sp.add_argument("--surface", help="cubic in x,y,z (affine) or x,y,z,w")
-    sp.add_argument("--plane", default="w", help="plane at infinity")
-    common(sp, batchable=True)
+    sp.add_argument("--plane", help="plane at infinity (default w)")
 
-    sp = sub.add_parser("lines", help="the 27 lines of a cubic surface")
+    sp = numeric("lines", "the 27 lines of a cubic surface", text=True,
+                 seed=True)
     sp.add_argument("--surface")
-    common(sp, batchable=True)
 
-    sp = sub.add_parser("curve", help="plane cubic topology and "
-                                      "conic-cubic intersections")
+    sp = numeric("curve", "plane cubic topology and conic-cubic "
+                          "intersections", text=True)
     sp.add_argument("--cubic", help="plane cubic in x,y[,z]")
-    sp.add_argument("--conic", default=None, help="optional conic to "
-                                                  "intersect with")
-    common(sp, batchable=True)
+    sp.add_argument("--conic", help="optional conic to intersect with")
 
-    sp = sub.add_parser("wall-label", help="crossing label of a nodal wall")
+    sp = numeric("wall-label", "crossing label of a nodal wall")
     sp.add_argument("--conic")
     sp.add_argument("--cubic")
-    common(sp, batchable=True)
 
-    for name, helptext in (
-            ("graph", "wall-crossing graph (json or dot)"),
-            ("orbits", "Cremona orbits of point labels"),
-            ("counts", "oval line counts for all labels"),
-            ("walls", "wall-count table"),
-            ("polotovsky", "closure of the extremal conic-cubic "
-                           "arrangements")):
-        sp = sub.add_parser(name, help=helptext)
-        if name == "orbits":
-            sp.add_argument("--mu", type=int, choices=(0, 1, 2, 3),
-                            default=None)
-        common(sp)
+    sp = sub.add_parser("graph", help="wall-crossing graph (json or dot)")
+    sp.add_argument("--format", choices=("json", "dot"), default="json")
+    sp = sub.add_parser("orbits", help="Cremona orbits of point labels")
+    sp.add_argument("--mu", type=int, choices=(0, 1, 2, 3), default=None)
+    sub.add_parser("counts", help="oval line counts for all labels")
+    sub.add_parser("walls", help="wall-count table")
+    sub.add_parser("polotovsky", help="closure of the extremal conic-cubic "
+                                      "arrangements")
     return p
 
 
 def _dispatch(ns) -> tuple:
     """Run one subcommand; returns (stdout text, exit code)."""
-    if not ns.cmd:
-        raise UsageError("a subcommand is required (see --help)")
-    fmt = ns.format
-    if fmt == "dot" and ns.cmd != "graph":
-        raise UsageError("--format dot applies to the graph subcommand only")
+    fmt = getattr(ns, "format", "json")
+    seed = getattr(ns, "seed", 0)
 
-    if getattr(ns, "batch", None):
-        given = [f for f in ("surface", "cubic", "conic")
-                 if getattr(ns, f, None)]
-        if given:
-            raise UsageError(f"--batch excludes --{given[0]}")
-        if fmt != "json":
-            raise UsageError("--batch output is json only")
-        payload, code = run_batch(ns.cmd, ns.batch, ns.seed, ns.tol,
-                                  getattr(ns, "jobs", None))
-        return render_json(payload), code
-
-    if ns.cmd == "classify":
-        if not ns.surface:
-            raise UsageError("classify needs --surface or --batch")
-        rep = classify_payload(ns.surface, ns.plane,
-                               build_config(ns.seed, ns.tol))
-        return (_classify_text(rep) if fmt == "text"
-                else render_json(rep)), EXIT_OK
-    if ns.cmd == "lines":
-        if not ns.surface:
-            raise UsageError("lines needs --surface or --batch")
-        records = lines_payload(ns.surface, build_config(ns.seed, ns.tol))
-        return (_lines_text(records) if fmt == "text"
-                else render_json(records)), EXIT_OK
-    if ns.cmd == "curve":
-        if not ns.cubic:
-            raise UsageError("curve needs --cubic or --batch")
-        payload = curve_payload(ns.cubic, ns.conic,
-                                build_config(ns.seed, ns.tol))
-        return (_curve_text(payload) if fmt == "text"
-                else render_json(payload)), EXIT_OK
-    if ns.cmd == "wall-label":
-        if not (ns.conic and ns.cubic):
-            raise UsageError("wall-label needs --conic and --cubic, "
-                             "or --batch")
-        payload = wall_label_payload(ns.conic, ns.cubic)
+    if ns.cmd in _INPUTS:
+        flags, needed = _INPUTS[ns.cmd]
+        given = {f: getattr(ns, f) for f in flags
+                 if getattr(ns, f) is not None}
+        if ns.batch:
+            if given:
+                raise UsageError(f"--batch excludes --{next(iter(given))}")
+            if fmt != "json":
+                raise UsageError("--batch output is json only")
+            payload, code = run_batch(ns.cmd, ns.batch, seed, ns.jobs)
+            return render_json(payload), code
+        if not all(f in given for f in flags[:needed]):
+            raise UsageError(f"{ns.cmd} needs "
+                             + " and ".join(f"--{f}" for f in flags[:needed])
+                             + ", or --batch")
+        payload = entry_payload(ns.cmd, given, seed)
+        if fmt == "text":
+            return _TEXT[ns.cmd](payload), EXIT_OK
         return render_json(payload), EXIT_OK
     if ns.cmd == "graph":
         if fmt == "dot":
@@ -486,13 +452,9 @@ def _dispatch(ns) -> tuple:
         return render_json(payload), code
     if ns.cmd == "orbits":
         return render_json(orbits_payload(ns.mu)), EXIT_OK
-    if ns.cmd == "counts":
-        return render_json(counts_payload()), EXIT_OK
-    if ns.cmd == "walls":
-        return render_json(walls_payload()), EXIT_OK
-    if ns.cmd == "polotovsky":
-        return render_json(polotovsky_payload()), EXIT_OK
-    raise InternalInconsistency(f"unhandled subcommand {ns.cmd}")
+    tables = {"counts": counts_payload, "walls": walls_payload,
+              "polotovsky": polotovsky_payload}
+    return render_json(tables[ns.cmd]()), EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -96,13 +96,6 @@ CLASSES = {
 }
 
 
-def class_info(class_id: int) -> dict:
-    info = dict(CLASSES[class_id])
-    info["class_id"] = class_id
-    info.update(PROJECTIVE_CLASSES[info["projective"]])
-    return info
-
-
 def class_id_for(projective: str, components: int,
                  oval_lines: int = None, oval_in_sphere: bool = None) -> int:
     """The frozen class id for a combination of decided invariants."""
@@ -189,13 +182,6 @@ def cremona_orbits(mu: int) -> list:
     orbits = [tuple(sorted(g)) for g in groups.values()]
     orbits.sort(key=lambda o: o[0])
     return orbits
-
-
-def orbit_of(label: Label, mu: int) -> tuple:
-    for orb in cremona_orbits(mu):
-        if tuple(label) in orb:
-            return orb
-    raise ValueError(f"{label} is not a point label for mu={mu}")
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +280,6 @@ def oval_line_count_incidence(label: Label, mu: int) -> int:
 class WallGraph:
     vertices: dict          # class_id -> vertex record
     edges: list             # {"u", "v", "wall"} with wall [k] or [a, b]
-
-    def neighbours(self, cid: int) -> list:
-        out = []
-        for e in self.edges:
-            if e["u"] == cid:
-                out.append((e["v"], tuple(e["wall"])))
-            elif e["v"] == cid:
-                out.append((e["u"], tuple(e["wall"])))
-        return sorted(out)
 
     def wall_between(self, u: int, v: int) -> tuple:
         for e in self.edges:
@@ -482,10 +459,3 @@ def wall_table() -> list:
     assert sum(r["ordinary_walls"] for r in rows) == TOTAL_ORDINARY_WALLS
     assert sum(r["extended_walls"] for r in rows) == TOTAL_EXTENDED_WALLS
     return rows
-
-
-# the arrangement engine lives in its own module; re-exported here because
-# the conic-cubic closure is part of the combinatorial apparatus
-from .arrangements import (  # noqa: E402
-    Arrangement, load_extremal, polotovsky_closure, validate_arrangement,
-)

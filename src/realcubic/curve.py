@@ -26,11 +26,6 @@ carries exactly one real common point, so their number is the exact real
 count; the points themselves (`ConicCubicMeet.real_points`) are computed,
 Newton-polished and checked only when first read.  `wall_label` never
 reads them on a one-component cubic.
-
-Also here: exact conic utilities (conic through five points, conic-cubic
-intersection, the residual sixth intersection point) and the Weierstrass
-chord-tangent group law, which the property suites use as independent
-cross-checks.
 """
 
 from __future__ import annotations
@@ -48,13 +43,10 @@ from .algebra import (
     complex_roots,
     hom_eval,
     int_gcd,
-    int_quo,
     real_root_floats,
     real_roots,
-    resultant,
     sign_at,
     strip_high,
-    to_int_primitive,
     univ_degree,
     univ_derivative,
     univ_eval,
@@ -255,7 +247,8 @@ def analyze_cubic(G: Poly) -> CurveAnalysis:
 
     G must be an exact homogeneous cubic in three variables.  Raises
     SingularCurve for singular input and ChartDegenerate when no usable
-    sweep chart is found.
+    sweep chart is found.  The sweep runs in the first usable chart only:
+    an impossible picture there raises InternalInconsistency.
     """
     if len(G.vars) != 3:
         raise ValueError("expected a ternary cubic")
@@ -265,7 +258,6 @@ def analyze_cubic(G: Poly) -> CurveAnalysis:
     if not _nonsingular(T):
         raise SingularCurve("plane section is singular")
 
-    last = None
     for M in _chart_candidates(CHART_ATTEMPTS):
         if not _one_point_at_infinity(T, M):
             continue
@@ -275,14 +267,8 @@ def analyze_cubic(G: Poly) -> CurveAnalysis:
         if ok is None:
             continue
         disc, fold_ivs = ok
-        try:
-            return _sweep(G, M, _affine(G, M, terms, D), cs, disc, tensor,
-                          fold_ivs)
-        except InternalInconsistency as exc:   # pragma: no cover - retried
-            last = exc
-            continue
-    if last is not None:                        # pragma: no cover
-        raise last
+        return _sweep(G, M, _affine(G, M, terms, D), cs, disc, tensor,
+                      fold_ivs)
     raise ChartDegenerate("no usable sweep chart found")
 
 
@@ -444,37 +430,32 @@ def locate(analysis: CurveAnalysis, point, tol: float = 1e-7) -> str:
     certified float fibre roots (`real_root_floats`), which fall back to
     exact isolation only next to a fold.  In a one-branch cell the two
     non-real fibre roots count as branches too: just past a fold they are
-    the nearly real pair that met there.
+    the nearly real pair that met there.  On a one-component curve every
+    point is on the pseudoline, and is only checked to lie on the curve.
     """
     got = _chart_xy(analysis, point, tol)
     if got is None:
         # the point at infinity of the chart lies on the pseudoline
         return "pseudoline"
     x0, y0, exact = got
+    fy = fibre_dense(analysis.f, x0)
     if analysis.components == 1:
-        # still validate membership for exact points
-        if exact and analysis.f.eval({"x": x0, "y": y0}) != 0:
-            raise NotOnCurve("point does not satisfy the curve equation")
+        _check_on_fibre(fy, y0, exact, tol)
         return "pseudoline"
     where = _cell_of(analysis, x0)
-    fy = fibre_dense(analysis.f, x0)
 
     if where[0] == "fold":
         return _locate_at_fold(analysis, where[1], fy, y0, exact, tol)
 
+    _check_on_fibre(fy, y0, exact, tol)
     cell = where[1]
     if exact:
-        if univ_eval(fy, y0) != 0:
-            raise NotOnCurve("point does not satisfy the curve equation")
         branch = sum(1 for r in real_roots(fy)
                      if (r.hi <= y0 and not r.is_point())
                      or (r.is_point() and r.lo < y0))
     else:
         fyf = [float(t) for t in fy]
-        scale = max(abs(t) for t in fyf) or 1.0
         yf = float(y0)
-        if abs(univ_eval(fyf, yf)) > tol * scale * max(1.0, abs(yf)) ** 3:
-            raise NotOnCurve("point too far from the curve")
         mids = real_root_floats(fy, analysis.cell_counts[cell])
         others = [] if len(mids) == 3 else sorted(
             np.roots(fyf[::-1]), key=lambda r: abs(r - mids[0]))[1:]
@@ -487,6 +468,21 @@ def locate(analysis: CurveAnalysis, point, tol: float = 1e-7) -> str:
     if pair is not None and branch in pair:
         return "oval"
     return "pseudoline"
+
+
+def _check_on_fibre(fy: list, y0, exact: bool, tol: float) -> None:
+    """Refuse a point off the curve with NotOnCurve: exactly, or for a
+    float point when its residual in the fibre polynomial fy exceeds tol
+    relative to fy's largest coefficient and to max(1, |y0|)^3."""
+    if exact:
+        if univ_eval(fy, y0) != 0:
+            raise NotOnCurve("point does not satisfy the curve equation")
+        return
+    fyf = [float(t) for t in fy]
+    scale = max(abs(t) for t in fyf) or 1.0
+    yf = float(y0)
+    if abs(univ_eval(fyf, yf)) > tol * scale * max(1.0, abs(yf)) ** 3:
+        raise NotOnCurve("point too far from the curve")
 
 
 def _locate_at_fold(analysis, k: int, fy, y0, exact, tol: float) -> str:
@@ -508,74 +504,6 @@ def _locate_at_fold(analysis, k: int, fy, y0, exact, tol: float) -> str:
     if min(d_star, d_surv) > max(tol, 1e-9) * max(1.0, abs(float(y0))):
         raise NotOnCurve("point too far from the curve")
     return fp.pair_component if d_star <= d_surv else fp.survivor_component
-
-
-# ---------------------------------------------------------------------------
-# conics
-# ---------------------------------------------------------------------------
-
-_CONIC_MONOMIALS = ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1),
-                    (0, 0, 2))
-
-
-def conic_through_five(points) -> Poly:
-    """The unique conic through five points, exactly.
-
-    Points are rational (x, y) pairs or projective triples.  Raises
-    DegenerateConfiguration when the five points fail to determine one
-    conic (four collinear, repeated points, ...).
-    """
-    pts = []
-    for p in points:
-        p = tuple(Fraction(t) for t in p)
-        if len(p) == 2:
-            p = (p[0], p[1], Fraction(1))
-        if len(p) != 3:
-            raise ValueError("points must have 2 or 3 coordinates")
-        pts.append(p)
-    if len(pts) != 5:
-        raise ValueError("exactly five points required")
-    rows = [[x ** e[0] * y ** e[1] * z ** e[2] for e in _CONIC_MONOMIALS]
-            for (x, y, z) in pts]
-    null = _null_space(rows, 6)
-    if len(null) != 1:
-        raise DegenerateConfiguration(
-            f"five points determine a {len(null)}-dimensional conic family")
-    coeffs = null[0]
-    terms = {e: c for e, c in zip(_CONIC_MONOMIALS, coeffs) if c != 0}
-    return Poly(PLANE_VARS, terms)
-
-
-def _null_space(rows, width):
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for col in range(width):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col]
-        mat[r] = [t / inv for t in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        basis.append(vec)
-    return basis
 
 
 def plane_form(p, degree: int, what: str) -> Poly:
@@ -759,86 +687,3 @@ def _common_y(p: Poly, q: Poly, x):
     if len(roots) == 0:
         raise InternalInconsistency("no fibre root over an intersection x")
     return min(roots, key=lambda r: abs(univ_eval(qc, r)))
-
-
-def residual_point(cubic: Poly, points) -> tuple:
-    """Sixth intersection of a cubic with the conic through five of its
-    points, exactly.
-
-    The five points must be rational, lie on the cubic, and have pairwise
-    distinct x-coordinates.  Returns the sixth point as a Fraction pair.
-    """
-    pts = [tuple(Fraction(t) for t in p) for p in points]
-    if len(pts) != 5:
-        raise ValueError("exactly five points required")
-    for (x0, y0) in pts:
-        if cubic.eval({"x": x0, "y": y0}) != 0:
-            raise NotOnCurve(f"({x0}, {y0}) is not on the cubic")
-    xs = [p[0] for p in pts]
-    if len(set(xs)) != 5:
-        raise DegenerateConfiguration("x-coordinates must be distinct")
-    conic = conic_through_five(pts)
-    q_aff = Poly(AFFINE_VARS,
-                 {(e[0], e[1]): c for e, c in
-                  conic.substitute({"z": 1}).terms.items()})
-    res = resultant(q_aff, cubic, "y")
-    if res.is_zero():
-        raise SharedComponent("conic and cubic share a component")
-    dense = to_int_primitive(_coeffs_in_x(res))
-    for x0 in xs:
-        dense = int_quo(dense, [-x0.numerator, x0.denominator])
-        if dense is None:
-            raise InternalInconsistency("known root failed to divide out")
-    if len(dense) != 2:
-        raise DegenerateConfiguration(
-            "sixth intersection is at infinity or multiple")
-    x6 = Fraction(-dense[0], dense[1])
-    g = int_gcd(fibre_dense(q_aff, x6), fibre_dense(cubic, x6))
-    if len(g) != 2:
-        raise DegenerateConfiguration("sixth point fibre is not simple")
-    y6 = Fraction(-g[0], g[1])
-    if cubic.eval({"x": x6, "y": y6}) != 0:
-        raise InternalInconsistency("residual point not on the cubic")
-    return (x6, y6)
-
-
-# ---------------------------------------------------------------------------
-# Weierstrass chord-tangent arithmetic
-# ---------------------------------------------------------------------------
-
-def weierstrass_chord(a, b, P, Q):
-    """Third intersection of the chord (or tangent) with y^2 = x^3 + ax + b.
-
-    Exact rational arithmetic; None encodes the point at infinity.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if P is None or Q is None:
-        raise ValueError("chord needs two affine points")
-    x1, y1 = (Fraction(t) for t in P)
-    x2, y2 = (Fraction(t) for t in Q)
-    for (x0, y0) in ((x1, y1), (x2, y2)):
-        if y0 * y0 != x0 ** 3 + a * x0 + b:
-            raise NotOnCurve(f"({x0}, {y0}) is not on the curve")
-    if (x1, y1) == (x2, y2):
-        if y1 == 0:
-            return None
-        lam = (3 * x1 * x1 + a) / (2 * y1)
-    else:
-        if x1 == x2:
-            return None
-        lam = (y2 - y1) / (x2 - x1)
-    x3 = lam * lam - x1 - x2
-    y3 = y1 + lam * (x3 - x1)
-    return (x3, y3)
-
-
-def weierstrass_add(a, b, P, Q):
-    """Group sum on y^2 = x^3 + ax + b (chord then reflect)."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    third = weierstrass_chord(a, b, P, Q)
-    if third is None:
-        return None
-    return (third[0], -third[1])

@@ -6,7 +6,7 @@ entries and a denominator D > 0, so that G(v) = T(v, ..., v) / D
 sweep is then plain integer arithmetic on T: a chart change by an integer
 matrix is one mode product per index of T (`chart_terms`), the singularity
 test of a cubic is a 6 x 6 Bareiss determinant built from T
-(`nonsingular_cubic`), and the resultant in y of two chart curves is a
+(`_nonsingular`), and the resultant in y of two chart curves is a
 Sylvester determinant over dense integer polynomials in x (`y_resultant`).
 `lines.cubic_tensor` rounds the same tensor of a quaternary cubic to
 floats.  `positive_definite` proves a ternary form positive, or not, by
@@ -82,9 +82,10 @@ def _nonsingular(T: list) -> bool:
     J(v) = det(sum_k T_ijk v_k), and the partials of J are 3 J(e_m, v, v)
     for J symmetrised.  The three partials of the cubic share a projective
     zero exactly when the 6 x 6 matrix of the six quadrics' coefficients is
-    singular (the resultant of three ternary quadrics, as in
-    `algebra.quadric_triple_resultant`); each row here holds a quadric's
-    symmetric matrix entries, a fixed rescaling of its columns.
+    singular (the resultant of three ternary quadrics, built from Poly
+    forms in `tests/algebra_reference.py` as this test's reference); each
+    row here holds a quadric's symmetric matrix entries, a fixed rescaling
+    of its columns.
     """
     J = [0] * 27                # J(v) = sum J[p, q, r] v_p v_q v_r
     for sign, perm in _PERMUTATION_SIGNS:
@@ -104,17 +105,11 @@ def _nonsingular(T: list) -> bool:
     return bareiss_det(rows) != 0
 
 
-def nonsingular_cubic(G: Poly) -> bool:
-    """True when the ternary form G is a cubic and the curve G = 0 is
-    nonsingular: its three partials have no common zero in P2 over C."""
-    return G.homogeneous_degree() == 3 and _nonsingular(form_tensor(G)[0])
-
-
 def y_resultant(P: list, Q: list) -> list:
     """Res_y(p, q) dense in x, for p and q given by their coefficients of
-    y^0 .. y^m and y^0 .. y^n, each dense in x: the determinant of the
-    Sylvester matrix of `algebra.resultant`, by Laplace expansion memoised
-    on the remaining columns, over dense integer lists."""
+    y^0 .. y^m and y^0 .. y^n, each dense in x: the determinant of their
+    Sylvester matrix in y, by Laplace expansion memoised on the remaining
+    columns, over dense integer lists."""
     m, n = len(P) - 1, len(Q) - 1
     if m == 0 or n == 0:
         return reduce(univ_mul, [P[0]] * n + [Q[0]] * m, [1])

@@ -50,11 +50,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Poly
-from .config import DEFAULT, LineSolveConfig
 from .errors import LineInPlane, NearDiscriminant
 from .forms import form_tensor
 
 ATTEMPTS = 6                 # patches tried before NearDiscriminant
+RESIDUAL_TOL = 1e-10         # relative backward error of a kept line
 DEDUPE_TOL = 1e-6            # Pluecker distance for merging paths
 IMAG_TOL = 1e-7              # reality threshold after phase fix
 NEWTON_STEPS = 40            # most endgame Newton steps of a path
@@ -405,8 +405,12 @@ def _start_system(seed: int, attempt: int) -> tuple:
     return A, gamma, C0, X
 
 
-def solve_lines(F: Poly, cfg: LineSolveConfig = None) -> LineSet:
+def solve_lines(F: Poly, seed: int = 0) -> LineSet:
     """All 27 lines of the cubic surface F = 0.
+
+    `seed` draws the patches and gammas, so a fixed seed gives the same
+    lines.  A path becomes a line when its residual in F, relative to the
+    sum of |coefficients|, is at most RESIDUAL_TOL.
 
     Raises NearDiscriminant when 27 clearly separated lines whose meet
     graph is that of the 27 lines (each meets exactly 10 others) cannot be
@@ -414,16 +418,15 @@ def solve_lines(F: Poly, cfg: LineSolveConfig = None) -> LineSet:
     and for inexact input usually means the surface is too close to the
     discriminant.
     """
-    cfg = cfg or DEFAULT.lines
     if F.homogeneous_degree() != 3:
         raise ValueError("surface must be a homogeneous cubic")
     T = cubic_tensor(F)
     norm = float(np.abs(T).sum())     # the sum of |coefficients| of T
     found: list = []
     for attempt in range(ATTEMPTS):
-        A, gamma, C0, X = _start_system(cfg.seed, attempt)
+        A, gamma, C0, X = _start_system(seed, attempt)
         S = _track(C0, patch_matrix(T, A), gamma, X)
-        found += _new_lines(S, A, T, norm, found, cfg.residual_tol)
+        found += _new_lines(S, A, T, norm, found, RESIDUAL_TOL)
         if len(found) >= 27:
             break
     if len(found) < 27:
@@ -538,10 +541,6 @@ def line_plane_point(line: PluckerLine, h: np.ndarray,
 
 def fermat_surface() -> Poly:
     return Poly.parse("x^3 + y^3 + z^3 + w^3")
-
-
-def clebsch_surface() -> Poly:
-    return Poly.parse("x^3 + y^3 + z^3 + w^3 - (x + y + z + w)^3")
 
 
 def fermat_lines_closed_form() -> list:

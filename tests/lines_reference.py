@@ -1,10 +1,12 @@
 """What the array passes of `realcubic.lines` are tested against: the
 bookkeeping one line at a time, the homotopy tracker with three Newton
 corrections and a residual test per step, and the start patches drawn in
-turn from one generator."""
+turn from one generator.  Also the Clebsch diagonal surface, whose 27
+lines are all real."""
 
 import numpy as np
 
+from realcubic.algebra import Poly
 from realcubic.errors import NearDiscriminant
 from realcubic.lines import (
     DEDUPE_TOL,
@@ -27,6 +29,10 @@ from realcubic.lines import (
     patch_matrix,
     plucker_distances,
 )
+
+
+def clebsch_surface() -> Poly:
+    return Poly.parse("x^3 + y^3 + z^3 + w^3 - (x + y + z + w)^3")
 
 
 def plucker_from_basis(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -33,22 +33,17 @@ from realcubic.combinat import (
     validate_wall_graph,
     wall_table,
 )
-from realcubic.curve import (
-    _null_space,
-    conic_cubic_meet,
-    plane_form,
-    residual_point,
-    weierstrass_add,
-)
+from realcubic.curve import conic_cubic_meet, plane_form
 from realcubic.errors import ComputationFailure, MathematicalRejection
 from realcubic.lines import (
-    clebsch_surface,
     fermat_lines_closed_form,
     fermat_surface,
     solve_lines,
     tritangent_triples,
 )
+from curve_reference import null_space, residual_point, weierstrass_add
 from lines_reference import (
+    clebsch_surface,
     normalize_plucker,
     plucker_distance,
     plucker_from_basis,
@@ -264,7 +259,7 @@ def test_criterion_8_polotovsky_closure():
 def _cubic_through_parabola_points(ts, rng):
     mons = [e for e in itertools.product(range(4), repeat=2) if sum(e) <= 3]
     rows = [[(t ** e[0]) * ((t * t) ** e[1]) for e in mons] for t in ts]
-    basis = _null_space(rows, len(mons))
+    basis = null_space(rows, len(mons))
     for _ in range(40):
         ws = [rng.randint(-5, 5) for _ in basis]
         vec = [sum(w * b[i] for w, b in zip(ws, basis))

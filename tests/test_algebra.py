@@ -17,11 +17,9 @@ from realcubic.algebra import (
     certified_roots,
     complex_roots,
     int_gcd,
-    quadric_triple_resultant,
     real_root_floats,
     real_roots,
     refine_root,
-    resultant,
     sign_at,
     squarefree_decomposition,
     strip_high,
@@ -34,6 +32,11 @@ from realcubic.algebra import (
 from realcubic.errors import InternalInconsistency, NonConvergence
 
 import fraction_reference
+from algebra_reference import (
+    from_univariate,
+    quadric_triple_resultant,
+    resultant,
+)
 from fraction_reference import univ_divmod, univ_gcd
 
 F = Fraction
@@ -543,7 +546,7 @@ def test_root_census_matches_degree(c):
 
 
 # ---------------------------------------------------------------------------
-# resultants
+# the resultant references of algebra_reference, and bareiss_det
 # ---------------------------------------------------------------------------
 
 def test_resultant_linear_symbols():
@@ -562,8 +565,8 @@ def test_resultant_quadratic_example():
 def test_resultant_antisymmetry():
     rng = random.Random(2)
     for _ in range(20):
-        p = Poly.from_univariate(rand_coeffs(rng, rng.randint(1, 4)), "x")
-        q = Poly.from_univariate(rand_coeffs(rng, rng.randint(1, 4)), "x")
+        p = from_univariate(rand_coeffs(rng, rng.randint(1, 4)), "x")
+        q = from_univariate(rand_coeffs(rng, rng.randint(1, 4)), "x")
         m, n = p.degree("x"), q.degree("x")
         r1 = resultant(p, q, "x").constant_value()
         r2 = resultant(q, p, "x").constant_value()
@@ -573,9 +576,9 @@ def test_resultant_antisymmetry():
 def test_resultant_multiplicative():
     rng = random.Random(9)
     for _ in range(15):
-        p = Poly.from_univariate(rand_coeffs(rng, 2), "x")
-        q1 = Poly.from_univariate(rand_coeffs(rng, 2), "x")
-        q2 = Poly.from_univariate(rand_coeffs(rng, 1), "x")
+        p = from_univariate(rand_coeffs(rng, 2), "x")
+        q1 = from_univariate(rand_coeffs(rng, 2), "x")
+        q2 = from_univariate(rand_coeffs(rng, 1), "x")
         lhs = resultant(p, q1 * q2, "x").constant_value()
         rhs = (resultant(p, q1, "x") * resultant(p, q2, "x")).constant_value()
         assert lhs == rhs
@@ -587,8 +590,8 @@ def test_resultant_vs_root_product_oracle():
     for _ in range(25):
         cp = rand_coeffs(rng, rng.randint(2, 4))
         cq = rand_coeffs(rng, rng.randint(1, 3))
-        p = Poly.from_univariate(cp, "x")
-        q = Poly.from_univariate(cq, "x")
+        p = from_univariate(cp, "x")
+        q = from_univariate(cq, "x")
         exact = resultant(p, q, "x").constant_value()
         roots = complex_roots(cp)
         prod = complex(float(cp[-1])) ** (len(cq) - 1)

@@ -16,17 +16,16 @@ from realcubic.classify import (
     parse_plane,
     projective_class,
     restrict_to_plane,
-    transversal_at_infinity,
     wall_label,
 )
 from realcubic.combinat import load_wall_graph
-from realcubic.config import Config
 from realcubic.curve import analyze_cubic
 from realcubic.errors import (
     MathematicalRejection,
     MultiplicityAmbiguity,
     NearDiscriminant,
     NotTransversal,
+    SingularCurve,
     Undecided,
 )
 from realcubic.forms import form_tensor, positive_definite
@@ -221,10 +220,12 @@ class TestRestriction:
         assert F.eval(amb) == r.ternary.eval(pt)
 
     def test_transversality_detects_singular_section(self):
+        # the sweep of the section is the pipeline's transversality test
         F = as_projective_cubic("x^3+y^3+z^3+w^3")
-        assert transversal_at_infinity(F, (0, 0, 0, 1))
+        assert analyze_cubic(restrict_to_plane(F, (0, 0, 0, 1)).ternary)
         # the section by x + y = 0 degenerates to z^3 + w^3
-        assert not transversal_at_infinity(F, (1, 1, 0, 0))
+        with pytest.raises(SingularCurve):
+            analyze_cubic(restrict_to_plane(F, (1, 1, 0, 0)).ternary)
 
     def test_classify_rejects_non_transversal_plane(self):
         with pytest.raises(NotTransversal):
@@ -353,9 +354,7 @@ class TestStability:
 class TestSphereFlag:
     @pytest.mark.parametrize("seed", range(8))
     def test_misclassified_image_is_class_2_at_every_seed(self, seed):
-        cfg = Config()
-        cfg.lines.seed = seed
-        rep = classify_surface(SPHERE_IMAGES["witness 2 a"], "w", cfg)
+        rep = classify_surface(SPHERE_IMAGES["witness 2 a"], "w", seed)
         assert rep.class_id == 2 and rep.oval_in_sphere is False
 
     @pytest.mark.parametrize("key, class_id", [

@@ -63,12 +63,20 @@ class TestExitCodes:
         ("classify", "--surface", "x^3+y^3+z^3+1", "--no-such-flag"),
         ("classify", "--surface", "x^3 + )"),
         ("classify", "--surface", FERMAT, "--plane", "x + 1"),
-        ("classify", "--surface", FERMAT, "--tol", "-1"),
+        ("classify", "--surface", FERMAT, "--tol", "1e-9"),
         ("lines", "--surface", FERMAT, "--format", "dot"),
         ("wall-label", "--conic", CIRCLE),
         ("classify", "--surface", FERMAT, "--batch", "whatever"),
         ("classify", "--batch", "/nonexistent/batch/file"),
         ("classify", "--surface", "1/0*x^3 + y^3 + z^3 + 1"),
+        # options only where they act: --seed on the line-solving
+        # subcommands, --format where there is a choice, no --tol
+        ("orbits", "--format", "text"),
+        ("wall-label", "--conic", CIRCLE, "--cubic", CUBIC2,
+         "--format", "text"),
+        ("curve", "--cubic", CUBIC2, "--seed", "1"),
+        ("graph", "--tol", "1"),
+        ("graph", "--format", "text"),
     ])
     def test_usage_errors_are_sixty_four(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -76,9 +84,9 @@ class TestExitCodes:
         assert out == ""
 
     def test_computation_failure_is_one(self, capsys, monkeypatch):
-        def boom(surface, plane, cfg):
+        def boom(surface, plane, seed):
             raise NonConvergence("tracker stalled")
-        monkeypatch.setattr(cli, "classify_payload", boom)
+        monkeypatch.setattr(cli, "classify_surface", boom)
         code, out, err = run(capsys, "classify", "--surface", FERMAT)
         assert code == 1
         assert "NonConvergence" in err
@@ -120,8 +128,7 @@ class TestDeterminism:
             monkeypatch.setattr(cli, "conic_cubic_meet",
                                 lambda conic, cubic, cubic_tensor=None, d=d:
                                 Meet(d))
-            payload = cli.curve_payload(CUBIC2, CIRCLE,
-                                        cli.build_config(0, None))
+            payload = cli.curve_payload(CUBIC2, CIRCLE)
             signs.append([rec["point"][0][1] > 0
                           for rec in payload["intersections"]])
         assert signs == [[False, True], [False, True]]
@@ -142,9 +149,9 @@ class TestDeterminism:
                      PluckerLine(np.conj(p) - shift, np.zeros((2, 4)), False,
                                  0.0)]
             monkeypatch.setattr(
-                cli, "solve_lines", lambda F, cfg, lines=lines:
+                cli, "solve_lines", lambda F, seed, lines=lines:
                 LineSet(lines=lines, real_count=1, conj_pairs=[(0, 2)]))
-            records = cli.lines_payload(FERMAT, cli.build_config(0, None))
+            records = cli.lines_payload(FERMAT)
             orders.append([(rec["real"], rec["plucker"][2][1] > 0)
                            for rec in records])
         assert orders == [[(True, False), (False, True), (False, False)]] * 2
@@ -190,7 +197,7 @@ class TestSchemas:
 
         monkeypatch.setattr(forms, "form_tensor", counted)
         monkeypatch.setattr(curve, "form_tensor", counted)
-        payload = cli.curve_payload(CUBIC2, CIRCLE, cli.build_config(0, None))
+        payload = cli.curve_payload(CUBIC2, CIRCLE)
         assert payload["transversal"] is True
         assert sorted(degrees) == [2, 3]
 
@@ -401,6 +408,14 @@ class TestBatch:
         got = json.loads(out)
         assert [r.get("class_id") for r in got] == [4, None, 4]
         assert got[1]["error"]["type"] == "NearDiscriminant"
+
+    def test_batch_excludes_plane(self, capsys, tmp_path):
+        # a batch entry carries its own plane
+        batch = tmp_path / "t.txt"
+        batch.write_text("x^3+y^3+z^3+1\n")
+        code, out, _ = run(capsys, "classify", "--batch", str(batch),
+                           "--plane", "x")
+        assert (code, out) == (64, "")
 
     def test_batch_format_text_is_usage_error(self, capsys, tmp_path):
         batch = tmp_path / "t.txt"

@@ -13,12 +13,10 @@ from realcubic.combinat import (
     TOTAL_ORDINARY_WALLS,
     apply_move,
     class_id_for,
-    class_info,
     cremona_orbits,
     line_catalog,
     load_wall_graph,
     move_images,
-    orbit_of,
     oval_line_count,
     oval_line_count_incidence,
     point_labels,
@@ -91,9 +89,9 @@ def test_orbits_fast():
 
 
 def test_orbit_of():
-    assert orbit_of((2, 4), 0) == ((1, 5), (2, 4), (5, 1))
-    with pytest.raises(ValueError):
-        orbit_of((1, 1), 0)
+    orbits = cremona_orbits(0)
+    assert [o for o in orbits if (2, 4) in o] == [((1, 5), (2, 4), (5, 1))]
+    assert not any((1, 1) in o for o in orbits)
 
 
 def test_orbits_partition_labels():
@@ -217,11 +215,11 @@ def test_class_id_for_decision_table():
         class_id_for("C3b", 2)
 
 
-def test_class_info_merges_projective_data():
-    info = class_info(13)
-    assert info["real_lines"] == 27 and info["euler"] == -5
-    assert info["q"] == 0 and info["class_id"] == 13
-    assert class_info(14)["q"] == 2
+def test_class_rows_join_their_projective_class():
+    row = CLASSES[13]
+    projective = PROJECTIVE_CLASSES[row["projective"]]
+    assert projective["real_lines"] == 27 and projective["euler"] == -5
+    assert row["q"] == 0 and CLASSES[14]["q"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +249,8 @@ def test_wall_graph_neighbours_and_lookup():
     g = load_wall_graph()
     assert g.wall_between(13, 10) == (2, 4)
     assert g.wall_between(5, 2) == (0, 0)
-    assert (11, (0, 6)) in g.neighbours(14)
+    assert any({e["u"], e["v"]} == {11, 14} and e["wall"] == [0, 6]
+               for e in g.edges)
     with pytest.raises(InvalidArrangement):
         g.wall_between(13, 15)
 

@@ -13,10 +13,8 @@ from realcubic import curve as curve_module
 from realcubic.algebra import (
     Poly,
     certified_roots,
-    quadric_triple_resultant,
     real_roots,
     refine_root,
-    resultant,
     sign_at,
     univ_degree,
     univ_eval,
@@ -35,20 +33,16 @@ from realcubic.curve import (
     _chart_candidates,
     _coeffs_in_x,
     _dense_in_y,
-    _null_space,
     _one_point_at_infinity,
     analyze_cubic,
     conic_cubic_meet,
-    conic_through_five,
     fibre_dense,
     locate,
     plane_form,
-    residual_point,
-    weierstrass_add,
-    weierstrass_chord,
 )
 from realcubic.errors import (
     DegenerateConfiguration,
+    InternalInconsistency,
     MultiplicityAmbiguity,
     NotOnCurve,
     NotTransversal,
@@ -56,11 +50,16 @@ from realcubic.errors import (
     SharedComponent,
     SingularCurve,
 )
-from realcubic.forms import (
-    chart_terms,
-    form_tensor,
+from realcubic.forms import chart_terms, form_tensor, y_resultant
+
+from algebra_reference import quadric_triple_resultant, resultant
+from curve_reference import (
+    conic_through_five,
     nonsingular_cubic,
-    y_resultant,
+    null_space,
+    residual_point,
+    weierstrass_add,
+    weierstrass_chord,
 )
 
 V = ("x", "y", "z")
@@ -111,6 +110,22 @@ class TestAnalyze:
     def test_singular_sections_rejected(self, text):
         with pytest.raises(SingularCurve):
             analyze_cubic(Poly.parse(text, vars=V))
+
+    def test_impossible_sweep_is_not_retried(self, monkeypatch):
+        # an impossible picture in the first usable chart fails closed;
+        # no other chart is tried
+        sweep, calls = curve_module._sweep, []
+
+        def fails_once(*args):
+            calls.append(args[1])
+            if len(calls) == 1:
+                raise InternalInconsistency("impossible sweep")
+            return sweep(*args)
+
+        monkeypatch.setattr(curve_module, "_sweep", fails_once)
+        with pytest.raises(InternalInconsistency):
+            analyze_cubic(weierstrass_plane_cubic(-25, 0))
+        assert len(calls) == 1
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -174,6 +189,16 @@ class TestLocate:
         # (0, 0) and (4, 2*sqrt(17)) ~ rational test point (0,0) only
         assert locate(out, (Fraction(0), Fraction(0), Fraction(1))) \
             == "pseudoline"
+
+    def test_float_point_off_a_connected_curve_rejected(self):
+        # y^2 = x^3 + x + 1 has one component; (100, 3) is far off it,
+        # given exactly or as floats
+        out = analyze_cubic(plane_form("y^2 - x^3 - x - 1", 3, "cubic"))
+        assert out.components == 1
+        with pytest.raises(NotOnCurve):
+            locate(out, (Fraction(100), Fraction(3), Fraction(1)))
+        with pytest.raises(NotOnCurve):
+            locate(out, (100.0, 3.0, 1.0))
 
     def test_exact_point_over_a_rational_fold(self):
         # in the sweep chart of this cubic, (1 : 0 : 1) lies over x = 3/14,
@@ -609,7 +634,7 @@ def cubic_through_parabola_points(ts, rng):
     parabola itself."""
     mons = [e for e in itertools.product(range(4), repeat=2) if sum(e) <= 3]
     rows = [[(t ** e[0]) * ((t * t) ** e[1]) for e in mons] for t in ts]
-    basis = _null_space(rows, len(mons))
+    basis = null_space(rows, len(mons))
     for _ in range(40):
         ws = [rng.randint(-5, 5) for _ in basis]
         vec = [sum(w * b[i] for w, b in zip(ws, basis))

@@ -12,7 +12,6 @@ import lines_reference
 from realcubic import lines as lines_module
 from realcubic.algebra import CANONICAL_VARS, Poly
 from realcubic.classify import as_projective_cubic, load_witnesses
-from realcubic.config import LineSolveConfig
 from realcubic.errors import LineInPlane, NearDiscriminant
 from realcubic.forms import form_tensor
 from realcubic.lines import (
@@ -25,7 +24,6 @@ from realcubic.lines import (
     _monomial_values,
     _patch_coordinates,
     _solve_batched,
-    clebsch_surface,
     cubic_tensor,
     cubic_values,
     fermat_lines_closed_form,
@@ -38,6 +36,7 @@ from realcubic.lines import (
     tritangent_triples,
 )
 from lines_reference import (
+    clebsch_surface,
     conjugate_plucker,
     meet_form,
     normalize_plucker,
@@ -627,7 +626,7 @@ def solve_with(F: Poly, track, seed: int = 0) -> tuple:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lines_module, "_track", counted)
-        ls = solve_lines(F, LineSolveConfig(seed=seed))
+        ls = solve_lines(F, seed)
     return ls, len(patches)
 
 
@@ -711,7 +710,7 @@ class TestTracker:
             with monkeypatch.context() as mp:
                 mp.setattr(lines_module, "_start_system",
                            lambda s, k: draws[k])
-                fresh = solve_lines(F, LineSolveConfig(seed=seed))
+                fresh = solve_lines(F, seed)
             assert [l.plucker.tolist() for l in cached.lines] \
                 == [l.plucker.tolist() for l in fresh.lines]
         assert max(patches) == (2 if seed == 0 else 1)
