@@ -30,6 +30,7 @@ from realcubic.classify import (
     restrict_to_plane,
 )
 from realcubic.curve import analyze_cubic
+from realcubic.forms import form_tensor
 from realcubic.lines import solve_lines
 
 # one witness per projective class; the frozen constants were measured
@@ -60,11 +61,12 @@ def main() -> int:
     print(f"\n{'witness':7s} {'sphere':>6s} {'want':>6s} {'time':>6s}")
     for cid, want in SPHERE_FLAGS.items():
         w = by_id[cid]
-        F = as_projective_cubic(w["surface"])
+        T = form_tensor(as_projective_cubic(w["surface"]))
         t0 = time.perf_counter()
-        restriction = restrict_to_plane(F, parse_plane(w["plane"]))
-        got = oval_in_sphere(F, restriction,
-                             analyze_cubic(restriction.ternary))
+        restriction = restrict_to_plane(T, parse_plane(w["plane"]))
+        got = oval_in_sphere(T[0], restriction,
+                             analyze_cubic(restriction.ternary,
+                                           restriction.tensor))
         dt = time.perf_counter() - t0
         mark = "" if got == want else "  <- MISMATCH"
         print(f"{cid:7d} {str(got):>6s} {str(want):>6s} {dt:5.2f}s{mark}")

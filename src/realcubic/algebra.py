@@ -1,11 +1,10 @@
 """Exact multivariate polynomials and the root machinery built on them.
 
-Coefficients are exact: integers or `fractions.Fraction`, and a float or
-complex coefficient is a TypeError (the parser reads decimals as
-Fractions).  Floats enter only as evaluation points.
-
-`Poly.parse` reads expanded text (a sum of coefficient * monomial terms)
-straight into a term dict, and anything else by recursive descent.
+Coefficients are exact, integers or `fractions.Fraction` (a float is a
+TypeError), and the arithmetic keeps integers integers.  `Poly.parse`
+reads expanded text straight into a term dict, and anything else by a
+recursive descent on integer coefficients over one common denominator;
+either way the parsed coefficients are Fractions, made once at the end.
 
 The root toolkit takes exact coefficient lists and works in integers:
 denominators are cleared on entry (`to_int_primitive`), a value at a
@@ -17,12 +16,13 @@ and in the monic factors that `squarefree_decomposition` returns.
 Real roots take three steps.  `real_roots` isolates them exactly, by
 Descartes bisection on an explicit stack (no recursion, whatever the
 depth), and takes squarefree input only: one gcd(p, p') checks that, and a
-repeated root gives None.  `certified_roots` certifies float roots: each,
-moved by one Newton step with an exact residual, gets a dyadic bracket
-whose end signs prove a root inside, and `real_root_floats` bisects the
-exact intervals only where that fails, as for coefficients beyond float
-range.  `sign_at` decides the sign of a polynomial at an isolated root, by
-Descartes' rule on the interval.
+repeated root gives None.  `certified_brackets` certifies float roots, in
+integers: each, moved by one Newton step with an exact residual, gets a
+dyadic bracket whose end signs prove a root inside.  The floats are those
+of the list over a power of two (`scaled_floats`), so integer lists of any
+size have them, and `real_root_floats` bisects the exact intervals only
+where the brackets fail.  `sign_at` decides the sign of a polynomial at an
+isolated root, by Descartes' rule on the interval.
 
 Complex roots use simultaneous Aberth iteration, in floats and then with
 each step's p/p' evaluated exactly in Fractions.  `bareiss_det`, the one
@@ -33,6 +33,7 @@ singularity test of `forms.py` runs on it.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,14 +77,18 @@ class Poly:
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _make(cls, vars: tuple, terms: dict) -> "Poly":
+        """A Poly of clean terms, as the arithmetic builds them."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", vars)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Poly is immutable")
 
     # -- constructors --
-
-    @classmethod
-    def zero(cls, vars: Sequence[str] = CANONICAL_VARS) -> "Poly":
-        return cls(vars, {})
 
     @classmethod
     def const(cls, c: Scalar, vars: Sequence[str] = CANONICAL_VARS) -> "Poly":
@@ -94,7 +99,7 @@ class Poly:
         vs = tuple(vars)
         e = [0] * len(vs)
         e[vs.index(name)] = 1
-        return cls(vs, {tuple(e): Fraction(1)})
+        return cls._make(vs, {tuple(e): 1})
 
     # -- predicates / views --
 
@@ -144,12 +149,12 @@ class Poly:
         t = dict(self.terms)
         for e, c in o.terms.items():
             t[e] = t.get(e, 0) + c
-        return Poly(self.vars, t)
+        return Poly._make(self.vars, {e: c for e, c in t.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-self._coerce(other))
@@ -158,13 +163,16 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
+        if isinstance(other, (int, Fraction)) and other:    # a scalar
+            return Poly._make(self.vars, {e: c * other
+                                          for e, c in self.terms.items()})
         o = self._coerce(other)
         t: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 t[e] = t.get(e, 0) + c1 * c2
-        return Poly(self.vars, t)
+        return Poly._make(self.vars, {e: c for e, c in t.items() if c})
 
     __rmul__ = __mul__
 
@@ -176,7 +184,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power")
-        out = Poly.const(Fraction(1), self.vars)
+        out = Poly._make(self.vars, {(0,) * len(self.vars): 1})
         base = self
         while n:
             if n & 1:
@@ -195,38 +203,7 @@ class Poly:
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
 
-    # -- substitution / evaluation --
-
-    def substitute(self, assignment: Mapping[str, Union["Poly", Scalar]]) -> "Poly":
-        """Replace variables by polynomials or scalars (simultaneously)."""
-        images = []
-        for i, v in enumerate(self.vars):
-            if v in assignment:
-                img = assignment[v]
-                if not isinstance(img, Poly):
-                    img = Poly.const(img, self.vars)
-                elif img.vars != self.vars:
-                    raise ValueError("substitution image has wrong variables")
-                images.append(img)
-            else:
-                images.append(Poly.var(v, self.vars))
-        out = Poly.zero(self.vars)
-        # Horner-free: powers are small (degree <= 3 everywhere we use this)
-        pow_cache: dict = {}
-
-        def power(i: int, k: int) -> Poly:
-            key = (i, k)
-            if key not in pow_cache:
-                pow_cache[key] = images[i] ** k
-            return pow_cache[key]
-
-        for expo, c in self.terms.items():
-            term = Poly.const(c, self.vars)
-            for i, k in enumerate(expo):
-                if k:
-                    term = term * power(i, k)
-            out = out + term
-        return out
+    # -- evaluation --
 
     def eval(self, point: Union[Mapping[str, object], Sequence]):
         if not isinstance(point, Mapping):
@@ -388,6 +365,9 @@ def _tokenize(text: str) -> list:
 
 
 def _parse_poly(text: str, vars) -> Poly:
+    """The recursive descent on nodes (P, d), P a Poly with integer
+    coefficients over the denominator d > 0; the Fractions come at the end.
+    Term order follows the Poly operations, as it did on Fractions."""
     toks = _tokenize(text)
     if vars is None:
         names = {t for t in toks if t and t[0].isalpha()}
@@ -396,85 +376,74 @@ def _parse_poly(text: str, vars) -> Poly:
             raise ValueError(f"unknown variables {sorted(bad)}")
         vars = CANONICAL_VARS
     vs = tuple(vars)
-    i = 0
-
-    def peek():
-        return toks[i]
+    pos = 0
 
     def take():
-        nonlocal i
-        t = toks[i]
-        i += 1
-        return t
+        nonlocal pos
+        pos += 1
+        return toks[pos - 1]
 
-    def parse_expr() -> Poly:
-        if peek() in ("+", "-"):
+    def expr() -> tuple:                # [sign] term {(+|-) term}
+        sign = take() if toks[pos] in ("+", "-") else "+"
+        p, d = term()
+        p = -p if sign == "-" else p
+        while toks[pos] in ("+", "-"):
             sign = take()
-            node = parse_term()
-            if sign == "-":
-                node = -node
-        else:
-            node = parse_term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_term()
-            node = node - rhs if op == "-" else node + rhs
-        return node
+            q, e = term()
+            m = math.lcm(d, e)
+            p, d = p * (m // d) + (-q if sign == "-" else q) * (m // e), m
+        return p, d
 
-    def parse_term() -> Poly:
-        node = parse_factor()
+    def term() -> tuple:                # factor {(*|/|implicit) factor}
+        p, d = factor()
         while True:
-            t = peek()
+            t = toks[pos]
             if t in ("*", "/"):
-                op = take()
-                rhs = parse_factor()
-                if op == "/":
-                    if rhs.constant_value() == 0:
-                        raise ValueError("division by zero")
-                    node = node / rhs.constant_value()
-                else:
-                    node = node * rhs
-            elif t is not None and (t[0].isdigit() or t[0].isalpha() or t == "("):
-                node = node * parse_factor()   # implicit multiplication
-            else:
-                return node
+                take()
+            elif t is None or not (t[0].isalnum() or t == "("):
+                return p, d             # not an implicit product either
+            q, e = factor()
+            if t != "/":
+                p, d = p * q, d * e
+                continue
+            c = q.constant_value()
+            if c == 0:
+                raise ValueError("division by zero")
+            p, d = (p * e, d * c) if c > 0 else (p * -e, d * -c)
 
-    def parse_factor() -> Poly:
-        t = peek()
-        if t in ("+", "-"):
-            take()
-            f = parse_factor()
-            return -f if t == "-" else f
-        base = parse_atom()
-        if peek() == "^":
-            take()
-            e = take()
-            if e is None or not e.isdigit():
-                raise ValueError("exponent must be a nonnegative integer")
-            base = base ** int(e)
-        return base
-
-    def parse_atom() -> Poly:
+    def factor() -> tuple:              # (+|-) factor, or atom [^ n]
+        nonlocal pos
         t = take()
+        if t in ("+", "-"):
+            p, d = factor()
+            return (-p if t == "-" else p), d
         if t == "(":
-            node = parse_expr()
+            p, d = expr()
             if take() != ")":
                 raise ValueError("unbalanced parenthesis")
-            return node
-        if t is None:
+        elif t is None:
             raise ValueError("unexpected end of polynomial")
-        if t[0].isdigit():
-            return Poly.const(Fraction(t), vs)
-        if t[0].isalpha():
+        elif t[0].isdigit():            # a decimal is over a power of ten
+            whole, _, frac = t.partition(".")
+            p, d = Poly.const(int(whole + frac), vs), 10 ** len(frac)
+        elif t[0].isalpha():
             if t not in vs:
                 raise ValueError(f"unknown variable {t!r}")
-            return Poly.var(t, vs)
-        raise ValueError(f"unexpected token {t!r}")
+            p, d = Poly.var(t, vs), 1
+        else:
+            raise ValueError(f"unexpected token {t!r}")
+        if toks[pos] == "^":
+            e = toks[pos + 1]
+            pos += 2
+            if e is None or not e.isdigit():
+                raise ValueError("exponent must be a nonnegative integer")
+            p, d = p ** int(e), d ** int(e)
+        return p, d
 
-    node = parse_expr()
-    if peek() is not None:
-        raise ValueError(f"trailing input at token {peek()!r}")
-    return node
+    p, d = expr()
+    if toks[pos] is not None:
+        raise ValueError(f"trailing input at token {toks[pos]!r}")
+    return Poly._make(vs, {e: Fraction(c, d) for e, c in p.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +512,10 @@ def hom_eval(c: Sequence[int], x) -> int:
     """d^n c(a/d) for the integer list c of length n + 1 and the rational
     x = a/d, by homogeneous Horner: sum c_i a^i d^(n-i), an integer with
     the sign of c(x)."""
-    a, d = x.numerator, x.denominator
+    return _hom_eval(c, x.numerator, x.denominator)
+
+
+def _hom_eval(c: Sequence[int], a: int, d: int) -> int:
     acc, dk = 0, 1
     for t in reversed(c):
         acc = acc * a + t * dk
@@ -804,51 +776,62 @@ ENCLOSURE_BITS = 40              # certified brackets: 2^-40 of the root scale
 FALLBACK_WIDTH = Fraction(1, 10 ** 15)   # exact refinement where they fail
 
 
-def certified_roots(c: Sequence, n: int):
-    """Isolating intervals for the n real roots of c, certified from its
-    float roots, or None where that fails, as where two roots nearly merge
-    or a coefficient is beyond float range.
+def scaled_floats(c: Sequence) -> tuple:
+    """(floats, p): the entries of the exact list c divided by the least
+    power of two p >= 1 that brings them below 2^1000, each rounded once."""
+    bits = max((t.numerator.bit_length() - t.denominator.bit_length()
+                for t in c), default=0)
+    p = 1 << max(0, bits - 1000)
+    return [float(t / p) for t in c], p
 
-    Each real float root r, moved by one Newton step (c(r) exact, c'(r) in
-    floats), gets the dyadic bracket r +- 2^-ENCLOSURE_BITS s, s the power
-    of two at or above the largest root modulus.  n disjoint brackets, each
-    with c of opposite nonzero signs at its ends, hold one root each.
-    """
-    try:
-        roots = np.roots([float(t) for t in reversed(c)])
-        dc = [float(t) for t in univ_derivative(c)]
-    except OverflowError:
-        return None
+
+def certified_brackets(c: Sequence, n: int):
+    """Brackets for the n real roots of c, increasing, certified from its
+    float roots, or None where that fails, as where two roots nearly merge
+    or one is beyond float range: (r, lo, hi, k) per root, the bracket
+    (lo / 2^k, hi / 2^k) around the float r, a real root of c / p
+    (`scaled_floats`) moved by one Newton step (c exact, c' in floats), of
+    half width 2^-ENCLOSURE_BITS s for s the power of two at or above the
+    largest root modulus.  n disjoint brackets, each with c of opposite
+    nonzero signs at its ends, hold one root each."""
+    c = strip_high(c)
+    fc, p = scaled_floats(c)
+    if not fc or not fc[-1] or max(map(abs, fc)) > 2.0 ** 1000 * abs(fc[-1]):
+        return None             # the companion matrix would overflow
+    roots = np.roots(fc[::-1])
     if not np.isfinite(roots).all():
         return None
     real = [float(r.real) for r in roots if r.imag == 0]
     if len(real) != n:
         return None
+    dc = [float(t / p) for t in univ_derivative(c)]
     ci, den = _over_z(c)
-    real = sorted(_newton_step(ci, den, dc, r) for r in real)
-    half = Fraction(2) ** (math.frexp(float(np.abs(roots).max()))[1]
-                          - ENCLOSURE_BITS)
+    real = sorted(_newton_step(ci, den * p, dc, r) for r in real)
+    # the half width is 2^e
+    e = math.frexp(float(np.abs(roots).max()))[1] - ENCLOSURE_BITS
     out = []
     for r in real:
-        lo, hi = Fraction(r) - half, Fraction(r) + half
-        if out and lo <= out[-1].hi:
+        m, q = r.as_integer_ratio()
+        k = max(q.bit_length() - 1, -e)
+        mid, half = m * ((1 << k) // q), 1 << (k + e)
+        lo, hi = mid - half, mid + half
+        if out and lo << out[-1][3] <= out[-1][2] << k:
             return None
-        a, b = hom_eval(ci, lo), hom_eval(ci, hi)
+        a, b = _hom_eval(ci, lo, 1 << k), _hom_eval(ci, hi, 1 << k)
         if a == 0 or b == 0 or (a > 0) == (b > 0):
             return None
-        out.append(Interval(lo, hi))
+        out.append((r, lo, hi, k))
     return out
 
 
 def _newton_step(ci: list, den: int, dc: list, r: float) -> float:
     """r - c(r)/c'(r) for c = ci / den, with c(r) exact at the float r and
-    c'(r) in floats."""
+    c'(r) from the floats dc of c', the quotient rounded once."""
     d = univ_eval(dc, r)
     if d == 0 or not math.isfinite(d):
         return r
-    x = Fraction(r)
-    exact = Fraction(hom_eval(ci, x), den * x.denominator ** (len(ci) - 1))
-    return r - float(exact / Fraction(d))
+    (a, q), (dn, dd) = r.as_integer_ratio(), d.as_integer_ratio()
+    return r - _hom_eval(ci, a, q) * dd / (den * q ** (len(ci) - 1) * dn)
 
 
 def real_root_floats(c: Sequence, n: int, ivs: Sequence = None) -> list:
@@ -857,16 +840,16 @@ def real_root_floats(c: Sequence, n: int, ivs: Sequence = None) -> list:
     `real_roots(c)`) refined to FALLBACK_WIDTH.  A root that `ivs` gives as
     a point is rounded from its exact value.  Raises InternalInconsistency
     when c has a repeated root after all."""
-    got = certified_roots(c, n)
-    if got is None:
-        ivs = real_roots(c) if ivs is None else ivs
-        if ivs is None:
-            raise InternalInconsistency("repeated root in a polynomial "
-                                        "taken as squarefree")
-        got = [refine_root(c, iv, FALLBACK_WIDTH) for iv in ivs]
-    elif ivs is not None:
-        got = [iv if iv.is_point() else b for iv, b in zip(ivs, got)]
-    return [float(b.mid) for b in got]
+    got = certified_brackets(c, n)
+    if got is not None:
+        mids = [r for r, *_ in got]
+        return mids if ivs is None else [
+            float(iv.lo) if iv.is_point() else r for iv, r in zip(ivs, mids)]
+    ivs = real_roots(c) if ivs is None else ivs
+    if ivs is None:
+        raise InternalInconsistency("repeated root in a polynomial "
+                                    "taken as squarefree")
+    return [float(refine_root(c, iv, FALLBACK_WIDTH).mid) for iv in ivs]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ the sphere, which a positivity proof decides exactly (`oval_in_sphere`).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Poly, real_roots, refine_root
+from .algebra import Poly, hom_eval, real_roots, refine_root
 from .combinat import CLASSES, PROJECTIVE_CLASSES, class_id_for
 from .curve import (
     PLANE_VARS,
@@ -26,7 +25,6 @@ from .curve import (
     analyze_cubic,
     conic_cubic_meet,
     cubic_discriminant,
-    fibre_dense,
     locate,
     plane_form,
 )
@@ -37,10 +35,16 @@ from .errors import (
     SingularCurve,
     Undecided,
 )
-from .forms import form_tensor, positive_definite
+from .forms import (
+    _monomials,
+    chart_terms,
+    contract,
+    form_tensor,
+    positive_definite,
+)
 from .lines import (
     LineSet,
-    line_plane_point,
+    line_plane_points,
     solve_lines,
     tritangent_triples,
 )
@@ -119,38 +123,37 @@ def parse_plane(plane) -> tuple:
 @dataclass
 class PlaneRestriction:
     ternary: Poly               # section cubic in plane coordinates
+    tensor: tuple               # its integer tensor, from the surface's
     embed: tuple                # 4x3 rational matrix, plane coords -> ambient
     free: tuple                 # ambient slots holding the plane coordinates
     pivot: int
 
 
-def restrict_to_plane(F: Poly, h) -> PlaneRestriction:
+def restrict_to_plane(tensor: tuple, h) -> PlaneRestriction:
+    """The section by the plane h.x = 0 of the surface with the integer
+    tensor (T, D).  Plane coordinate k rides in the k-th ambient slot other
+    than the pivot, h's largest coefficient, whose slot gets -h_j / h_pivot
+    times them: with h in integers, h_pivot times that embedding is an
+    integer E, and the section's tensor T contracted with E over
+    D h_pivot^3, both divided by their gcd to make D > 0."""
     hq = tuple(Fraction(c) for c in h)
     if len(hq) != 4 or all(c == 0 for c in hq):
         raise ValueError("plane must be a nonzero 4-vector")
-    pivot = max(range(4), key=lambda i: (abs(hq[i]), i))
+    den = math.lcm(*[c.denominator for c in hq])
+    hz = [int(c * den) for c in hq]
+    pivot = max(range(4), key=lambda i: (abs(hz[i]), i))
     free = tuple(i for i in range(4) if i != pivot)
-    # plane coordinate k rides in the ambient slot named AMBIENT_VARS[k]
-    xs = [Poly.parse(v, vars=AMBIENT_VARS) for v in AMBIENT_VARS[:3]]
-    images = {}
-    acc = Poly(AMBIENT_VARS, {})
-    for k, j in enumerate(free):
-        images[AMBIENT_VARS[j]] = xs[k]
-        acc = acc + xs[k] * Poly(AMBIENT_VARS,
-                                 {(0, 0, 0, 0): -hq[j] / hq[pivot]})
-    images[AMBIENT_VARS[pivot]] = acc
-    G4 = F.substitute(images)
-    if G4.degree("w") > 0:
-        raise InternalInconsistency("plane restriction left a w term")
-    G = Poly(PLANE_VARS, {e[:3]: c for e, c in G4.terms.items()})
-    embed = []
-    for i in range(4):
-        if i == pivot:
-            embed.append(tuple(-hq[j] / hq[pivot] for j in free))
-        else:
-            embed.append(tuple(Fraction(1) if j == i else Fraction(0)
-                               for j in free))
-    return PlaneRestriction(G, tuple(embed), free, pivot)
+    hp = hz[pivot]
+    E = [[-hz[j] if i == pivot else hp * (j == i) for j in free]
+         for i in range(4)]
+    T, D = tensor
+    S, D = contract(T, E, 3), D * hp ** 3
+    g = math.gcd(D, *S) if D > 0 else -math.gcd(D, *S)
+    S, D = [t // g for t in S], D // g
+    G = Poly(PLANE_VARS, {e: Fraction(k * S[f], D)
+                          for e, f, k in _monomials(3, 3) if S[f]})
+    embed = tuple(tuple(Fraction(c, hp) for c in row) for row in E)
+    return PlaneRestriction(G, (S, D), embed, free, pivot)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +196,8 @@ def oval_interior_point(restriction: PlaneRestriction,
     most the gap, over the sample of an oval cell."""
     found = []
     for cell, (lo, _) in analysis.oval_cells.items():
-        fibre = fibre_dense(analysis.f, analysis.cell_samples[cell])
+        fibre = [hom_eval(c, analysis.cell_samples[cell])
+                 for c in analysis.coeffs]
         a, b = real_roots(fibre)[lo:lo + 2]     # oval branches are adjacent
         while max(a.hi - a.lo, b.hi - b.lo) > b.lo - a.hi:
             a, b = (refine_root(fibre, iv, (iv.hi - iv.lo) / 2)
@@ -207,34 +211,30 @@ def oval_interior_point(restriction: PlaneRestriction,
     return [int(c * den) for c in r]
 
 
-def line_discriminant(F: Poly, r: list) -> Poly:
+def line_discriminant(T: list, r: list) -> Poly:
     """Delta_r(d), the discriminant of the binary cubic F(s r + t d) for d
     in the coordinate plane without r's largest coordinate, a sextic in the
-    other three coordinates, times D^4 for D of `forms.form_tensor`.
+    other three coordinates, times D^4 for F's integer tensor (T, D) of
+    `forms.form_tensor`.
 
-    The tensor T of D F, contracted with the columns r, e_i, e_j, e_k as in
-    `forms.chart_terms`, gives c0 = T(r,r,r), c1 = 3 T(r,r,d),
-    c2 = 3 T(r,d,d) and c3 = T(d,d,d), multiplied as dense lists with
-    d0^a d1^b d2^c as X^(a + 7 b): a + b <= 6, so no two monomials meet."""
-    T, _ = form_tensor(F)
+    T contracted with the columns r, e_i, e_j, e_k (`forms.chart_terms`)
+    gives c0 = T(r,r,r), c1 = 3 T(r,r,d), c2 = 3 T(r,d,d) and c3 = T(d,d,d),
+    multiplied as dense lists with d0^a d1^b d2^c as X^(a + 7 b):
+    a + b <= 6, so no two monomials meet."""
     k = max(range(4), key=lambda i: (abs(r[i]), i))
-    m0, m1, m2, m3 = ([r[a]] + [int(a == j) for j in range(4) if j != k]
-                      for a in range(4))
-    for _ in range(3):
-        T = [T[i] * m0[b] + T[16 + i] * m1[b] + T[32 + i] * m2[b]
-             + T[48 + i] * m3[b] for i in range(16) for b in range(4)]
+    M = [[r[a]] + [int(a == j) for j in range(4) if j != k] for a in range(4)]
     cs = [[0] * (7 * m + 1) for m in range(4)]
-    for flat, idx in enumerate(itertools.product(range(4), repeat=3)):
-        a, b, c = (idx.count(v) for v in (1, 2, 3))
-        cs[a + b + c][a + 7 * b] += T[flat]
+    for (_, a, b, c), v in chart_terms(T, M, 3).items():
+        cs[a + b + c][a + 7 * b] += v
     return Poly(PLANE_VARS, {(n % 7, n // 7, 6 - n % 7 - n // 7): v
                              for n, v in enumerate(cubic_discriminant(*cs))})
 
 
-def oval_in_sphere(F: Poly, restriction: PlaneRestriction,
+def oval_in_sphere(T: list, restriction: PlaneRestriction,
                    analysis: CurveAnalysis) -> bool:
     """Whether the oval O of the section at infinity P lies on the sphere
-    S2 of a surface X whose real part is RP2 and S2: proved, or Undecided.
+    S2 of a surface X whose real part is RP2 and S2, with the integer
+    tensor T of `forms.form_tensor`: proved, or Undecided.
 
     S2 bounds an open ball B; the pseudoline lies on the RP2 part, outside
     B.  If O lies on S2, B meets P in the open disc inside O, which holds
@@ -247,20 +247,17 @@ def oval_in_sphere(F: Poly, restriction: PlaneRestriction,
     `line_discriminant` at every real d (`positive_definite`).
     """
     r = oval_interior_point(restriction, analysis)
-    return positive_definite(line_discriminant(F, r))
+    return positive_definite(line_discriminant(T, r))
 
 
 def _line_section_tally(lineset: LineSet, restriction: PlaneRestriction,
                         analysis: CurveAnalysis, h) -> dict:
-    # divided by its largest coefficient, which moves no point
+    # the real lines' points in one array pass, h over its largest entry
     top = max(abs(Fraction(c)) for c in h)
     hnp = np.array([float(Fraction(c) / top) for c in h])
+    bases = np.array([line.basis for line in lineset.lines if line.real])
     counts = {"oval": 0, "pseudoline": 0}
-    for line in lineset.lines:
-        if not line.real:
-            continue
-        x4 = line_plane_point(line, hnp)
-        u = tuple(float(np.real(x4[i])) for i in restriction.free)
+    for u in line_plane_points(bases, hnp)[:, restriction.free].real:
         counts[locate(analysis, u)] += 1
     return counts
 
@@ -305,11 +302,14 @@ def classify_surface(surface, plane=(0, 0, 0, 1),
     h = parse_plane(plane)
     warnings: list = []
 
-    restriction = restrict_to_plane(F, h)
+    # F's integer tensor, built once for the section, lines and sphere flag
+    tensor = form_tensor(F)
+    restriction = restrict_to_plane(tensor, h)
     # the sweep tests the section nonsingular, that is the plane transversal
     section = restriction.ternary
     try:
-        analysis = None if section.is_zero() else analyze_cubic(section)
+        analysis = None if section.is_zero() else \
+            analyze_cubic(section, restriction.tensor)
     except SingularCurve:
         analysis = None
     if analysis is None:
@@ -319,7 +319,7 @@ def classify_surface(surface, plane=(0, 0, 0, 1),
 
     # a full set of 27 well-separated lines doubles as the smoothness check:
     # surfaces at or near the discriminant are rejected by the solver
-    lineset = solve_lines(F, seed)
+    lineset = solve_lines(F, seed, tensor)
     cls = projective_class(lineset, warnings)
     if lineset.real_count != PROJECTIVE_CLASSES[cls]["real_lines"]:
         raise InternalInconsistency("line count does not match class")
@@ -328,7 +328,7 @@ def classify_surface(surface, plane=(0, 0, 0, 1),
     if tally["oval"] + tally["pseudoline"] != lineset.real_count:
         raise InternalInconsistency(f"lost a line in the section tally {tally}")
 
-    sphere_flag = (oval_in_sphere(F, restriction, analysis)
+    sphere_flag = (oval_in_sphere(tensor[0], restriction, analysis)
                    if cls == "C3b" and components == 2 else None)
 
     oval_lines = tally["oval"] if components == 2 else None

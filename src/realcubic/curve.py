@@ -45,6 +45,7 @@ from .algebra import (
     int_gcd,
     real_root_floats,
     real_roots,
+    scaled_floats,
     sign_at,
     strip_high,
     univ_degree,
@@ -72,6 +73,7 @@ AFFINE_VARS = ("x", "y")
 _IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 CHART_ATTEMPTS = 1000            # sweep chart candidates tried per curve
+LOCATE_TOL = 1e-7                # a float point's relative residual
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +127,8 @@ def _affine(G: Poly, M, terms: dict, D: int) -> Poly:
     """The affine curve (z = 1) of G in the chart M, from its chart terms
     with denominator D.  Float evaluation sums a Poly's terms in dict
     order, so they are listed in G's order in the identity chart and in
-    lex order otherwise, which is the order of Poly.substitute for a chart
-    with no zero entry."""
+    lex order otherwise, the order that substituting the chart's rows
+    gives for a chart with no zero entry."""
     keys = G.terms if M == _IDENTITY else terms
     return Poly(AFFINE_VARS, {e[:2]: Fraction(terms[e], D) for e in keys})
 
@@ -209,12 +211,13 @@ class CurveAnalysis:
     transform: tuple            # chart matrix M: chart coords -> input coords
     inverse: tuple
     f: Poly                     # affine curve in the chart
-    disc_dense: list            # y-discriminant of f, dense in x
+    coeffs: list                # D f's y^0 .. y^3 coefficients, 4 ints each
+    disc_dense: list            # y-discriminant of D f, dense in x
     folds: list
     cell_samples: list          # one rational x per cell
     cell_counts: list
     components: int
-    tensor: tuple               # form_tensor(ternary): (T, D)
+    tensor: tuple               # the ternary's integer tensor (T, D)
     oval_cells: dict = field(default_factory=dict)   # cell -> (lo, hi) branch
 
 
@@ -242,10 +245,11 @@ def fibre_dense(p: Poly, x0: Fraction) -> list:
     return strip_high(out) or [Fraction(0)]
 
 
-def analyze_cubic(G: Poly) -> CurveAnalysis:
+def analyze_cubic(G: Poly, tensor: tuple = None) -> CurveAnalysis:
     """Component structure of the nonsingular real plane cubic G = 0.
 
-    G must be an exact homogeneous cubic in three variables.  Raises
+    G must be an exact homogeneous cubic in three variables, and `tensor`
+    an integer tensor (T, D) of G, G(v) = T(v, v, v) / D, if built.  Raises
     SingularCurve for singular input and ChartDegenerate when no usable
     sweep chart is found.  The sweep runs in the first usable chart only:
     an impossible picture there raises InternalInconsistency.
@@ -254,7 +258,7 @@ def analyze_cubic(G: Poly) -> CurveAnalysis:
         raise ValueError("expected a ternary cubic")
     if G.homogeneous_degree() != 3:
         raise ValueError("expected a homogeneous cubic")
-    tensor = T, D = form_tensor(G)
+    tensor = T, D = tensor or form_tensor(G)
     if not _nonsingular(T):
         raise SingularCurve("plane section is singular")
 
@@ -278,7 +282,6 @@ def _sweep(G: Poly, M, f: Poly, cs: list, disc: list, tensor: tuple,
     coefficients and y-discriminant, are D and D^4 times those of f for
     G's tensor (T, D): positive multiples, with the same signs and roots."""
     c0, c1, c2, (c3,) = cs
-    D = tensor[1]
 
     # one rational sample per cell, strictly between consecutive fold roots
     samples = []
@@ -367,7 +370,8 @@ def _sweep(G: Poly, M, f: Poly, cs: list, disc: list, tensor: tuple,
         transform=M,
         inverse=_mat_inv3(M),
         f=f,
-        disc_dense=[Fraction(t, D ** 4) for t in disc],
+        coeffs=[c + [0] * (4 - len(c)) for c in cs],
+        disc_dense=disc,
         folds=folds,
         cell_samples=samples,
         cell_counts=counts,
@@ -382,22 +386,23 @@ def _sweep(G: Poly, M, f: Poly, cs: list, disc: list, tensor: tuple,
 # ---------------------------------------------------------------------------
 
 def _cell_of(analysis: CurveAnalysis, x: Fraction):
-    """Index of the cell containing x, or ('fold', k) at an exact fold."""
-    below = 0
+    """Index of the cell containing x, or ('fold', k) at an exact fold;
+    x splits a fold's interval that holds it."""
+    below, disc = 0, analysis.disc_dense
     for k, fp in enumerate(analysis.folds):
         if x in fp.x:
-            # the sign of X - x at the fold decides the side
-            side, fp.x = sign_at([-x, Fraction(1)], analysis.disc_dense, fp.x)
-            if side == 0:
+            v = hom_eval(disc, x)
+            if v == 0:
                 return ("fold", k)
-            if side < 0:
-                below += 1
+            below_x = (hom_eval(disc, fp.x.lo) > 0) != (v > 0)
+            fp.x = Interval(fp.x.lo, x) if below_x else Interval(x, fp.x.hi)
+            below += below_x
         elif fp.x.hi <= x:
             below += 1
     return ("cell", below)
 
 
-def _chart_xy(analysis: CurveAnalysis, point, tol: float):
+def _chart_xy(analysis: CurveAnalysis, point):
     v = tuple(point)
     if len(v) != 3:
         raise ValueError("expected plane coordinates (3 entries)")
@@ -413,53 +418,54 @@ def _chart_xy(analysis: CurveAnalysis, point, tol: float):
     scale = max(abs(t) for t in u)
     if scale == 0:
         raise ValueError("zero vector is not a projective point")
-    if abs(u[2]) < tol * scale:
+    if abs(u[2]) < LOCATE_TOL * scale:
         return None
-    return (Fraction(u[0] / u[2]), Fraction(u[1] / u[2]), False)
+    return (Fraction(u[0] / u[2]), u[1] / u[2], False)
 
 
-def locate(analysis: CurveAnalysis, point, tol: float = 1e-7) -> str:
+def locate(analysis: CurveAnalysis, point) -> str:
     """Which component of the curve a point lies on: 'oval' or 'pseudoline'.
 
     The point is given in the coordinates of the input ternary cubic.
     Exact rational points are decided exactly.  Floating input is matched
-    to the nearest fibre branch, must sit within `tol` of it, and is
+    to the nearest fibre branch, must sit within LOCATE_TOL of it, and is
     refused with MultiplicityAmbiguity when the second-nearest branch is
     less than 4 times as far.  The cell of x is exact, with no width cap
-    (`sign_at`), so its fibre count n is known; the branches are the n
+    (`_cell_of`), so its fibre count n is known; the branches are the n
     certified float fibre roots (`real_root_floats`), which fall back to
     exact isolation only next to a fold.  In a one-branch cell the two
     non-real fibre roots count as branches too: just past a fold they are
     the nearly real pair that met there.  On a one-component curve every
     point is on the pseudoline, and is only checked to lie on the curve.
+    The fibre over x = a/d is d^3 D f(x, y) in integers (`hom_eval`), its
+    floats over a power of two (`scaled_floats`), large for a tiny x.
     """
-    got = _chart_xy(analysis, point, tol)
+    got = _chart_xy(analysis, point)
     if got is None:
         # the point at infinity of the chart lies on the pseudoline
         return "pseudoline"
     x0, y0, exact = got
-    fy = fibre_dense(analysis.f, x0)
+    fy = [hom_eval(c, x0) for c in analysis.coeffs]
+    fyf = fy if exact else scaled_floats(fy)[0]     # as the check reads it
     if analysis.components == 1:
-        _check_on_fibre(fy, y0, exact, tol)
+        _check_on_fibre(fyf, y0, exact)
         return "pseudoline"
     where = _cell_of(analysis, x0)
 
     if where[0] == "fold":
-        return _locate_at_fold(analysis, where[1], fy, y0, exact, tol)
+        return _locate_at_fold(analysis, where[1], fy, y0, exact)
 
-    _check_on_fibre(fy, y0, exact, tol)
+    _check_on_fibre(fyf, y0, exact)
     cell = where[1]
     if exact:
         branch = sum(1 for r in real_roots(fy)
                      if (r.hi <= y0 and not r.is_point())
                      or (r.is_point() and r.lo < y0))
     else:
-        fyf = [float(t) for t in fy]
-        yf = float(y0)
         mids = real_root_floats(fy, analysis.cell_counts[cell])
         others = [] if len(mids) == 3 else sorted(
             np.roots(fyf[::-1]), key=lambda r: abs(r - mids[0]))[1:]
-        dists = sorted((abs(yf - m), i) for i, m in enumerate(mids + others))
+        dists = sorted((abs(y0 - m), i) for i, m in enumerate(mids + others))
         branch = dists[0][1]
         if branch >= len(mids) or \
                 dists[0][0] > 0 and dists[1][0] < 4 * dists[0][0]:
@@ -470,22 +476,20 @@ def locate(analysis: CurveAnalysis, point, tol: float = 1e-7) -> str:
     return "pseudoline"
 
 
-def _check_on_fibre(fy: list, y0, exact: bool, tol: float) -> None:
+def _check_on_fibre(fy: list, y0, exact: bool) -> None:
     """Refuse a point off the curve with NotOnCurve: exactly, or for a
-    float point when its residual in the fibre polynomial fy exceeds tol
+    float point when its residual in the float fibre fy exceeds LOCATE_TOL
     relative to fy's largest coefficient and to max(1, |y0|)^3."""
     if exact:
         if univ_eval(fy, y0) != 0:
             raise NotOnCurve("point does not satisfy the curve equation")
         return
-    fyf = [float(t) for t in fy]
-    scale = max(abs(t) for t in fyf) or 1.0
-    yf = float(y0)
-    if abs(univ_eval(fyf, yf)) > tol * scale * max(1.0, abs(yf)) ** 3:
+    scale = max(abs(t) for t in fy) or 1.0
+    if abs(univ_eval(fy, y0)) > LOCATE_TOL * scale * max(1.0, abs(y0)) ** 3:
         raise NotOnCurve("point too far from the curve")
 
 
-def _locate_at_fold(analysis, k: int, fy, y0, exact, tol: float) -> str:
+def _locate_at_fold(analysis, k: int, fy, y0, exact) -> str:
     fp = analysis.folds[k]
     # exact fold x: the fibre has a double root y* and a simple root, whose
     # three sum to -fy[2] / fy[3]
@@ -493,15 +497,15 @@ def _locate_at_fold(analysis, k: int, fy, y0, exact, tol: float) -> str:
     if len(g) != 2:
         raise InternalInconsistency("fold fibre without a double root")
     ystar = Fraction(-g[0], g[1])
-    ysurv = -fy[2] / fy[3] - 2 * ystar
+    ysurv = Fraction(-fy[2], fy[3]) - 2 * ystar
     if exact:
         if y0 == ystar:
             return fp.pair_component
         if y0 == ysurv:
             return fp.survivor_component
         raise NotOnCurve("point does not satisfy the curve equation")
-    d_star, d_surv = abs(float(y0) - float(ystar)), abs(float(y0) - float(ysurv))
-    if min(d_star, d_surv) > max(tol, 1e-9) * max(1.0, abs(float(y0))):
+    d_star, d_surv = abs(y0 - float(ystar)), abs(y0 - float(ysurv))
+    if min(d_star, d_surv) > LOCATE_TOL * max(1.0, abs(y0)):
         raise NotOnCurve("point too far from the curve")
     return fp.pair_component if d_star <= d_surv else fp.survivor_component
 

@@ -1,22 +1,26 @@
-"""Exact ternary forms in integers.
+"""Exact forms in integers.
 
-A ternary conic or cubic G gets one symmetric tensor T with integer
-entries and a denominator D > 0, so that G(v) = T(v, ..., v) / D
-(`form_tensor`).  Everything the curve layer does to a form before its
-sweep is then plain integer arithmetic on T: a chart change by an integer
-matrix is one mode product per index of T (`chart_terms`), the singularity
-test of a cubic is a 6 x 6 Bareiss determinant built from T
-(`_nonsingular`), and the resultant in y of two chart curves is a
+A form G gets one symmetric tensor T with integer entries and a
+denominator D > 0, so that G(v) = T(v, ..., v) / D (`form_tensor`).  A
+change of coordinates by an integer matrix M of any shape is one mode
+product per index of T (`contract`, and `chart_terms` for the
+coefficients).  `classify_surface` builds the surface's tensor once; its
+users are the section at infinity (`classify.restrict_to_plane`, by the
+plane's embedding times its pivot coefficient), the sphere flag's
+`classify.line_discriminant`, the sweep's chart changes of the section
+(`curve.analyze_cubic`), and `lines.cubic_tensor`, which rounds it.  The
+singularity test of a ternary cubic is a 6 x 6 Bareiss determinant built
+from T (`_nonsingular`), and the resultant in y of two chart curves a
 Sylvester determinant over dense integer polynomials in x (`y_resultant`).
-`lines.cubic_tensor` rounds the same tensor of a quaternary cubic to
-floats.  `positive_definite` proves a ternary form positive, or not, by
-integer Taylor shifts on the triangles of an octahedron.
+`positive_definite` proves a ternary form positive, or not, by integer
+Taylor shifts on the triangles of an octahedron.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -45,28 +49,33 @@ def form_tensor(G: Poly) -> tuple:
     multiply out to it."""
     d, w = G.homogeneous_degree(), len(G.vars)
     share = {e: Fraction(G.terms.get(e, 0), k) for e, _, k in _monomials(d, w)}
-    T = [share[tuple(idx.count(v) for v in range(w))]
-         for idx in itertools.product(range(w), repeat=d)]
-    D = math.lcm(*(c.denominator for c in T))
-    return [int(c * D) for c in T], D
+    D = math.lcm(*[c.denominator for c in share.values()])
+    share = {e: c.numerator * (D // c.denominator) for e, c in share.items()}
+    return [share[tuple(idx.count(v) for v in range(w))]
+            for idx in itertools.product(range(w), repeat=d)], D
+
+
+def contract(T: list, M, d: int) -> list:
+    """The tensor of D * G(M v), flat in base w, for G = T(v, ..., v) / D
+    of degree d in n variables and the integer n x w matrix M: each index
+    of T contracted with the rows of M, one plain-int mode product each."""
+    n, cols = len(M), list(zip(*M))
+    for _ in range(d):
+        s = len(T) // n
+        rows = zip(*[T[k * s:k * s + s] for k in range(n)])
+        if n == 3:              # the chart changes: spelt out, twice as fast
+            T = [a * p + b * q + c * r for a, b, c in rows
+                 for p, q, r in cols]
+        else:
+            T = [sum(map(operator.mul, row, col)) for row in rows
+                 for col in cols]
+    return T
 
 
 def chart_terms(T: list, M, d: int) -> dict:
-    """The nonzero coefficients, by exponent, of D * G(M v) for the form
-    G = T(v, ..., v) / D of degree d and the integer 3 x w matrix M: each
-    index of T is contracted with the rows of M (one plain-int mode product
-    per index)."""
-    w = len(M[0])
-    m0, m1, m2 = M
-    for _ in range(d):
-        s = len(T) // 3
-        T = [T[r] * m0[i] + T[s + r] * m1[i] + T[2 * s + r] * m2[i]
-             for r in range(s) for i in range(w)]
-    out = {}
-    for e, flat, k in _monomials(d, w):
-        if T[flat]:
-            out[e] = k * T[flat]
-    return out
+    """The nonzero coefficients, by exponent, of D * G(M v)."""
+    T = contract(T, M, d)
+    return {e: k * T[f] for e, f, k in _monomials(d, len(M[0])) if T[f]}
 
 
 _QUADRIC_SLOTS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))

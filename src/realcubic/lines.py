@@ -57,6 +57,8 @@ ATTEMPTS = 6                 # patches tried before NearDiscriminant
 RESIDUAL_TOL = 1e-10         # relative backward error of a kept line
 DEDUPE_TOL = 1e-6            # Pluecker distance for merging paths
 IMAG_TOL = 1e-7              # reality threshold after phase fix
+MEET_TOL = 1e-6              # meet form, and coplanarity singular value
+LINE_IN_PLANE_TOL = 1e-9     # relative size of a line's point on a plane
 NEWTON_STEPS = 40            # most endgame Newton steps of a path
 NEWTON_SETTLED = 1e-6        # largest last endgame step (relative) kept
 DT_MIN = 1e-7                # a path whose step falls below this dies
@@ -75,14 +77,12 @@ DIVERGENCE_CUTOFF = 1e7      # patch coordinates past this: path diverged
 # the cubic as a symmetric tensor
 # ---------------------------------------------------------------------------
 
-def cubic_tensor(F: Poly) -> np.ndarray:
-    """The tensor T with F(x) = s T(x, x, x) for s > 0 and largest entry
-    +-1: that of `forms.form_tensor` divided by its largest entry's modulus
-    before each entry is rounded once, so that none overflows."""
-    n = len(F.vars)
-    T, _ = form_tensor(F)
+def cubic_tensor(T: list) -> np.ndarray:
+    """The float tensor of the cubic F with the integer tensor T of
+    `forms.form_tensor`, F(x) = s T(x, x, x) for s > 0: T over its largest
+    entry's modulus, each entry rounded once, so that none overflows."""
     top = max(map(abs, T))
-    return np.array([t / top for t in T]).reshape(n, n, n)
+    return np.array([t / top for t in T]).reshape(4, 4, 4)
 
 
 def cubic_values(T: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -405,12 +405,13 @@ def _start_system(seed: int, attempt: int) -> tuple:
     return A, gamma, C0, X
 
 
-def solve_lines(F: Poly, seed: int = 0) -> LineSet:
+def solve_lines(F: Poly, seed: int = 0, tensor: tuple = None) -> LineSet:
     """All 27 lines of the cubic surface F = 0.
 
     `seed` draws the patches and gammas, so a fixed seed gives the same
-    lines.  A path becomes a line when its residual in F, relative to the
-    sum of |coefficients|, is at most RESIDUAL_TOL.
+    lines; `tensor` is F's `form_tensor`, if built.  A path becomes a line
+    when its residual in F, relative to the sum of |coefficients|, is at
+    most RESIDUAL_TOL.
 
     Raises NearDiscriminant when 27 clearly separated lines whose meet
     graph is that of the 27 lines (each meets exactly 10 others) cannot be
@@ -420,7 +421,7 @@ def solve_lines(F: Poly, seed: int = 0) -> LineSet:
     """
     if F.homogeneous_degree() != 3:
         raise ValueError("surface must be a homogeneous cubic")
-    T = cubic_tensor(F)
+    T = cubic_tensor((tensor or form_tensor(F))[0])
     norm = float(np.abs(T).sum())     # the sum of |coefficients| of T
     found: list = []
     for attempt in range(ATTEMPTS):
@@ -481,15 +482,16 @@ def _conjugate_pairs(lines: list, tol: float) -> list:
 # incidence and tritangent planes
 # ---------------------------------------------------------------------------
 
-def meet_matrix(lines: list, tol: float = 1e-6) -> np.ndarray:
-    """Which pairs of lines meet: |p _MEET q| < tol, off the diagonal."""
+def meet_matrix(lines: list) -> np.ndarray:
+    """Which pairs of lines meet: |p _MEET q| < MEET_TOL, off the
+    diagonal."""
     P = np.array([l.plucker for l in lines])
-    M = np.abs(P @ _MEET @ P.T) < tol
+    M = np.abs(P @ _MEET @ P.T) < MEET_TOL
     np.fill_diagonal(M, False)
     return M
 
 
-def tritangent_triples(lineset: LineSet, tol: float = 1e-6) -> list:
+def tritangent_triples(lineset: LineSet) -> list:
     """All triples of pairwise intersecting, coplanar lines, with the plane.
 
     Returns dicts {lines: (i, j, k), plane: ndarray(4), real: bool}, with
@@ -497,11 +499,11 @@ def tritangent_triples(lineset: LineSet, tol: float = 1e-6) -> list:
     exactly 45.
     """
     lines = lineset.lines
-    U = np.triu(meet_matrix(lines, tol))         # i < j that meet
+    U = np.triu(meet_matrix(lines))              # i < j that meet
     trips = np.argwhere(U[:, :, None] & U[:, None, :] & U[None, :, :])
     bases = np.array([l.basis for l in lines])
     _, sv, vt = np.linalg.svd(bases[trips].reshape(-1, 6, 4))
-    coplanar = sv[:, -1] <= tol * sv[:, 0]    # else concurrent only
+    coplanar = sv[:, -1] <= MEET_TOL * sv[:, 0]    # else concurrent only
     trips, planes = trips[coplanar], vt[coplanar, -1]
     big = np.argmax(np.abs(planes), axis=1)
     planes = planes / planes[np.arange(len(planes)), big][:, None]
@@ -519,20 +521,22 @@ def tritangent_triples(lineset: LineSet, tol: float = 1e-6) -> list:
     return out
 
 
-def line_plane_point(line: PluckerLine, h: np.ndarray,
-                     tol: float = 1e-9) -> np.ndarray:
-    """Intersection point of the line with the plane h.x = 0."""
+def line_plane_points(bases: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The points (n, 4) where the lines with the bases (n, 2, 4) meet the
+    plane h.x = 0, each divided by its largest-modulus coordinate and made
+    real when it nearly is.  LineInPlane when a line lies in the plane."""
     h = np.asarray(h, dtype=complex)
-    u, v = line.basis
-    cu, cv = u @ h, v @ h
-    x = cv * u - cu * v
-    scale = (np.linalg.norm(u) * np.linalg.norm(v) * np.linalg.norm(h))
-    if np.linalg.norm(x) < tol * max(scale, 1e-300):
+    u, v = bases[:, 0], bases[:, 1]
+    X = (v @ h)[:, None] * u - (u @ h)[:, None] * v
+    scale = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1) \
+        * np.linalg.norm(h)
+    if (np.linalg.norm(X, axis=1)
+            < LINE_IN_PLANE_TOL * np.maximum(scale, 1e-300)).any():
         raise LineInPlane("line lies in the plane")
-    x = x / x[int(np.argmax(np.abs(x)))]
-    if np.abs(x.imag).max() < 1e-8:
-        x = x.real.astype(complex)
-    return x
+    X = X / X[np.arange(len(X)), np.argmax(np.abs(X), axis=1)][:, None]
+    real = np.abs(X.imag).max(axis=1) < 1e-8
+    X[real] = X[real].real
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -565,5 +569,5 @@ def fermat_lines_closed_form() -> list:
 
 # the homotopy's start cubic and its lines, built once; `_start_system`
 # maps them into each patch
-_FERMAT_TENSOR = cubic_tensor(fermat_surface())
+_FERMAT_TENSOR = cubic_tensor(form_tensor(fermat_surface())[0])
 _FERMAT_LINES = fermat_lines_closed_form()

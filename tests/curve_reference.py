@@ -1,16 +1,37 @@
 """Exact plane-curve constructions that the curve layer's suites use as
 independent cross-checks: the conic through five points and the residual
 sixth point where it meets a cubic, the Weierstrass chord-tangent group
-law, and the singularity test of a cubic as a `Poly` function."""
+law, the singularity test of a cubic as a `Poly` function, and point
+location on the Fraction fibres of the chart curve, which the integer
+`realcubic.curve.locate` is tested against."""
 
 from fractions import Fraction
 
-from algebra_reference import resultant
-from realcubic.algebra import Poly, int_gcd, int_quo, to_int_primitive
-from realcubic.curve import AFFINE_VARS, PLANE_VARS, _coeffs_in_x, fibre_dense
+import numpy as np
+
+from algebra_reference import resultant, substitute
+from realcubic.algebra import (
+    Poly,
+    int_gcd,
+    int_quo,
+    real_root_floats,
+    real_roots,
+    sign_at,
+    to_int_primitive,
+    univ_derivative,
+    univ_eval,
+)
+from realcubic.curve import (
+    AFFINE_VARS,
+    PLANE_VARS,
+    _coeffs_in_x,
+    _mat_mul_vec,
+    fibre_dense,
+)
 from realcubic.errors import (
     DegenerateConfiguration,
     InternalInconsistency,
+    MultiplicityAmbiguity,
     NotOnCurve,
     SharedComponent,
 )
@@ -108,7 +129,7 @@ def residual_point(cubic: Poly, points) -> tuple:
     conic = conic_through_five(pts)
     q_aff = Poly(AFFINE_VARS,
                  {(e[0], e[1]): c for e, c in
-                  conic.substitute({"z": 1}).terms.items()})
+                  substitute(conic, {"z": 1}).terms.items()})
     res = resultant(q_aff, cubic, "y")
     if res.is_zero():
         raise SharedComponent("conic and cubic share a component")
@@ -165,3 +186,92 @@ def weierstrass_add(a, b, P, Q):
     if third is None:
         return None
     return (third[0], -third[1])
+
+
+# ---------------------------------------------------------------------------
+# point location on Fraction fibres
+# ---------------------------------------------------------------------------
+
+LOCATE_TOL = 1e-7
+
+
+def locate(analysis, point) -> str:
+    """`realcubic.curve.locate` with the fibre over a float x as Fractions
+    (`fibre_dense` of the chart curve at Fraction(x)), the chart inverse's
+    entries rounded per call, and the cell of x decided by `sign_at`."""
+    v = tuple(point)
+    if all(isinstance(t, (int, Fraction)) for t in v):
+        u = _mat_mul_vec(analysis.inverse, tuple(Fraction(t) for t in v))
+        if u[2] == 0:
+            return "pseudoline"
+        x0, y0, exact = u[0] / u[2], u[1] / u[2], True
+    else:
+        vf = tuple(float(t) for t in v)
+        u = tuple(sum(float(analysis.inverse[i][j]) * vf[j] for j in range(3))
+                  for i in range(3))
+        scale = max(abs(t) for t in u)
+        if abs(u[2]) < LOCATE_TOL * scale:
+            return "pseudoline"
+        x0, y0, exact = Fraction(u[0] / u[2]), Fraction(u[1] / u[2]), False
+    fy = fibre_dense(analysis.f, x0)
+    if analysis.components == 1:
+        _check_on_fibre(fy, y0, exact)
+        return "pseudoline"
+    below = 0
+    for k, fp in enumerate(analysis.folds):
+        if x0 in fp.x:
+            side = sign_at([-x0, Fraction(1)], analysis.disc_dense, fp.x)[0]
+            if side == 0:
+                return _locate_at_fold(fp, fy, y0, exact)
+            below += side < 0
+        elif fp.x.hi <= x0:
+            below += 1
+    _check_on_fibre(fy, y0, exact)
+    if exact:
+        branch = sum(1 for r in real_roots(fy)
+                     if (r.hi <= y0 and not r.is_point())
+                     or (r.is_point() and r.lo < y0))
+    else:
+        fyf = [float(t) for t in fy]
+        yf = float(y0)
+        mids = real_root_floats(fy, analysis.cell_counts[below])
+        others = [] if len(mids) == 3 else sorted(
+            np.roots(fyf[::-1]), key=lambda r: abs(r - mids[0]))[1:]
+        dists = sorted((abs(yf - m), i) for i, m in enumerate(mids + others))
+        branch = dists[0][1]
+        if branch >= len(mids) or \
+                dists[0][0] > 0 and dists[1][0] < 4 * dists[0][0]:
+            raise MultiplicityAmbiguity("point between two fibre branches")
+    pair = analysis.oval_cells.get(below)
+    return "oval" if pair is not None and branch in pair else "pseudoline"
+
+
+def _check_on_fibre(fy, y0, exact) -> None:
+    if exact:
+        if univ_eval(fy, y0) != 0:
+            raise NotOnCurve("point does not satisfy the curve equation")
+        return
+    fyf = [float(t) for t in fy]
+    scale = max(abs(t) for t in fyf) or 1.0
+    yf = float(y0)
+    if abs(univ_eval(fyf, yf)) > LOCATE_TOL * scale * max(1.0, abs(yf)) ** 3:
+        raise NotOnCurve("point too far from the curve")
+
+
+def _locate_at_fold(fp, fy, y0, exact) -> str:
+    g = int_gcd(fy, univ_derivative(fy))
+    if len(g) != 2:
+        raise InternalInconsistency("fold fibre without a double root")
+    ystar = Fraction(-g[0], g[1])
+    ysurv = -fy[2] / fy[3] - 2 * ystar
+    if exact:
+        if y0 == ystar:
+            return fp.pair_component
+        if y0 == ysurv:
+            return fp.survivor_component
+        raise NotOnCurve("point does not satisfy the curve equation")
+    d_star = abs(float(y0) - float(ystar))
+    d_surv = abs(float(y0) - float(ysurv))
+    if min(d_star, d_surv) > LOCATE_TOL * max(1.0, abs(float(y0))):
+        raise NotOnCurve("point too far from the curve")
+    return fp.pair_component if d_star <= d_surv else fp.survivor_component

@@ -14,6 +14,7 @@ from realcubic.lines import (
     DT_MAX,
     DT_MIN,
     IMAG_TOL,
+    MEET_TOL,
     NEWTON_SETTLED,
     NEWTON_STEPS,
     PLUCKER_PAIRS,
@@ -117,9 +118,9 @@ def conjugate_pairs(lines: list, tol: float) -> list:
     return pairs
 
 
-def tritangent_triples(lineset, tol: float = 1e-6) -> list:
+def tritangent_triples(lineset) -> list:
     lines = lineset.lines
-    M = meet_matrix(lines, tol)
+    M = meet_matrix(lines)
     conj_index = {}
     for i, j in lineset.conj_pairs:
         conj_index[i], conj_index[j] = j, i
@@ -138,7 +139,7 @@ def tritangent_triples(lineset, tol: float = 1e-6) -> list:
                 stacked = np.vstack([lines[i].basis, lines[j].basis,
                                      lines[k].basis])
                 _, sv, vt = np.linalg.svd(stacked)
-                if sv[-1] > tol * sv[0]:
+                if sv[-1] > MEET_TOL * sv[0]:
                     continue            # concurrent but not coplanar
                 plane = vt[-1]
                 big = int(np.argmax(np.abs(plane)))

@@ -42,6 +42,7 @@ from realcubic.lines import (
     tritangent_triples,
 )
 from curve_reference import null_space, residual_point, weierstrass_add
+from algebra_reference import substitute
 from lines_reference import (
     clebsch_surface,
     normalize_plucker,
@@ -394,8 +395,8 @@ def _random_affine(rng):
 def _transformed(F, N):
     xs = [Poly.var(v, AMB) for v in AMB]
     images = {AMB[j]: sum((xs[m] * N[j][m] for m in range(4)),
-                          Poly.zero(AMB)) for j in range(4)}
-    return F.substitute(images)
+                          Poly(AMB, {})) for j in range(4)}
+    return substitute(F, images)
 
 
 # five extra (surface, plane) pairs reusing shipped surfaces with other

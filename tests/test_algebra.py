@@ -14,7 +14,6 @@ from realcubic.algebra import (
     _flat_terms,
     _parse_poly,
     bareiss_det,
-    certified_roots,
     complex_roots,
     int_gcd,
     real_root_floats,
@@ -31,11 +30,14 @@ from realcubic.algebra import (
 )
 from realcubic.errors import InternalInconsistency, NonConvergence
 
+import algebra_reference
 import fraction_reference
 from algebra_reference import (
+    certified_roots,
     from_univariate,
     quadric_triple_resultant,
     resultant,
+    substitute,
 )
 from fraction_reference import univ_divmod, univ_gcd
 
@@ -153,6 +155,53 @@ def test_parse_error_messages(text, message):
         Poly.parse(text)
 
 
+def parsed(parse, text):
+    """What parse makes of text: its terms in order, or the error."""
+    try:
+        return list(parse(text, None).terms.items())
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_descent_equals_the_fraction_reference_on_the_witnesses():
+    # the same terms in the same order, all Fractions, as the recursive
+    # descent with a Fraction per atom
+    for w in load_witnesses():
+        for text in (w["surface"], w["plane"]):
+            want = parsed(algebra_reference.parse_poly, text)
+            assert parsed(_parse_poly, text) == want
+            assert parsed(Poly.parse, text) == want
+            assert all(type(c) is Fraction for _, c in want)
+
+
+_atom_st = st.one_of(
+    st.sampled_from(CANONICAL_VARS),
+    st.integers(0, 99).map(str),
+    st.builds("{}/{}".format, st.integers(0, 99), st.integers(0, 12)),
+    st.builds("{}.{}".format, st.integers(0, 99), st.integers(0, 999)),
+)
+
+
+def _nested_st(inner):
+    return st.one_of(
+        st.builds("{} {} {}".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("({})^{}".format, inner, st.integers(0, 3)),
+        st.builds("-({})".format, inner),
+        st.builds("({})({})".format, inner, inner),      # implicit products
+        st.builds("{}{}".format, st.integers(1, 9), inner),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_atom_st, _nested_st, max_leaves=10), st.integers(0, 3))
+def test_descent_equals_the_fraction_reference_on_nested_text(text, cut):
+    # nested text, and with up to 3 characters cut off its end; the
+    # same terms in the same order, or the same error
+    for t in (text, text[:len(text) - cut]):
+        assert parsed(_parse_poly, t) == parsed(algebra_reference.parse_poly,
+                                                t)
+
+
 coeff_st = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
 )
@@ -188,14 +237,14 @@ def test_substitute_and_eval():
     p = Poly.parse("x^2 + y*z - w")
     v = p.eval({"x": F(2), "y": F(3), "z": F(5), "w": F(1)})
     assert v == 4 + 15 - 1
-    q = p.substitute({"x": Poly.parse("y + 1")})
+    q = substitute(p, {"x": Poly.parse("y + 1")})
     assert q == Poly.parse("y^2 + 2*y + 1 + y*z - w")
 
 
 def test_homogeneous_degree():
     assert Poly.parse("x^3 + y^2*w").homogeneous_degree() == 3
     assert Poly.parse("x^3 + y^2").homogeneous_degree() is None
-    assert Poly.zero().homogeneous_degree() == 0
+    assert Poly(CANONICAL_VARS, {}).homogeneous_degree() == 0
 
 
 def test_coeffs_in_and_univariate():
@@ -462,6 +511,17 @@ def test_real_root_floats_certified_exact_and_fallback():
     assert certified_roots(tight, 2) is None
     lo, hi = real_root_floats(tight, 2)
     assert lo == 1.0 and abs(hi - (1 + 1e-13)) < 2e-16
+
+
+def test_real_root_floats_past_the_float_ratio_of_the_coefficients():
+    # 10^-10 x^2 - 10^300: each coefficient has a float, but their ratio,
+    # the companion matrix entry, has none; the exact route takes over
+    c = [-10 ** 300, 0, F(1, 10 ** 10)]
+    assert certified_roots(c, 2) is None
+    assert real_root_floats(c, 2) == [-1e155, 1e155]
+    # an integer list beyond float range is scaled, and certifies
+    big = univ_mul([-3, 1], [5, 2])
+    assert certified_roots([t * 10 ** 400 for t in big], 2) is not None
 
 
 def test_real_root_floats_refuses_a_repeated_root():

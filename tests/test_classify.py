@@ -4,6 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from realcubic import classify as classify_module
+from realcubic import curve as curve_module
+from realcubic import forms
+from realcubic import lines as lines_module
+
 from realcubic.algebra import Poly
 from realcubic.classify import (
     as_projective_cubic,
@@ -30,6 +35,10 @@ from realcubic.errors import (
 )
 from realcubic.forms import form_tensor, positive_definite
 from realcubic.lines import meet_matrix, solve_lines
+
+import classify_reference
+from algebra_reference import substitute
+from classify_reference import pool_entries
 
 WITNESSES = load_witnesses()
 AMB = ("x", "y", "z", "w")
@@ -200,20 +209,20 @@ class TestInputForms:
 class TestRestriction:
     def test_fermat_section_at_infinity(self):
         F = as_projective_cubic("x^3+y^3+z^3+w^3")
-        r = restrict_to_plane(F, (0, 0, 0, 1))
+        r = restrict_to_plane(form_tensor(F), (0, 0, 0, 1))
         assert r.ternary == Poly.parse("x^3+y^3+z^3", vars=("x", "y", "z"))
 
     def test_embedding_lands_on_plane(self):
         F = as_projective_cubic("x^3+y^3+z^3+w^3")
         h = (1, 2, 3, 5)
-        r = restrict_to_plane(F, h)
+        r = restrict_to_plane(form_tensor(F), h)
         for col in range(3):
             assert sum(h[i] * r.embed[i][col] for i in range(4)) == 0
 
     def test_restriction_evaluates_like_surface(self):
         F = as_projective_cubic("x^3 - 2*y^3 + z^3 + w^3 + x*y*w")
         h = (1, 1, 1, 2)
-        r = restrict_to_plane(F, h)
+        r = restrict_to_plane(form_tensor(F), h)
         pt = (Fraction(2), Fraction(-1), Fraction(3))
         amb = tuple(sum(r.embed[i][k] * pt[k] for k in range(3))
                     for i in range(4))
@@ -222,10 +231,33 @@ class TestRestriction:
     def test_transversality_detects_singular_section(self):
         # the sweep of the section is the pipeline's transversality test
         F = as_projective_cubic("x^3+y^3+z^3+w^3")
-        assert analyze_cubic(restrict_to_plane(F, (0, 0, 0, 1)).ternary)
+        T = form_tensor(F)
+        assert analyze_cubic(restrict_to_plane(T, (0, 0, 0, 1)).ternary)
         # the section by x + y = 0 degenerates to z^3 + w^3
         with pytest.raises(SingularCurve):
-            analyze_cubic(restrict_to_plane(F, (1, 1, 0, 0)).ternary)
+            analyze_cubic(restrict_to_plane(T, (1, 1, 0, 0)).ternary)
+
+    @pytest.mark.parametrize("entry", range(20))
+    def test_section_is_the_substituted_one_on_the_pool(self, entry):
+        # witness 15's plane has four fractional coefficients
+        surface, plane = pool_entries()[entry]
+        F, h = as_projective_cubic(surface), parse_plane(plane)
+        r = restrict_to_plane(form_tensor(F), h)
+        assert r.ternary == classify_reference.restrict_to_plane(F, h)
+
+    @pytest.mark.parametrize("plane", ["x - 3*w", "-2*x + y + z", "-w",
+                                       "(-7/3)*z + (1/2)*x - w",
+                                       "3*x + y - 5*z"])
+    def test_section_is_the_substituted_one_for_other_pivots(self, plane):
+        # negative pivot coefficients, and the section's tensor is the
+        # tensor of the section
+        F = as_projective_cubic(WITNESSES[14]["surface"])
+        h = parse_plane(plane)
+        r = restrict_to_plane(form_tensor(F), h)
+        assert r.ternary == classify_reference.restrict_to_plane(F, h)
+        S, D = r.tensor
+        T, E = form_tensor(r.ternary)
+        assert D > 0 and all(s * E == t * D for s, t in zip(S, T))
 
     def test_classify_rejects_non_transversal_plane(self):
         with pytest.raises(NotTransversal):
@@ -347,8 +379,29 @@ class TestStability:
                 key = mono[:3]
                 affine_terms[key] = affine_terms.get(key, 0) + c
             f = Poly(plane_vars, affine_terms)
-            rep = classify_surface(f.substitute(sub))
+            rep = classify_surface(substitute(f, sub))
             assert rep.class_id == cid
+
+
+def test_classify_builds_the_surface_tensor_once(monkeypatch):
+    # the section, the line solver and the sphere flag all take F's
+    # tensor from classify_surface: no other form_tensor call, also on the
+    # C3b classes whose sphere flag is decided
+    built, calls = forms.form_tensor, []
+
+    def counted(G):
+        calls.append(G)
+        return built(G)
+
+    for module in (forms, classify_module, curve_module, lines_module):
+        monkeypatch.setattr(module, "form_tensor", counted)
+    flags = []
+    for w in WITNESSES:
+        calls.clear()
+        rep = classify_surface(w["surface"], w["plane"])
+        assert calls == [as_projective_cubic(w["surface"])]
+        flags.append(rep.oval_in_sphere)
+    assert flags.count(True) == 1 and flags.count(False) == 1
 
 
 class TestSphereFlag:
@@ -371,7 +424,7 @@ class TestSphereFlag:
                                                                 plane):
         F = as_projective_cubic(WITNESSES[cid - 1]["surface"])
         h = parse_plane(plane)
-        restriction = restrict_to_plane(F, h)
+        restriction = restrict_to_plane(form_tensor(F), h)
         r = oval_interior_point(restriction,
                                 analyze_cubic(restriction.ternary))
         assert sum(a * b for a, b in zip(h, r)) == 0
@@ -380,7 +433,7 @@ class TestSphereFlag:
     def test_line_discriminant_matches_sympy(self):
         sp = pytest.importorskip("sympy")
         F = as_projective_cubic(WITNESSES[2]["surface"])
-        restriction = restrict_to_plane(F, parse_plane("w"))
+        restriction = restrict_to_plane(form_tensor(F), parse_plane("w"))
         r = oval_interior_point(restriction,
                                 analyze_cubic(restriction.ternary))
         k = max(range(4), key=lambda i: abs(r[i]))
@@ -394,7 +447,7 @@ class TestSphereFlag:
         D = form_tensor(F)[1]
         want = {e: D ** 4 * Fraction(int(c.p), int(c.q))
                 for e, c in zip(disc.monoms(), disc.coeffs())}
-        assert line_discriminant(F, r).terms == want
+        assert line_discriminant(form_tensor(F)[0], r).terms == want
 
     def test_positive_definite_proves_and_refutes(self):
         x, y, z = (Poly.var(v, ("x", "y", "z")) for v in ("x", "y", "z"))

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from realcubic import algebra as algebra_module
@@ -12,7 +13,7 @@ from realcubic import classify as classify_module
 from realcubic import curve as curve_module
 from realcubic.algebra import (
     Poly,
-    certified_roots,
+    hom_eval,
     real_roots,
     refine_root,
     sign_at,
@@ -51,8 +52,16 @@ from realcubic.errors import (
     SingularCurve,
 )
 from realcubic.forms import chart_terms, form_tensor, y_resultant
+from realcubic.lines import line_plane_points, solve_lines
 
-from algebra_reference import quadric_triple_resultant, resultant
+from algebra_reference import (
+    certified_roots,
+    quadric_triple_resultant,
+    resultant,
+    substitute,
+)
+import curve_reference
+from classify_reference import pool_entries
 from curve_reference import (
     conic_through_five,
     nonsingular_cubic,
@@ -221,7 +230,8 @@ class TestCertifiedFibreRoots:
         # fibre per certified bracket, with the midpoint on the root
         for w in load_witnesses():
             F = as_projective_cubic(w["surface"])
-            section = restrict_to_plane(F, parse_plane(w["plane"])).ternary
+            section = restrict_to_plane(form_tensor(F),
+                                        parse_plane(w["plane"])).ternary
             analysis = analyze_cubic(section)
             for x0, n in zip(analysis.cell_samples, analysis.cell_counts):
                 fy = fibre_dense(analysis.f, x0)
@@ -306,6 +316,90 @@ class TestCertifiedFibreRoots:
         assert locates and inner == []
 
 
+def located(locate_fn, analysis, point):
+    """What locate_fn says of the point: a component, or the error."""
+    try:
+        return locate_fn(analysis, point)
+    except RealcubicError as exc:
+        return type(exc).__name__, str(exc)
+
+
+# identity sweep chart, an oval over x = 0 and three real fibre roots there
+TINY_X_CUBIC = "(x^2 + y^2 - 4*z^2)*(y - 3*z) + x^3/100 + z^3/10"
+
+
+class TestIntegerLocate:
+    """`locate` on the integer fibre against the Fraction fibre of
+    `curve_reference.locate`."""
+
+    def test_section_points_of_the_pool(self):
+        # every real line's point on the plane, as the section tally
+        # computes it, for the 15 witnesses and the 5 extra planes
+        n = 0
+        for surface, plane in pool_entries():
+            F = as_projective_cubic(surface)
+            h = parse_plane(plane)
+            T = form_tensor(F)
+            restriction = restrict_to_plane(T, h)
+            analysis = analyze_cubic(restriction.ternary, restriction.tensor)
+            top = max(abs(c) for c in h)
+            bases = np.array([l.basis for l in solve_lines(F, 0, T).lines
+                              if l.real])
+            for u in line_plane_points(
+                    bases, np.array([float(c / top) for c in h])
+            )[:, restriction.free].real:
+                want = located(curve_reference.locate, analysis, u)
+                assert located(locate, analysis, u) == want
+                n += 1
+        assert n == 244
+
+    def test_chord_fold_and_off_curve_points(self, curve):
+        points = [(x, y, Fraction(1)) for x, y in
+                  TestLocate().chord_points(10)]
+        points += [(float(x), float(y), float(z)) for x, y, z in points]
+        points += [(Fraction(-5), Fraction(0), Fraction(1)),
+                   (Fraction(0), Fraction(0), Fraction(1)),
+                   (Fraction(5), Fraction(0), Fraction(1)),
+                   (Fraction(1), Fraction(1), Fraction(1)), (1.25, -3.5, 1.0),
+                   (0.0, 1.0, 0.0), (Fraction(0), Fraction(1), Fraction(0))]
+        # float points next to each fold, on both sides and on each branch
+        for fp in curve.folds:
+            x = float(refine_root(curve.disc_dense, fp.x,
+                                  Fraction(1, 2 ** 70)).mid)
+            for step in range(-3, 4):
+                xs = x
+                for _ in range(abs(step)):
+                    xs = math.nextafter(xs, math.copysign(math.inf, step))
+                fy = fibre_dense(curve.f, Fraction(xs))
+                for r in real_roots(fy):
+                    y = float(refine_root(fy, r, Fraction(1, 10 ** 20)).mid)
+                    points.append(tuple(
+                        float(curve.transform[i][0]) * xs
+                        + float(curve.transform[i][1]) * y
+                        + float(curve.transform[i][2]) for i in range(3)))
+        for point in points:
+            assert located(locate, curve, point) == \
+                located(curve_reference.locate, curve, point)
+
+    def test_tiny_x(self):
+        # over x = 2^-1000 the integer fibre has about 3000 bits, beyond
+        # float range unless scaled by a power of two
+        analysis = analyze_cubic(Poly.parse(TINY_X_CUBIC, vars=V))
+        assert analysis.transform == _IDENTITY
+        x = Fraction(1, 2 ** 1000)
+        fy = [hom_eval(c, x) for c in analysis.coeffs]
+        with pytest.raises(OverflowError):
+            [float(t) for t in fy]
+        got = []
+        for r in real_roots(fy):
+            y = float(refine_root(fy, r, Fraction(1, 10 ** 30)).mid)
+            for point in ((float(x), y, 1.0), (float(x), y * (1 + 1e-6), 1.0)):
+                got.append(located(locate, analysis, point))
+                assert got[-1] == located(curve_reference.locate, analysis,
+                                          point)
+        assert got[::2] == ["oval", "oval", "pseudoline"]
+
+
 def calls_inside(monkeypatch, outer, inner):
     """Wrap the (module, name) pair outer and each pair in inner; return
     the list of outer calls and the list of inner calls made during one."""
@@ -344,11 +438,15 @@ class TestSweepAlgebra:
         # Res(f, f_y) = -c3 Disc on the sweep chart of each witness section
         for w in load_witnesses():
             F = as_projective_cubic(w["surface"])
-            section = restrict_to_plane(F, parse_plane(w["plane"])).ternary
+            section = restrict_to_plane(form_tensor(F),
+                                        parse_plane(w["plane"])).ternary
             analysis = analyze_cubic(section)
             f, c3 = analysis.f, analysis.f.terms[(0, 3)]
             res = _coeffs_in_x(resultant(f, f.derivative("y"), "y"))
-            assert res == [-c3 * t for t in analysis.disc_dense]
+            # disc_dense is that of D f, for the tensor's D
+            D = analysis.tensor[1]
+            assert res == [-c3 * Fraction(t, D ** 4)
+                           for t in analysis.disc_dense]
 
     def test_discriminant_sign_is_the_fibre_count(self):
         # on every cell sample of the witness sections and of nonsingular
@@ -400,7 +498,7 @@ def record_real_roots(monkeypatch) -> list:
 
 
 def witness_sections() -> list:
-    return [restrict_to_plane(as_projective_cubic(w["surface"]),
+    return [restrict_to_plane(form_tensor(as_projective_cubic(w["surface"])),
                               parse_plane(w["plane"])).ternary
             for w in load_witnesses()]
 
@@ -422,10 +520,10 @@ def wall_draws(count: int) -> list:
 
 
 def chart_image(G: Poly, M) -> Poly:
-    """G(M v) by Poly.substitute: input variable j becomes row j of M."""
+    """G(M v) by substitution: input variable j becomes row j of M."""
     xs = [Poly.var(v, V) for v in V]
-    return G.substitute({V[j]: sum((xs[k] * M[j][k] for k in range(3)),
-                                   Poly.zero(V)) for j in range(3)})
+    return substitute(G, {V[j]: sum((xs[k] * M[j][k] for k in range(3)),
+                                   Poly(V, {})) for j in range(3)})
 
 
 class TestIntegerCharts:
@@ -447,7 +545,7 @@ class TestIntegerCharts:
                 assert {e: Fraction(c, D) for e, c in at_infinity.items()} \
                     == {e[:2]: c for e, c in image.terms.items() if e[2] == 0}
                 assert _affine(G, M, chart_terms(T, M, d), D).terms == {
-                    e[:2]: c for e, c in image.substitute({"z": 1}).terms
+                    e[:2]: c for e, c in substitute(image, {"z": 1}).terms
                     .items()}
 
     def test_tensor_clears_denominators(self):
@@ -529,7 +627,7 @@ class TestIntegerCharts:
             assert nonsingular_cubic(G) == old
             seen.add(old)
         assert seen == {True, False}
-        assert not nonsingular_cubic(Poly.zero(V))
+        assert not nonsingular_cubic(Poly(V, {}))
 
 
 # transformed_entry(witness_pool(root)[14], random.Random("stress 4 14"))
@@ -581,8 +679,8 @@ class TestLongChartSearch:
         monkeypatch.setattr(curve_module, "_one_point_at_infinity",
                             counting_screen)
         monkeypatch.setattr(curve_module, "chart_terms", counting_change)
-        section = restrict_to_plane(as_projective_cubic(STRESS_IMAGE_15),
-                                    parse_plane("w")).ternary
+        F = as_projective_cubic(STRESS_IMAGE_15)
+        section = restrict_to_plane(form_tensor(F), parse_plane("w")).ternary
         out = analyze_cubic(section)
         assert len(screened) == 488
         assert out.transform == list(_chart_candidates(488))[487]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import lines_reference
+from algebra_reference import substitute
 from realcubic import lines as lines_module
 from realcubic.algebra import CANONICAL_VARS, Poly
 from realcubic.classify import as_projective_cubic, load_witnesses
@@ -28,7 +29,7 @@ from realcubic.lines import (
     cubic_values,
     fermat_lines_closed_form,
     fermat_surface,
-    line_plane_point,
+    line_plane_points,
     meet_matrix,
     plucker_distances,
     patch_matrix,
@@ -62,8 +63,13 @@ def random_cubic(seed: int) -> Poly:
     return Poly(CANONICAL_VARS, terms)
 
 
+def rounded_tensor(F: Poly) -> np.ndarray:
+    """The float tensor the line solver uses for F."""
+    return cubic_tensor(form_tensor(F)[0])
+
+
 def tensor_scale(F: Poly) -> float:
-    """s with F(x) = s T(x, x, x) for T = cubic_tensor(F)."""
+    """s with F(x) = s T(x, x, x) for T = rounded_tensor(F)."""
     T, D = form_tensor(F)
     return max(map(abs, T)) / D
 
@@ -357,7 +363,7 @@ class TestFusedEvaluation:
         rng = np.random.default_rng(17)
         X = (rng.normal(size=(40, 4)) + 1j * rng.normal(size=(40, 4))) \
             * rng.uniform(0.1, 3.0, size=(40, 1))
-        got = _monomial_values(X) @ patch_matrix(cubic_tensor(F), A) \
+        got = _monomial_values(X) @ patch_matrix(rounded_tensor(F), A) \
             * tensor_scale(F)
         assert got.shape == (40, 20)
         h = 1e-5
@@ -375,7 +381,7 @@ class TestFusedEvaluation:
         # pivot columns (0, 2): rows e0 + a e1 + b e3 and e2 + c e1 + d e3,
         # so the Fermat equations are 1 + a^3 + b^3, 3 (a^2 c + b^2 d),
         # 3 (a c^2 + b d^2) and 1 + c^3 + d^3
-        C = patch_matrix(cubic_tensor(fermat_surface()), PATCHES[1])
+        C = patch_matrix(rounded_tensor(fermat_surface()), PATCHES[1])
         abcd = ("a", "b", "c", "d")
         eqs = [Poly.parse(text, vars=abcd) for text in (
             "1 + a^3 + b^3", "3*a^2*c + 3*b^2*d", "3*a*c^2 + 3*b*d^2",
@@ -406,7 +412,7 @@ class TestFusedEvaluation:
         A = random_patch(seed)
         X = _patch_coordinates(fermat_lines_closed_form(), A)
         assert X.shape == (27, 4)
-        C = patch_matrix(cubic_tensor(fermat_surface()), A)
+        C = patch_matrix(rounded_tensor(fermat_surface()), A)
         res = np.abs(_monomial_values(X) @ C[:, :4]).max()
         mag = np.abs(C[:, :4]).max() * max(1.0, np.abs(X).max()) ** 3
         assert res <= 1e-12 * mag
@@ -416,7 +422,7 @@ class TestCubicTensor:
     @pytest.mark.parametrize("F", [clebsch_surface(), random_cubic(19)],
                              ids=["clebsch", "random19"])
     def test_symmetric(self, F):
-        T = cubic_tensor(F)
+        T = rounded_tensor(F)
         assert T.shape == (4, 4, 4)
         for axes in itertools.permutations(range(3)):
             assert np.array_equal(T, T.transpose(axes))
@@ -426,7 +432,7 @@ class TestCubicTensor:
     def test_values_match_eval(self, F):
         rng = np.random.default_rng(41)
         X = rng.normal(size=(10, 4)) + 1j * rng.normal(size=(10, 4))
-        got = cubic_values(cubic_tensor(F), X) * tensor_scale(F)
+        got = cubic_values(rounded_tensor(F), X) * tensor_scale(F)
         want = np.array([complex(F.eval([complex(t) for t in x])) for x in X])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -434,9 +440,9 @@ class TestCubicTensor:
         # 10^400 F has the tensor of F, and no entry overflows
         F = random_cubic(19)
         big = F * Poly(CANONICAL_VARS, {(0, 0, 0, 0): 10 ** 400})
-        T = cubic_tensor(big)
+        T = rounded_tensor(big)
         assert np.abs(T).max() == 1.0
-        assert np.array_equal(T, cubic_tensor(F))
+        assert np.array_equal(T, rounded_tensor(F))
 
 
     def test_rounds_as_the_fraction_route(self):
@@ -446,7 +452,7 @@ class TestCubicTensor:
             T, _ = form_tensor(F)
             top = max(map(abs, T))
             want = np.array([float(Fraction(t, top)) for t in T])
-            assert cubic_tensor(F).tobytes() == want.tobytes()
+            assert rounded_tensor(F).tobytes() == want.tobytes()
 
 
 class TestPatchAttempts:
@@ -487,7 +493,7 @@ class TestLinePlanePoint:
         rng = np.random.default_rng(2)
         for line in ls.lines[:8]:
             h = rng.normal(size=4)
-            x = line_plane_point(line, h)
+            (x,) = line_plane_points(np.array([line.basis]), h)
             assert point_on_line(x, line)
             assert abs(x @ h) < 1e-8 * np.linalg.norm(h)
 
@@ -500,8 +506,8 @@ class TestLinePlanePoint:
         stacked = np.vstack([u, v, outside])
         _, _, vt = np.linalg.svd(stacked)
         h = vt[-1]
-        with pytest.raises(LineInPlane):
-            line_plane_point(line, h)
+        with pytest.raises(LineInPlane):     # one such line refuses all
+            line_plane_points(np.array([ls.lines[1].basis, line.basis]), h)
 
     def test_real_points_span_real_line(self):
         ls = solve_lines(clebsch_surface())
@@ -529,7 +535,7 @@ def seeded_image(F: Poly, seed: int) -> Poly:
         M = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
         if round(np.linalg.det(np.array(M, dtype=float))):
             break
-    return F.substitute({v: Poly(CANONICAL_VARS, {
+    return substitute(F, {v: Poly(CANONICAL_VARS, {
         tuple(int(k == j) for k in range(4)): M[i][j] for j in range(4)})
         for i, v in enumerate(CANONICAL_VARS)})
 
