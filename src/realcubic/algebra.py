@@ -785,7 +785,7 @@ def scaled_floats(c: Sequence) -> tuple:
     return [float(t / p) for t in c], p
 
 
-def certified_brackets(c: Sequence, n: int):
+def certified_brackets(c: Sequence, n: int, roots=None):
     """Brackets for the n real roots of c, increasing, certified from its
     float roots, or None where that fails, as where two roots nearly merge
     or one is beyond float range: (r, lo, hi, k) per root, the bracket
@@ -793,12 +793,14 @@ def certified_brackets(c: Sequence, n: int):
     (`scaled_floats`) moved by one Newton step (c exact, c' in floats), of
     half width 2^-ENCLOSURE_BITS s for s the power of two at or above the
     largest root modulus.  n disjoint brackets, each with c of opposite
-    nonzero signs at its ends, hold one root each."""
+    nonzero signs at its ends, hold one root each.  `roots` are the
+    `np.roots` of c / p, if the caller has taken them."""
     c = strip_high(c)
     fc, p = scaled_floats(c)
     if not fc or not fc[-1] or max(map(abs, fc)) > 2.0 ** 1000 * abs(fc[-1]):
         return None             # the companion matrix would overflow
-    roots = np.roots(fc[::-1])
+    if roots is None:
+        roots = np.roots(fc[::-1])
     if not np.isfinite(roots).all():
         return None
     real = [float(r.real) for r in roots if r.imag == 0]
@@ -834,13 +836,15 @@ def _newton_step(ci: list, den: int, dc: list, r: float) -> float:
     return r - _hom_eval(ci, a, q) * dd / (den * q ** (len(ci) - 1) * dn)
 
 
-def real_root_floats(c: Sequence, n: int, ivs: Sequence = None) -> list:
+def real_root_floats(c: Sequence, n: int, ivs: Sequence = None,
+                     roots=None) -> list:
     """The n real roots of the squarefree c as sorted floats: midpoints of
-    certified brackets, else of the isolating intervals `ivs` (by default
-    `real_roots(c)`) refined to FALLBACK_WIDTH.  A root that `ivs` gives as
-    a point is rounded from its exact value.  Raises InternalInconsistency
-    when c has a repeated root after all."""
-    got = certified_brackets(c, n)
+    certified brackets (from the float `roots` of c, if given), else of
+    the isolating intervals `ivs` (by default `real_roots(c)`) refined to
+    FALLBACK_WIDTH.  A root that `ivs` gives as a point is rounded from its
+    exact value.  Raises InternalInconsistency when c has a repeated root
+    after all."""
+    got = certified_brackets(c, n, roots)
     if got is not None:
         mids = [r for r, *_ in got]
         return mids if ivs is None else [

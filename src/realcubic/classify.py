@@ -252,12 +252,18 @@ def oval_in_sphere(T: list, restriction: PlaneRestriction,
 
 def _line_section_tally(lineset: LineSet, restriction: PlaneRestriction,
                         analysis: CurveAnalysis, h) -> dict:
-    # the real lines' points in one array pass, h over its largest entry
-    top = max(abs(Fraction(c)) for c in h)
-    hnp = np.array([float(Fraction(c) / top) for c in h])
+    # the real lines' points in one array pass.  The lines are in the
+    # coordinates x' of x_i = 2^e_i x'_i (`LineSet.scale`), where the plane
+    # h.x = 0 is (2^e h).x' = 0, taken over its largest entry; each point
+    # goes back to x by the same powers of two
+    e = lineset.scale
+    he = [Fraction(c) * Fraction(2) ** int(k) for c, k in zip(h, e)]
+    top = max(abs(c) for c in he)
+    hnp = np.array([float(c / top) for c in he])
     bases = np.array([line.basis for line in lineset.lines if line.real])
+    free = list(restriction.free)
     counts = {"oval": 0, "pseudoline": 0}
-    for u in line_plane_points(bases, hnp)[:, restriction.free].real:
+    for u in np.ldexp(line_plane_points(bases, hnp)[:, free].real, e[free]):
         counts[locate(analysis, u)] += 1
     return counts
 

@@ -40,7 +40,7 @@ from .combinat import (
 )
 from .curve import analyze_cubic, conic_cubic_meet, locate, plane_form
 from .errors import MathematicalRejection, NotTransversal, RealcubicError
-from .lines import solve_lines
+from .lines import input_plucker, solve_lines
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -101,7 +101,8 @@ def entry_payload(cmd: str, entry: dict, seed: int):
 
 
 def lines_payload(surface: str, seed: int = 0) -> list:
-    """The 27 lines as records.  Real lines and conjugate pairs are sorted
+    """The 27 lines as records, in the input's coordinates
+    (`input_plucker`).  Real lines and conjugate pairs are sorted
     as units by their rounded real parts, a pair by the mean of its two
     (then by the mean moduli of its imaginary parts), and a pair lists
     first the member whose largest imaginary coordinate is positive.  So
@@ -109,10 +110,10 @@ def lines_payload(surface: str, seed: int = 0) -> list:
     both its place and its order."""
     lineset = solve_lines(as_projective_cubic(surface), seed)
     records = [{
-        "plucker": [[float(c.real), float(c.imag)] for c in line.plucker],
+        "plucker": [[float(c.real), float(c.imag)] for c in plucker],
         "real": bool(line.real),
         "residual": float(line.residual),
-    } for line in lineset.lines]
+    } for line, plucker in zip(lineset.lines, input_plucker(lineset))]
     units = [[i] for i, line in enumerate(lineset.lines) if line.real]
     for i, j in lineset.conj_pairs:
         # the first imaginary part within a whisker of the largest, so

@@ -462,9 +462,13 @@ def locate(analysis: CurveAnalysis, point) -> str:
                      if (r.hi <= y0 and not r.is_point())
                      or (r.is_point() and r.lo < y0))
     else:
-        mids = real_root_floats(fy, analysis.cell_counts[cell])
-        others = [] if len(mids) == 3 else sorted(
-            np.roots(fyf[::-1]), key=lambda r: abs(r - mids[0]))[1:]
+        # in a one-branch cell one np.roots of the fibre serves both the
+        # brackets and the two non-real branches
+        n = analysis.cell_counts[cell]
+        roots = None if n == 3 else np.roots(fyf[::-1])
+        mids = real_root_floats(fy, n, roots=roots)
+        others = [] if n == 3 else sorted(
+            roots, key=lambda r: abs(r - mids[0]))[1:]
         dists = sorted((abs(y0 - m), i) for i, m in enumerate(mids + others))
         branch = dists[0][1]
         if branch >= len(mids) or \

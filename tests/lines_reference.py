@@ -86,8 +86,9 @@ def line_from_solution(sol, A, T, norm) -> PluckerLine:
 
 
 def new_lines(S, A, T, norm, found, tol) -> list:
-    """`lines._new_lines`, taking the solutions one by one."""
-    P = np.array([line.plucker for line in found]).reshape(-1, 6)
+    """`lines._new_lines`, taking the solutions one by one, as
+    PluckerLines; `found` holds the Pluecker vectors of the lines found."""
+    P = found.reshape(-1, 6)
     out = []
     for sol in S:
         line = line_from_solution(sol, A, T, norm)

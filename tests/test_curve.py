@@ -303,6 +303,23 @@ class TestCertifiedFibreRoots:
             assert locate(curve, (float(x), float(y), 1.0)) == expect
         assert fibre_calls == []
 
+    def test_float_locate_takes_one_np_roots_per_fibre(self, curve,
+                                                       monkeypatch):
+        # the brackets and the non-real branches of a one-branch cell share
+        # one np.roots of the fibre
+        calls = []
+        roots = np.roots
+
+        def counted(c):
+            calls.append(len(c))
+            return roots(c)
+
+        monkeypatch.setattr(np, "roots", counted)
+        points = TestLocate().chord_points(10)
+        for (x, y) in points:
+            locate(curve, (float(x), float(y), 1.0))
+        assert len(calls) == len(points)
+
     def test_clustered_roots_far_from_zero_certify(self, monkeypatch):
         # an affine image of witness 8 with two section points whose fibre
         # roots, near -9.00, -8.94 and -8.86, float roots misplace by more

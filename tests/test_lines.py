@@ -1,6 +1,7 @@
 """Line solver tests against closed forms and rank-based oracles."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -18,17 +19,22 @@ from realcubic.forms import form_tensor
 from realcubic.lines import (
     ATTEMPTS,
     DEDUPE_TOL,
+    STRAGGLERS,
     LineSet,
+    PluckerLine,
     _K,
     _MONOMIAL_INDEX,
+    _complete,
     _conjugate_pairs,
     _monomial_values,
     _patch_coordinates,
     _solve_batched,
+    balancing_exponents,
     cubic_tensor,
     cubic_values,
     fermat_lines_closed_form,
     fermat_surface,
+    input_plucker,
     line_plane_points,
     meet_matrix,
     plucker_distances,
@@ -54,6 +60,11 @@ TWO_PATCH_IMAGE = (
     " + (-111)*x*z*w + (99/4)*x*w^2 + (-57/4)*y^3 + (-27/2)*y^2*z"
     " + (-141/4)*y^2*w + 225*y*z^2 + (-291)*y*z*w + (273/4)*y*w^2"
     " + 150*z^3 + (-249)*z^2*w + (249/2)*z*w^2 + (-75/4)*w^3")
+
+
+# nonsingular, with coefficients beyond float range: x = 10^(-400/3) x'
+# makes it Fermat plus a 10^-133 multiple of x' y z
+HUGE_SURFACE = f"{10 ** 400}*x^3 + y^3 + z^3 + w^3 + x*y*z"
 
 
 def random_cubic(seed: int) -> Poly:
@@ -444,6 +455,44 @@ class TestCubicTensor:
         assert np.abs(T).max() == 1.0
         assert np.array_equal(T, rounded_tensor(F))
 
+    def test_identity_scaling_within_float_range(self):
+        big = random_cubic(19) * Poly(CANONICAL_VARS,
+                                      {(0, 0, 0, 0): 10 ** 400})
+        for F in witness_surfaces() + [random_cubic(7), big]:
+            assert balancing_exponents(form_tensor(F)[0]).tolist() == [0] * 4
+
+    def test_balanced_tensor_is_the_scaled_surface(self):
+        # x = 2^-443 x' carries 10^400 x^3 to about x'^3, and x y z to a
+        # 10^-133 multiple of x' y z
+        T, _ = form_tensor(Poly.parse(HUGE_SURFACE))
+        e = balancing_exponents(T)
+        assert e.tolist() == [-443, 0, 0, 0]
+        shift = [-443 * ijk.count(0) for ijk in
+                 itertools.product(range(4), repeat=3)]
+        exact = [Fraction(t) * Fraction(2) ** k for t, k in zip(T, shift)]
+        top = max(map(abs, exact))
+        want = np.array([float(t / top) for t in exact])
+        assert cubic_tensor(T, e).tobytes() == want.tobytes()
+
+    def test_huge_surface_lines_in_the_input_coordinates(self):
+        F = Poly.parse(HUGE_SURFACE)
+        ls = solve_lines(F)
+        assert ls.scale.tolist() == [-443, 0, 0, 0] and ls.real_count == 3
+        P = input_plucker(ls)
+        assert np.abs(np.abs(P).max(axis=1) - 1).max() < 1e-15
+        for line, p in zip(ls.lines, P):
+            B = np.ldexp(line.basis.real, ls.scale) \
+                + 1j * np.ldexp(line.basis.imag, ls.scale)
+            assert plucker_distance(p, plucker_from_basis(*B)) < 1e-12
+            if not line.real:
+                continue
+            # the real lines lie on F, evaluated exactly
+            for point in line.real_points():
+                x = [Fraction(t) for t in np.ldexp(point, ls.scale)]
+                size = sum(abs(c * math.prod(t ** k for t, k in zip(x, exps)))
+                           for exps, c in F.terms.items())
+                assert abs(F.eval(x)) < 1e-12 * size
+
 
     def test_rounds_as_the_fraction_route(self):
         # each entry t / top of ints is correctly rounded, as Fraction's is
@@ -456,10 +505,11 @@ class TestCubicTensor:
 
 
 class TestPatchAttempts:
-    """Each attempt tracks the 27 Fermat lines, mapped into a fresh patch;
-    lost paths send the solver to the next patch, up to ATTEMPTS."""
+    """Each attempt tracks the 27 Fermat lines, mapped into a fresh patch,
+    and completes the lines from tritangent planes; lines still missing
+    send the solver to the next patch, up to ATTEMPTS."""
 
-    def _lossy_track(self, monkeypatch, lossy_calls):
+    def _lossy_track(self, monkeypatch, keep, lossy_calls):
         starts = []
         track = lines_module._track
 
@@ -468,23 +518,81 @@ class TestPatchAttempts:
             res = np.abs(_monomial_values(X) @ C0[:, :4]).max()
             starts.append((len(X), res))
             out = track(C0, C1, gamma, X)
-            return out[1:] if len(starts) <= lossy_calls else out
+            return out[keep] if len(starts) <= lossy_calls else out
 
         monkeypatch.setattr(lines_module, "_track", lossy)
         return starts
 
-    def test_lost_path_is_found_in_the_next_patch(self, monkeypatch):
-        starts = self._lossy_track(monkeypatch, lossy_calls=1)
+    def test_lost_path_is_found_in_the_same_patch(self, monkeypatch):
+        starts = self._lossy_track(monkeypatch, slice(1, None), 1)
+        ls = solve_lines(clebsch_surface())
+        assert len(ls.lines) == 27 and ls.real_count == 27
+        assert [n for n, _ in starts] == [27]
+        assert max(res for _, res in starts) < 1e-10
+
+    def test_next_patch_when_the_completion_cannot_finish(self, monkeypatch):
+        # one line spans no plane with another: nothing to complete from
+        starts = self._lossy_track(monkeypatch, slice(0, 1), 1)
         ls = solve_lines(clebsch_surface())
         assert len(ls.lines) == 27 and ls.real_count == 27
         assert [n for n, _ in starts] == [27, 27]
-        assert max(res for _, res in starts) < 1e-10
 
     def test_gives_up_after_fixed_attempts(self, monkeypatch):
-        starts = self._lossy_track(monkeypatch, lossy_calls=ATTEMPTS)
-        with pytest.raises(NearDiscriminant, match="26 separated lines"):
+        starts = self._lossy_track(monkeypatch, slice(0, 0), ATTEMPTS)
+        with pytest.raises(NearDiscriminant, match="found 0 separated lines"):
             solve_lines(clebsch_surface())
         assert [n for n, _ in starts] == [27] * ATTEMPTS
+
+
+class TestCompletion:
+    """Lines left out of a solved set come back as the residual lines of
+    tritangent planes, through the endgame and the tests of a tracked
+    line."""
+
+    def test_dropped_lines_come_back(self):
+        surfaces = [fermat_surface(), clebsch_surface()] + witness_surfaces()
+        for n, F in enumerate(surfaces):
+            ls = solve_lines(F)
+            found = line_arrays(ls)
+            T = rounded_tensor(F)
+            A = lines_module._start_system(0, 0)[0]
+            C1 = patch_matrix(T, A)
+            rng = random.Random(f"completion {n}")
+            drops = [[k] for k in range(27)] \
+                + [rng.sample(range(27), STRAGGLERS) for _ in range(8)]
+            for drop in drops:
+                keep = np.setdiff1d(np.arange(27), drop)
+                got = _complete(tuple(a[keep] for a in found), T, A, C1,
+                                float(np.abs(T).sum()))
+                assert len(got[0]) == 27
+                assert np.array_equal(got[0][:len(keep)], found[0][keep])
+                D = plucker_distances(found[0][drop], got[0][len(keep):])
+                match = D.argmin(axis=1)
+                assert sorted(match.tolist()) == list(range(len(drop)))
+                assert D[np.arange(len(drop)), match].max() < 1e-10
+                assert got[2][len(keep):][match].tolist() \
+                    == found[2][drop].tolist()
+
+    def test_tracking_stops_with_the_stragglers(self, monkeypatch):
+        # the tracker hands the endgame all but at most STRAGGLERS paths,
+        # and on some witness leaves paths to the completion
+        events = []
+
+        def logged(name, f):
+            def wrapped(*args):
+                events.append((name, len(args[-1])))    # the points X
+                return f(*args)
+            return wrapped
+
+        for name in ("_track", "_endgame"):
+            monkeypatch.setattr(lines_module, name, logged(
+                name, getattr(lines_module, name)))
+        for F in witness_surfaces():
+            solve_lines(F)
+        # each track's own endgame is the call logged right after it
+        handed = [events[k + 1][1] for k, (name, _) in enumerate(events)
+                  if name == "_track"]
+        assert min(handed) >= 27 - STRAGGLERS and min(handed) < 27
 
 
 class TestLinePlanePoint:
@@ -550,6 +658,20 @@ def assert_same_lines(got: list, want: list) -> None:
         assert a.residual == pytest.approx(b.residual, rel=1e-6, abs=1e-15)
 
 
+def as_lines(arrays: tuple) -> list:
+    """The line arrays (plucker, basis, real, residual) as PluckerLines."""
+    return [PluckerLine(p, b, bool(r), float(res)) for p, b, r, res in
+            zip(*arrays)]
+
+
+def line_arrays(ls: LineSet) -> tuple:
+    """A line set's lines as the solver's arrays."""
+    return (np.array([l.plucker for l in ls.lines]),
+            np.array([l.basis for l in ls.lines]),
+            np.array([l.real for l in ls.lines]),
+            np.array([l.residual for l in ls.lines]))
+
+
 @pytest.fixture(scope="module")
 def bookkeeping():
     """Solve the witness surfaces and seeded images of five of them, with
@@ -561,7 +683,7 @@ def bookkeeping():
 
     def both(S, A, T, norm, found, tol):
         for sols in (S, np.vstack([S, S])):
-            assert_same_lines(batched(sols, A, T, norm, found, tol),
+            assert_same_lines(as_lines(batched(sols, A, T, norm, found, tol)),
                               lines_reference.new_lines(sols, A, T, norm,
                                                         found, tol))
         patches.append(len(found))
