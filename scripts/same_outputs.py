@@ -7,9 +7,10 @@ PARENT and CHANGE are source checkouts, each run with its own `src/` and
 `--jobs 1`, on inputs from this checkout's `perfbench/inputs.py`:
 `classify --batch` and `lines --batch` on the 30 `batch` entries of seed 0
 and 80 affine images of the 20 pool entries, `wall-label --batch` and
-`curve --batch` on `wall_pairs(150)`.  Prints each subcommand's verdict,
-with the first differing output line, and exits 1 on any difference.
-Needs sympy, as perfbench does.
+`curve --batch` on `wall_pairs(150)`, and `curve --batch` once more on
+their 150 cubics alone, with no conic: the component count by itself.
+Prints each set's verdict, with the first differing output line, and exits
+1 on any difference.  Needs sympy, as perfbench does.
 """
 
 import json
@@ -37,6 +38,7 @@ def input_sets(pool: list) -> dict:
         "wall-label": [{"conic": p["conic"], "cubic": p["cubic"]}
                        for p in pairs],
         "curve": [{"cubic": p["cubic"], "conic": p["conic"]} for p in pairs],
+        "curve (no conic)": [{"cubic": p["cubic"]} for p in pairs],
     }
 
 
@@ -56,18 +58,21 @@ def run(tree: str, cmd: str, entries: list) -> tuple:
 
 
 def compare(parent: str, change: str, sets: dict) -> bool:
+    """Run each set, named by its subcommand and an optional remark, in
+    both trees and print its verdict."""
     same = True
-    for cmd, entries in sets.items():
+    for name, entries in sets.items():
+        cmd = name.split()[0]
         (code_a, a), (code_b, b) = (run(parent, cmd, entries),
                                     run(change, cmd, entries))
         if (code_a, a) == (code_b, b):
-            print(f"{cmd}: {len(entries)} inputs, same output "
+            print(f"{name}: {len(entries)} inputs, same output "
                   f"(exit {code_a})")
             continue
         same = False
         k = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
                  min(len(a), len(b)))
-        print(f"{cmd}: DIFFERS, exit {code_a} / {code_b}, line {k + 1}:\n"
+        print(f"{name}: DIFFERS, exit {code_a} / {code_b}, line {k + 1}:\n"
               f"  parent: {a[k] if k < len(a) else '<end>'}\n"
               f"  change: {b[k] if k < len(b) else '<end>'}")
     return same

@@ -23,6 +23,7 @@ from .curve import (
     PLANE_VARS,
     CurveAnalysis,
     analyze_cubic,
+    component_count,
     conic_cubic_meet,
     cubic_discriminant,
     locate,
@@ -406,8 +407,10 @@ def wall_label(f2, f3) -> WallLabel:
     x, y (text or Poly).  The six complex intersection points must be
     distinct; tangency raises NotTransversal and a singular cubic raises
     SingularCurve.  Counts the real intersections per component of the
-    cubic and packages them with the one-nodal surface w*f2 + f3.  On a
-    one-component cubic they are counted, not located (`ConicCubicMeet`).
+    cubic and packages them with the one-nodal surface w*f2 + f3.  The
+    sign of the cubic's discriminant gives its component count
+    (`component_count`); on a one-component cubic the intersections are
+    counted (`ConicCubicMeet`), with no sweep and no point located.
     """
     B = plane_form(f2, 2, "conic")
     C = plane_form(f3, 3, "cubic")
@@ -420,10 +423,11 @@ def wall_label(f2, f3) -> WallLabel:
         - b * (b * (2 * f) - e * c) + c * (b * e - (2 * d) * c)
     if det == 0:
         raise DegenerateConfiguration("conic is degenerate")
-    analysis = analyze_cubic(C)
-    meet = conic_cubic_meet(B, C, analysis.tensor)
+    components, tensor = component_count(C)
+    analysis = analyze_cubic(C, tensor) if components == 2 else None
+    meet = conic_cubic_meet(B, C, tensor)
     on = {"oval": 0, "pseudoline": 0}
-    if analysis.components == 1:
+    if analysis is None:
         on["pseudoline"] = len(meet.intervals)
     else:
         for point in meet.real_points:
@@ -436,8 +440,8 @@ def wall_label(f2, f3) -> WallLabel:
                   **{mono + (0,): coef for mono, coef in C.terms.items()}})
     return WallLabel(
         pseudoline_crossings=on["pseudoline"],
-        oval_crossings=on["oval"] if analysis.components == 2 else None,
-        curve_components=analysis.components,
+        oval_crossings=None if analysis is None else on["oval"],
+        curve_components=components,
         surface=nodal,
     )
 

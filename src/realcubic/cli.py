@@ -38,7 +38,13 @@ from .combinat import (
     validate_wall_graph,
     wall_table,
 )
-from .curve import analyze_cubic, conic_cubic_meet, locate, plane_form
+from .curve import (
+    analyze_cubic,
+    component_count,
+    conic_cubic_meet,
+    locate,
+    plane_form,
+)
 from .errors import MathematicalRejection, NotTransversal, RealcubicError
 from .lines import input_plucker, solve_lines
 
@@ -149,10 +155,12 @@ def _normalized_triple(v) -> list:
 
 def curve_payload(cubic: str, conic=None) -> dict:
     C = plane_form(cubic, 3, "cubic")
-    analysis = analyze_cubic(C)
+    components, tensor = component_count(C)
+    # only a two-component cubic needs the sweep to locate a point
+    analysis = analyze_cubic(C, tensor) if components == 2 else None
     payload = {
-        "components": analysis.components,
-        "oval_present": analysis.components == 2,
+        "components": components,
+        "oval_present": components == 2,
         "transversal": None,
         "intersections": [],
     }
@@ -160,14 +168,15 @@ def curve_payload(cubic: str, conic=None) -> dict:
         return payload
     try:
         meet = conic_cubic_meet(plane_form(conic, 2, "conic"), C,
-                                cubic_tensor=analysis.tensor)
+                                cubic_tensor=tensor)
     except NotTransversal:
         payload["transversal"] = False
         return payload
     payload["transversal"] = True
 
     entries = [{"point": _normalized_triple(p),
-                "component": locate(analysis, p),
+                "component": "pseudoline" if analysis is None
+                else locate(analysis, p),
                 "real": True} for p in meet.real_points]
     entries += [{"point": _normalized_triple(p),
                  "component": None,

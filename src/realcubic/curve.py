@@ -24,8 +24,14 @@ hands them to the integer root toolkit of `algebra.py` as they are.
 The meet keeps the isolating intervals of its resultant's real roots.  Each
 carries exactly one real common point, so their number is the exact real
 count; the points themselves (`ConicCubicMeet.real_points`) are computed,
-Newton-polished and checked only when first read.  `wall_label` never
-reads them on a one-component cubic.
+Newton-polished and checked only when first read.
+
+The sign of the cubic's discriminant alone gives its component count
+(`component_count`, `forms.discriminant_sign`), and `analyze_cubic`
+checks the sweep against it.  A one-component cubic needs no sweep to
+locate a point, for every real point is on the pseudoline, so
+`wall_label` and `realcubic curve` sweep only two-component cubics, and
+`wall_label` reads no meet point on a one-component cubic.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ from .errors import (
     SharedComponent,
     SingularCurve,
 )
-from .forms import _nonsingular, chart_terms, form_tensor, y_resultant
+from .forms import chart_terms, discriminant_sign, form_tensor, y_resultant
 
 PLANE_VARS = ("x", "y", "z")
 AFFINE_VARS = ("x", "y")
@@ -245,6 +251,24 @@ def fibre_dense(p: Poly, x0: Fraction) -> list:
     return strip_high(out) or [Fraction(0)]
 
 
+def component_count(G: Poly, tensor: tuple = None) -> tuple:
+    """(components, tensor) for the nonsingular real plane cubic G = 0: the
+    number of its real components, 1 or 2, read off the sign of its
+    discriminant (`forms.discriminant_sign`), and the integer tensor
+    (T, D) of G, G(v) = T(v, v, v) / D, built unless given.  Raises
+    ValueError unless G is a ternary cubic form, and SingularCurve for
+    singular input."""
+    if len(G.vars) != 3:
+        raise ValueError("expected a ternary cubic")
+    if G.homogeneous_degree() != 3:
+        raise ValueError("expected a homogeneous cubic")
+    tensor = tensor or form_tensor(G)
+    sign = discriminant_sign(tensor[0])
+    if sign == 0:
+        raise SingularCurve("plane section is singular")
+    return (1 if sign > 0 else 2), tensor
+
+
 def analyze_cubic(G: Poly, tensor: tuple = None) -> CurveAnalysis:
     """Component structure of the nonsingular real plane cubic G = 0.
 
@@ -252,16 +276,12 @@ def analyze_cubic(G: Poly, tensor: tuple = None) -> CurveAnalysis:
     an integer tensor (T, D) of G, G(v) = T(v, v, v) / D, if built.  Raises
     SingularCurve for singular input and ChartDegenerate when no usable
     sweep chart is found.  The sweep runs in the first usable chart only:
-    an impossible picture there raises InternalInconsistency.
+    an impossible picture there, or a component count other than the one
+    the discriminant's sign gives (`component_count`), raises
+    InternalInconsistency.
     """
-    if len(G.vars) != 3:
-        raise ValueError("expected a ternary cubic")
-    if G.homogeneous_degree() != 3:
-        raise ValueError("expected a homogeneous cubic")
-    tensor = T, D = tensor or form_tensor(G)
-    if not _nonsingular(T):
-        raise SingularCurve("plane section is singular")
-
+    components, tensor = component_count(G, tensor)
+    T, D = tensor
     for M in _chart_candidates(CHART_ATTEMPTS):
         if not _one_point_at_infinity(T, M):
             continue
@@ -271,8 +291,13 @@ def analyze_cubic(G: Poly, tensor: tuple = None) -> CurveAnalysis:
         if ok is None:
             continue
         disc, fold_ivs = ok
-        return _sweep(G, M, _affine(G, M, terms, D), cs, disc, tensor,
-                      fold_ivs)
+        analysis = _sweep(G, M, _affine(G, M, terms, D), cs, disc, tensor,
+                          fold_ivs)
+        if analysis.components != components:
+            raise InternalInconsistency(
+                f"the sweep finds {analysis.components} components, the "
+                f"discriminant's sign {components}")
+        return analysis
     raise ChartDegenerate("no usable sweep chart found")
 
 

@@ -9,9 +9,12 @@ users are the section at infinity (`classify.restrict_to_plane`, by the
 plane's embedding times its pivot coefficient), the sphere flag's
 `classify.line_discriminant`, the sweep's chart changes of the section
 (`curve.analyze_cubic`), and `lines.cubic_tensor`, which rounds it.  The
-singularity test of a ternary cubic is a 6 x 6 Bareiss determinant built
-from T (`_nonsingular`), and the resultant in y of two chart curves a
-Sylvester determinant over dense integer polynomials in x (`y_resultant`).
+sign of a ternary cubic's discriminant is that of a 6 x 6 Bareiss
+determinant built from T (`discriminant_sign`): 0 on a singular curve, +1
+on a real curve of one component and -1 on one of two, so one exact
+determinant both tests the curve nonsingular and counts its components.
+The resultant in y of two chart curves is a Sylvester determinant over
+dense integer polynomials in x (`y_resultant`).
 `positive_definite` proves a ternary form positive, or not, by integer
 Taylor shifts on the triangles of an octahedron.
 """
@@ -83,18 +86,37 @@ _PERMUTATION_SIGNS = ((1, (0, 1, 2)), (-1, (0, 2, 1)), (-1, (1, 0, 2)),
                       (1, (1, 2, 0)), (1, (2, 0, 1)), (-1, (2, 1, 0)))
 
 
-def _nonsingular(T: list) -> bool:
-    """Whether the cubic with the integer tensor T is a nonsingular curve.
+def discriminant_sign(T: list) -> int:
+    """The sign of the discriminant of the cubic with the integer tensor T:
+    0 when the curve is singular, +1 when its real points form one
+    component (a pseudoline) and -1 when they form two (pseudoline and
+    oval).
 
-    Its partials are, up to one factor, the quadrics T(e_i, v, v).  Their
-    Jacobian is the Hessian, whose determinant is, up to a factor,
+    The cubic's partials are, up to one factor, the quadrics T(e_i, v, v).
+    Their Jacobian is the Hessian, whose determinant is, up to a factor,
     J(v) = det(sum_k T_ijk v_k), and the partials of J are 3 J(e_m, v, v)
-    for J symmetrised.  The three partials of the cubic share a projective
-    zero exactly when the 6 x 6 matrix of the six quadrics' coefficients is
-    singular (the resultant of three ternary quadrics, built from Poly
-    forms in `tests/algebra_reference.py` as this test's reference); each
-    row here holds a quadric's symmetric matrix entries, a fixed rescaling
-    of its columns.
+    for J symmetrised.  The 6 x 6 matrix of the six quadrics' coefficients
+    is Sylvester's formula for the resultant of the three partials
+    (Gelfand, Kapranov & Zelevinsky, *Discriminants, Resultants and
+    Multidimensional Determinants*, 1994; built from Poly forms in
+    `tests/algebra_reference.py` as this test's reference); each row here
+    holds a quadric's symmetric matrix entries, a fixed rescaling of its
+    columns.  Its determinant R(T) has the component count as its sign:
+
+    - R vanishes on every singular cubic, where the partials share a
+      projective zero, and is not identically zero.  The discriminant
+      Delta of ternary cubics is irreducible of degree 12 and vanishes
+      exactly there, so Delta divides R; R has degree 12 too (three rows
+      linear in T, three cubic), so R = kappa Delta for a universal
+      constant kappa != 0.
+    - Delta(lambda G o g) = lambda^12 det(g)^12 Delta(G) for real lambda
+      and g in GL3(R), so the sign of Delta is a real projective invariant.
+    - A real nonsingular cubic has a real flex, so it is real-projectively
+      y^2 z = x^3 + a x z^2 + b z^3, where Delta is a fixed multiple of
+      4 a^3 + 27 b^2.  It has an oval exactly when x^3 + a x + b has three
+      real roots, that is when 4 a^3 + 27 b^2 < 0.
+    - One evaluation fixes the sign of kappa: R > 0 on y^2 z = x^3 + x z^2
+      (one component) and R < 0 on y^2 z = x^3 - x z^2 (two).
     """
     J = [0] * 27                # J(v) = sum J[p, q, r] v_p v_q v_r
     for sign, perm in _PERMUTATION_SIGNS:
@@ -111,7 +133,8 @@ def _nonsingular(T: list) -> bool:
     rows += [[sum(J[9 * p + 3 * q + r]
                   for p, q, r in itertools.permutations((m, j, k)))
               for j, k in _QUADRIC_SLOTS] for m in range(3)]
-    return bareiss_det(rows) != 0
+    det = bareiss_det(rows)
+    return (det > 0) - (det < 0)
 
 
 def y_resultant(P: list, Q: list) -> list:

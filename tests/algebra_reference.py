@@ -1,6 +1,6 @@
 """Resultants through the Sylvester matrix, and the resultant of three
 ternary quadrics: the Poly references that the integer forms of
-`realcubic.forms` (`y_resultant`, `_nonsingular`) and the curve layer's
+`realcubic.forms` (`y_resultant`, `discriminant_sign`) and the curve layer's
 closed-form discriminant are tested against.  Scalar entries get
 `bareiss_det`, polynomial entries a Laplace expansion.  Also the
 recursive descent with a Fraction per atom, and substitution of Polys for

@@ -35,13 +35,14 @@ from realcubic.errors import (
     NotOnCurve,
     SharedComponent,
 )
-from realcubic.forms import _nonsingular, form_tensor
+from realcubic.forms import discriminant_sign, form_tensor
 
 
 def nonsingular_cubic(G: Poly) -> bool:
     """True when the ternary form G is a cubic and the curve G = 0 is
     nonsingular: its three partials have no common zero in P2 over C."""
-    return G.homogeneous_degree() == 3 and _nonsingular(form_tensor(G)[0])
+    return (G.homogeneous_degree() == 3
+            and discriminant_sign(form_tensor(G)[0]) != 0)
 
 
 _CONIC_MONOMIALS = ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1),

@@ -26,6 +26,7 @@ from realcubic.classify import (
 from realcubic.combinat import load_wall_graph
 from realcubic.curve import analyze_cubic
 from realcubic.errors import (
+    DegenerateConfiguration,
     MathematicalRejection,
     MultiplicityAmbiguity,
     NearDiscriminant,
@@ -284,6 +285,16 @@ class TestWallCrossing:
     def test_pair_lies_on_the_wall_between_six_and_four(self):
         assert wall_label(WALL_F2, WALL_F3).label == 2
         assert load_wall_graph().wall_between(6, 4) == (2,)
+
+    @pytest.mark.parametrize("conic, error, message", [
+        (WALL_F2, SingularCurve, "plane section is singular"),
+        # the conic is tested first: x*y is a line pair
+        ("x*y", DegenerateConfiguration, "conic is degenerate"),
+    ])
+    def test_bad_pair_refused(self, conic, error, message):
+        # a nodal cubic, refused by its discriminant's sign before any meet
+        with pytest.raises(error, match=message):
+            wall_label(conic, "y^2*z - x^3 - x^2*z")
 
     def test_pair_with_a_nearly_double_conic_fibre(self):
         # wall_pairs(150)[99] of perfbench/inputs.py.  In the meet's chart

@@ -201,6 +201,19 @@ class TestSchemas:
         assert payload["transversal"] is True
         assert sorted(degrees) == [2, 3]
 
+    def test_connected_curve_runs_no_sweep(self, monkeypatch):
+        # the sign of the discriminant gives one component, and every real
+        # meet point is then on the pseudoline
+        def no_sweep(*args):
+            raise AssertionError("swept a one-component cubic")
+
+        monkeypatch.setattr(cli, "analyze_cubic", no_sweep)
+        payload = cli.curve_payload("y^2 - x^3 - x", CIRCLE)
+        assert payload["components"] == 1 and payload["transversal"]
+        reals = [r["component"] for r in payload["intersections"]
+                 if r["real"]]
+        assert reals == ["pseudoline"] * 2
+
     def test_curve_without_conic_validates(self, capsys):
         _, out, _ = run(capsys, "curve", "--cubic", CUBIC2)
         payload = json.loads(out)

@@ -36,6 +36,7 @@ from realcubic.curve import (
     _dense_in_y,
     _one_point_at_infinity,
     analyze_cubic,
+    component_count,
     conic_cubic_meet,
     fibre_dense,
     locate,
@@ -51,7 +52,12 @@ from realcubic.errors import (
     SharedComponent,
     SingularCurve,
 )
-from realcubic.forms import chart_terms, form_tensor, y_resultant
+from realcubic.forms import (
+    chart_terms,
+    discriminant_sign,
+    form_tensor,
+    y_resultant,
+)
 from realcubic.lines import line_plane_points, solve_lines
 
 from algebra_reference import (
@@ -93,12 +99,14 @@ class TestAnalyze:
         assert cubic_disc(a, b) > 0
         out = analyze_cubic(weierstrass_plane_cubic(a, b))
         assert out.components == 2
+        assert discriminant_sign(out.tensor[0]) == -1
 
     @pytest.mark.parametrize("a,b", [(1, 0), (0, 1), (2, 3), (-1, 1)])
     def test_one_component_when_one_real_root(self, a, b):
         assert cubic_disc(a, b) < 0
         out = analyze_cubic(weierstrass_plane_cubic(a, b))
         assert out.components == 1
+        assert discriminant_sign(out.tensor[0]) == 1
 
     def test_fermat_plane_cubic_is_connected(self):
         out = analyze_cubic(Poly.parse("x^3 + y^3 + z^3", vars=V))
@@ -135,6 +143,40 @@ class TestAnalyze:
         with pytest.raises(InternalInconsistency):
             analyze_cubic(weierstrass_plane_cubic(-25, 0))
         assert len(calls) == 1
+
+    def test_discriminant_sign_is_the_component_count(self):
+        # the sign against the sweep's count on the witness sections, the
+        # nonsingular wall cubics and random cubics with coefficients in
+        # {-1, 0, 1}
+        rng = random.Random("sign")
+        cubics = witness_sections() + [C for _, C in wall_draws(60)]
+        cubics += [random_form(rng, 3, 1) for _ in range(150)]
+        seen = set()
+        for G in cubics:
+            if G.homogeneous_degree() != 3:
+                continue
+            sign = discriminant_sign(form_tensor(G)[0])
+            if sign == 0:
+                continue
+            components = analyze_cubic(G).components
+            assert sign == (1 if components == 1 else -1)
+            assert component_count(G)[0] == components
+            seen.add(sign)
+        assert seen == {1, -1}
+
+    def test_sweep_must_match_the_discriminant_sign(self, monkeypatch):
+        # a sweep whose count disagrees with the sign fails closed
+        sweep = curve_module._sweep
+
+        def miscounts(*args):
+            out = sweep(*args)
+            out.components = 3 - out.components
+            return out
+
+        monkeypatch.setattr(curve_module, "_sweep", miscounts)
+        for a, b in ((-25, 0), (1, 0)):
+            with pytest.raises(InternalInconsistency):
+                analyze_cubic(weierstrass_plane_cubic(a, b))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -898,7 +940,8 @@ class TestConicCubicMeet:
         # on the one-component cubics among the wall draws, the real roots
         # of the meet's resultant number its real points, which all lie on
         # the pseudoline; wall_label reads that count and computes no point
-        pairs = []
+        # and no sweep.  A two-component cubic gets one sweep
+        pairs, ovals = [], []
         for B, C in wall_draws(60):
             try:
                 meet, analysis = conic_cubic_meet(B, C), analyze_cubic(C)
@@ -910,13 +953,20 @@ class TestConicCubicMeet:
                 assert all(locate(analysis, p) == "pseudoline"
                            for p in meet.real_points)
                 pairs.append((B, C, len(meet.intervals)))
-        assert len(pairs) > 20 and any(n for _, _, n in pairs)
+            else:
+                ovals.append((B, C))
+        assert len(pairs) > 20 and any(n for _, _, n in pairs) and ovals
         labels, inner = calls_inside(
             monkeypatch, (classify_module, "wall_label"),
-            ((classify_module, "locate"), (curve_module, "_real_points_over")))
+            ((classify_module, "analyze_cubic"), (classify_module, "locate"),
+             (curve_module, "_real_points_over")))
         for B, C, n in pairs:
             assert classify_module.wall_label(B, C).pseudoline_crossings == n
         assert len(labels) == len(pairs) and inner == []
+        for B, C in ovals:
+            inner.clear()
+            classify_module.wall_label(B, C)
+            assert inner.count("analyze_cubic") == 1
 
     def test_tangent_conic_not_transversal(self):
         C = plane_form("y^2 - x^3 + x", 3, "cubic")
