@@ -7,10 +7,12 @@ PARENT and CHANGE are source checkouts, each run with its own `src/` and
 `--jobs 1`, on inputs from this checkout's `perfbench/inputs.py`:
 `classify --batch` and `lines --batch` on the 30 `batch` entries of seed 0
 and 80 affine images of the 20 pool entries, `wall-label --batch` and
-`curve --batch` on `wall_pairs(150)`, and `curve --batch` once more on
-their 150 cubics alone, with no conic: the component count by itself.
-Prints each set's verdict, with the first differing output line, and exits
-1 on any difference.  Needs sympy, as perfbench does.
+`curve --batch` on `wall_pairs(150)`, `curve --batch` once more on their
+150 cubics alone, with no conic: the component count by itself, and
+`wall-label --batch` and `curve --batch` on one random projective image of
+each pair (`moved_pair`), whose curves have larger coefficients.  Prints
+each set's verdict, with the first differing output line, and exits 1 on
+any difference.  Needs sympy, as perfbench does.
 """
 
 import json
@@ -31,6 +33,8 @@ def input_sets(pool: list) -> dict:
         inputs.transformed_entry(pool[i], random.Random(f"same {k} {i}"))
         for k in range(4) for i in range(len(pool))]
     pairs = inputs.wall_pairs(150)
+    moved = [inputs.moved_pair(p, random.Random(f"same moved {k}"))
+             for k, p in enumerate(pairs)]
     return {
         "classify": [{"surface": e["surface"], "plane": e["plane"]}
                      for e in surfaces],
@@ -39,6 +43,9 @@ def input_sets(pool: list) -> dict:
                        for p in pairs],
         "curve": [{"cubic": p["cubic"], "conic": p["conic"]} for p in pairs],
         "curve (no conic)": [{"cubic": p["cubic"]} for p in pairs],
+        "wall-label (moved)": moved,
+        "curve (moved)": [{"cubic": p["cubic"], "conic": p["conic"]}
+                          for p in moved],
     }
 
 

@@ -13,16 +13,18 @@ rational a/d is the homogeneous Horner sum of c_i a^i d^(n-i)
 (`int_gcd`).  Fractions remain only as interval endpoints, as exact roots
 and in the monic factors that `squarefree_decomposition` returns.
 
-Real roots take three steps.  `real_roots` isolates them exactly, by
-Descartes bisection on an explicit stack (no recursion, whatever the
-depth), and takes squarefree input only: one gcd(p, p') checks that, and a
-repeated root gives None.  `certified_brackets` certifies float roots, in
-integers: each, moved by one Newton step with an exact residual, gets a
-dyadic bracket whose end signs prove a root inside.  The floats are those
-of the list over a power of two (`scaled_floats`), so integer lists of any
-size have them, and `real_root_floats` bisects the exact intervals only
-where the brackets fail.  `sign_at` decides the sign of a polynomial at an
-isolated root, by Descartes' rule on the interval.
+Real roots take four steps.  `real_root_count` counts them by Sturm's
+theorem, on the remainder sequence of (p, p') with positive multipliers;
+its last term is the gcd, so a repeated root gives None.  `real_roots`
+isolates them exactly, by Descartes bisection on an explicit stack (no
+recursion, whatever the depth), and takes squarefree input only: the
+count checks that, and the isolation must meet it.  `certified_brackets`
+certifies float roots, in integers: each, moved by one Newton step with an
+exact residual, gets a dyadic bracket whose end signs prove a root inside.
+The floats are those of the list over a power of two (`scaled_floats`), so
+integer lists of any size have them, and `real_root_floats` bisects the
+exact intervals only where the brackets fail.  `sign_at` decides the sign
+of a polynomial at an isolated root, by Descartes' rule on the interval.
 
 Complex roots use simultaneous Aberth iteration, in floats and then with
 each step's p/p' evaluated exactly in Fractions.  `bareiss_det`, the one
@@ -537,23 +539,57 @@ def int_quo(a: Sequence[int], b: Sequence[int]):
     return None if any(a) else q
 
 
+def _sturm_step(a: list, b: list) -> list:
+    """A primitive positive multiple of -rem(a, b), for integer lists with
+    b nonzero: a pseudo-division whose every multiplier of a is positive,
+    so that signs survive.  One step of the primitive remainder sequence
+    (Collins, J. ACM 14, 1967), for `int_gcd` and `real_root_count`."""
+    while len(a) >= len(b):
+        g = math.gcd(a[-1], b[-1])
+        s, f, k = abs(b[-1]) // g, a[-1] // g, len(a) - len(b)
+        f = -f if b[-1] < 0 else f
+        a = [t * s for t in a]
+        for i, t in enumerate(b):
+            a[k + i] -= f * t
+        a = strip_high(a)
+    return to_int_primitive([-t for t in a])
+
+
 def int_gcd(a: Sequence, b: Sequence) -> list:
     """A gcd of the exact polynomials a and b, primitive in Z[x] ([] when
-    both are zero): the primitive remainder sequence (Collins, J. ACM 14,
-    1967), whose every step is a pseudo-division in integers."""
+    both are zero): the primitive remainder sequence, whose every step is
+    a pseudo-division in integers (`_sturm_step`)."""
     a, b = to_int_primitive(a), to_int_primitive(b)
     if len(a) < len(b):
         a, b = b, a
     while b:
-        while len(a) >= len(b):
-            g = math.gcd(a[-1], b[-1])
-            s, f, k = b[-1] // g, a[-1] // g, len(a) - len(b)
-            a = [t * s for t in a]
-            for i, t in enumerate(b):
-                a[k + i] -= f * t
-            a = strip_high(a)
-        a, b = b, to_int_primitive(a)
+        a, b = b, _sturm_step(a, b)
     return a
+
+
+def real_root_count(c: Sequence):
+    """The number of distinct real roots of the exact nonzero list c, or
+    None when c has a repeated real or complex root.
+
+    Sturm's theorem (Basu, Pollack & Roy, *Algorithms in Real Algebraic
+    Geometry*, 2006, ch. 2): in the sequence c, c', -rem(c, c'), ..., each
+    term up to positive factors (`_sturm_step`), the sign variations at
+    -oo less those at +oo count the distinct real roots.  The last term is
+    gcd(c, c'), so the same sequence tests c squarefree.
+    """
+    seq = [to_int_primitive(c)]
+    if not seq[0]:
+        raise ValueError("zero polynomial has every number as a root")
+    b = to_int_primitive(univ_derivative(seq[0]))
+    while b:
+        seq.append(b)
+        b = _sturm_step(seq[-2], b)
+    if len(seq[-1]) > 1:
+        return None
+    # the sign of t at +oo is that of its leading coefficient, and at -oo
+    # that times (-1)^deg t
+    return (_sign_variations([t[-1] if len(t) % 2 else -t[-1] for t in seq])
+            - _sign_variations([t[-1] for t in seq]))
 
 
 def squarefree_decomposition(c: Sequence) -> list:
@@ -702,23 +738,29 @@ def refine_root(c: Sequence, iv: Interval, width: Fraction) -> Interval:
     return Interval(lo, hi)
 
 
-def real_roots(p: Union[Poly, Sequence], var: str = None):
+def real_roots(p: Union[Poly, Sequence], var: str = None,
+               count: int = None):
     """Isolating intervals for the real roots of the squarefree p, sorted
     increasing, or None when p has a repeated real or complex root.
 
     Accepts a Poly (univariate in `var` or in its only present variable) or
-    a dense list of exact coefficients.  One gcd(p, p') in integers decides
-    squarefreeness; the curve layer calls this on polynomials it needs
-    squarefree anyway, so None doubles as its rejection of a chart.
+    a dense list of exact coefficients.  One Sturm sequence decides
+    squarefreeness and counts the roots (`real_root_count`), unless the
+    caller passes the `count` it already has from there; the curve layer
+    calls this on polynomials it needs squarefree anyway, so None doubles
+    as its rejection of a chart.  The isolation must find that many roots
+    (InternalInconsistency otherwise).
     """
     c = to_int_primitive(p.to_univariate(var) if isinstance(p, Poly) else p)
-    if not c:
-        raise ValueError("zero polynomial has every number as a root")
+    count = real_root_count(c) if count is None else count
+    if count is None:
+        return None
     if len(c) == 1:
         return []
-    if len(int_gcd(c, univ_derivative(c))) > 1:
-        return None
     found = [list(iv) for iv in _isolate_squarefree(c)]
+    if len(found) != count:
+        raise InternalInconsistency(f"Descartes isolates {len(found)} real "
+                                    f"roots, Sturm counts {count}")
     # exact rational roots found during subdivision sit at endpoints of the
     # neighbouring intervals; divide them out so sign bisection keeps a
     # valid bracket on those intervals

@@ -428,7 +428,7 @@ def wall_label(f2, f3) -> WallLabel:
     meet = conic_cubic_meet(B, C, tensor)
     on = {"oval": 0, "pseudoline": 0}
     if analysis is None:
-        on["pseudoline"] = len(meet.intervals)
+        on["pseudoline"] = meet.real_count
     else:
         for point in meet.real_points:
             on[locate(analysis, point)] += 1

@@ -17,14 +17,17 @@ cubic at z = 0, which must have a negative discriminant.  Only a chart that
 passes gets the full chart change, and its y-discriminant one call of
 `real_roots`, which both tests it squarefree and isolates the folds.  The
 conic-cubic meet takes its y-resultant over dense integer polynomials in
-x.  The sweep keeps the chart coefficients and the y-discriminant as
-integers, D and D^4 times the true ones for the form's denominator D, and
-hands them to the integer root toolkit of `algebra.py` as they are.
+x, in closed form (`forms.y_resultant`).  The sweep keeps the chart
+coefficients and the y-discriminant as integers, D and D^4 times the true
+ones for the form's denominator D, and hands them to the integer root
+toolkit of `algebra.py` as they are.
 
-The meet keeps the isolating intervals of its resultant's real roots.  Each
-carries exactly one real common point, so their number is the exact real
-count; the points themselves (`ConicCubicMeet.real_points`) are computed,
-Newton-polished and checked only when first read.
+The meet's chart search counts its resultant's real roots by Sturm's
+theorem (`real_root_count`), which tests it squarefree too.  Each real
+root carries exactly one real common point, so the count is the exact
+real count.  The chart curves, the isolating intervals and the points
+(`ConicCubicMeet.real_points`, `complex_points()`) are built only when
+first read, and the points are Newton-polished and checked then.
 
 The sign of the cubic's discriminant alone gives its component count
 (`component_count`, `forms.discriminant_sign`), and `analyze_cubic`
@@ -49,6 +52,7 @@ from .algebra import (
     complex_roots,
     hom_eval,
     int_gcd,
+    real_root_count,
     real_root_floats,
     real_roots,
     scaled_floats,
@@ -590,22 +594,39 @@ class ConicCubicMeet:
     """The six distinct intersection points of a conic and a cubic.
 
     `chart` maps chart coordinates to input coordinates and puts all six
-    points in the affine part with distinct x.  `conic` and `cubic` are the
-    affine curves in that chart, and `resultant`, their y-resultant dense
-    in x, is squarefree of degree 6.  `intervals` isolate its real roots.
+    points in the affine part with distinct x.  `resultant`, the
+    y-resultant of the affine conic and cubic in that chart dense in x, is
+    squarefree of degree 6, and `real_count` is the number of its real
+    roots (`real_root_count`).
 
     Each real root x carries exactly one common point, and that point is
     real: a non-real y over a real x would bring its conjugate over the
-    same x.  So the number of real intersections is len(intervals), known
-    before any point is computed, and `real_points` computes the points
-    themselves only when first read, as `complex_points()` does.
+    same x.  So `real_count` is the number of real intersections, known
+    before any root is isolated.  The rest waits until first read: the
+    affine curves `conic` and `cubic`, built from `curves` (each form's
+    chart terms and denominator), the `intervals` that isolate the real
+    roots, and the points, `real_points` and `complex_points()`.
     """
 
     chart: tuple
-    conic: Poly
-    cubic: Poly
     resultant: list
-    intervals: list
+    real_count: int
+    curves: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def conic(self) -> Poly:
+        G, terms, D = self.curves[0]
+        return _affine(G, self.chart, terms, D)
+
+    @cached_property
+    def cubic(self) -> Poly:
+        G, terms, D = self.curves[1]
+        return _affine(G, self.chart, terms, D)
+
+    @cached_property
+    def intervals(self) -> list:
+        """Isolating intervals of the resultant's real roots, increasing."""
+        return real_roots(self.resultant, count=self.real_count)
 
     @cached_property
     def real_points(self) -> list:
@@ -627,7 +648,7 @@ class ConicCubicMeet:
         """
         M = self.chart
         xs = sorted(complex_roots(self.resultant),
-                    key=lambda r: -abs(r.imag))[:6 - len(self.intervals)]
+                    key=lambda r: -abs(r.imag))[:6 - self.real_count]
         if xs and min(abs(r.imag) for r in xs) < 1e-9:
             raise InternalInconsistency("real/complex root split disagrees "
                                         "with the exact real count")
@@ -643,7 +664,9 @@ def _newton_polish(p: Poly, q: Poly, x: complex, y: complex) -> tuple:
     """Newton on the affine curves p = q = 0 from (x, y), in complex floats,
     or in floats from a real start, with p and q then evaluated exactly at
     each float point.  Raises NonConvergence unless the step falls to
-    rounding level."""
+    rounding level: below 1e-14 relative within 30 steps, or, in complex
+    floats, after them no larger than rounding alone makes it
+    (`_rounding_step`)."""
     num = complex if isinstance(x, complex) else float
     jac = [[h.derivative(v) for v in AFFINE_VARS] for h in (p, q)]
     for _ in range(30):
@@ -661,7 +684,32 @@ def _newton_polish(p: Poly, q: Poly, x: complex, y: complex) -> tuple:
         x, y = x - dx, y - dy
         if max(abs(dx), abs(dy)) <= 1e-14 * max(1.0, abs(x), abs(y)):
             return x, y
+    else:   # 30 finite steps: settled if the last is at the noise floor
+        if num is complex and \
+                max(abs(dx), abs(dy)) <= _rounding_step(p, q, jac, x, y):
+            return x, y
     raise NonConvergence("Newton did not settle on a conic-cubic point")
+
+
+ROUNDING_ULPS = 16               # complex float evaluation of a chart curve
+
+
+def _rounding_step(p: Poly, q: Poly, jac: list, x: complex,
+                   y: complex) -> float:
+    """A bound on the Newton step that rounding alone makes at (x, y) when
+    p and q are evaluated in complex floats: ROUNDING_ULPS units of 2^-53
+    of each one's sum of term moduli, which bounds its evaluation error
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 3),
+    taken through the inverse Jacobian by moduli.  Over the wall pairs and
+    their projective images the noise steps stay below 1.5 such units."""
+    ax, ay = abs(x), abs(y)
+    ep, eq = (ROUNDING_ULPS * 2.0 ** -53
+              * sum(abs(float(c)) * ax ** e[0] * ay ** e[1]
+                    for e, c in h.terms.items()) for h in (p, q))
+    pt = {"x": x, "y": y}
+    (a, b), (c, d) = [[complex(h.eval(pt)) for h in row] for row in jac]
+    return max(abs(d) * ep + abs(b) * eq, abs(c) * ep + abs(a) * eq) \
+        / abs(a * d - b * c)
 
 
 def conic_cubic_meet(conic: Poly, cubic: Poly,
@@ -687,16 +735,15 @@ def conic_cubic_meet(conic: Poly, cubic: Poly,
         if not res:
             raise SharedComponent("conic and cubic share a component")
         if univ_degree(res) == 6:
-            ivs = real_roots(res)
-            if ivs is not None:
+            count = real_root_count(res)
+            if count is not None:
                 break
     else:
         raise NotTransversal("conic and cubic meet non-transversally")
     # Res(P / Db, Q / Dc) = Res(P, Q) / (Db^n Dc^m), m and n the y-degrees
     scale = Db ** (len(Q) - 1) * Dc ** (len(P) - 1)
-    return ConicCubicMeet(M, _affine(conic, M, b_terms, Db),
-                          _affine(cubic, M, c_terms, Dc),
-                          [Fraction(t, scale) for t in res], ivs)
+    return ConicCubicMeet(M, [Fraction(t, scale) for t in res], count,
+                          ((conic, b_terms, Db), (cubic, c_terms, Dc)))
 
 
 def _common_y(p: Poly, q: Poly, x):

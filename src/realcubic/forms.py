@@ -13,8 +13,10 @@ sign of a ternary cubic's discriminant is that of a 6 x 6 Bareiss
 determinant built from T (`discriminant_sign`): 0 on a singular curve, +1
 on a real curve of one component and -1 on one of two, so one exact
 determinant both tests the curve nonsingular and counts its components.
-The resultant in y of two chart curves is a Sylvester determinant over
-dense integer polynomials in x (`y_resultant`).
+The resultant in y of a chart conic and a chart curve, over dense integer
+polynomials in x, is their Sylvester determinant in closed form: the conic's
+y^2 coefficient is a constant, so at most two pseudo-division steps reduce
+the other curve to a line in y (`y_resultant`).
 `positive_definite` proves a ternary form positive, or not, by integer
 Taylor shifts on the triangles of an octahedron.
 """
@@ -137,41 +139,55 @@ def discriminant_sign(T: list) -> int:
     return (det > 0) - (det < 0)
 
 
+def _plus(a: list, b: list) -> list:
+    return univ_sub(a, [-t for t in b])
+
+
 def y_resultant(P: list, Q: list) -> list:
-    """Res_y(p, q) dense in x, for p and q given by their coefficients of
-    y^0 .. y^m and y^0 .. y^n, each dense in x: the determinant of their
-    Sylvester matrix in y, by Laplace expansion memoised on the remaining
-    columns, over dense integer lists."""
+    """Res_y(p, q) dense in x, the determinant of the Sylvester matrix in y
+    of p and q, given by their coefficients of y^0 .. y^m and y^0 .. y^n,
+    each a dense integer list in x with the leading ones nonzero: p is a
+    chart conic, so m <= 2, and its y^2 coefficient a, of degree 0 in x, is
+    an integer.
+
+    Res(p, q) = lc(p)^n q(r_1) ... q(r_m) over the roots r_i of p, for q of
+    formal degree n (Poisson's formula; Basu, Pollack & Roy, *Algorithms
+    in Real Algebraic Geometry*, 2006).  So Res = p0^n for m = 0, q0^m for
+    n = 0, and for m = 1 it is p1^n q(-p0/p1) = sum_k q_k (-p0)^k p1^(n-k).
+    For m = 2 and n >= 1, n - 1 pseudo-division steps, each
+    Q <- a Q - lc(Q) y^(k-2) P for Q of degree k, give
+    a^(n-1) q = s p + r1 y + r0.  Then q(r_i) = (r1 r_i + r0) / a^(n-1),
+    and with r_1 + r_2 = -b/a and r_1 r_2 = c/a, b and c the y^1 and y^0
+    coefficients of p,
+
+        Res = a^n a^(2-2n) (r1 r_1 + r0)(r1 r_2 + r0)
+            = (a r0^2 - b r0 r1 + c r1^2) / a^(n-1),
+
+    a division that is exact in Z[x], Res being an integer polynomial.
+    """
     m, n = len(P) - 1, len(Q) - 1
     if m == 0 or n == 0:
         return reduce(univ_mul, [P[0]] * n + [Q[0]] * m, [1])
-    size = m + n
-    rows = [[[]] * i + P[::-1] + [[]] * (size - m - 1 - i) for i in range(n)]
-    rows += [[[]] * j + Q[::-1] + [[]] * (size - n - 1 - j) for j in range(m)]
-    memo: dict = {}
-
-    def minor(row: int, mask: int) -> list:
-        if row == size:
-            return [1]
-        if mask not in memo:
-            total, sign = [], 1
-            for col in range(size):
-                if not mask >> col & 1:
-                    continue    # sign only advances over remaining columns
-                if rows[row][col]:
-                    term = univ_mul(rows[row][col],
-                                    minor(row + 1, mask & ~(1 << col)))
-                    total = univ_sub(total,
-                                     [-t for t in term] if sign > 0 else term)
-                sign = -sign
-            memo[mask] = total
-        return memo[mask]
-
-    det = minor(0, (1 << size) - 1)
-    # minor refers to itself, a cycle that only the cyclic collector frees:
-    # drop the minors now
-    memo.clear()
-    return det
+    if m == 1:
+        acc, power, neg = [], [1], [-t for t in P[0]]
+        for q in reversed(Q):       # homogeneous Horner in (-p0, p1)
+            acc = _plus(univ_mul(acc, neg), univ_mul(q, power))
+            power = univ_mul(power, P[1])
+        return acc
+    if m != 2 or len(P[2]) != 1:
+        raise ValueError("expected a conic's coefficients in y")
+    (a,), b, c = P[2], P[1], P[0]
+    R = list(Q)
+    for k in range(n, 1, -1):
+        top, R = R[k], [[a * t for t in r] for r in R[:k]]
+        R[k - 2] = univ_sub(R[k - 2], univ_mul(top, c))
+        R[k - 1] = univ_sub(R[k - 1], univ_mul(top, b))
+    r0, r1 = R
+    num = _plus(univ_sub(univ_mul([a * t for t in r0], r0),
+                         univ_mul(b, univ_mul(r0, r1))),
+                univ_mul(c, univ_mul(r1, r1)))
+    den = a ** (n - 1)
+    return [t // den for t in num]
 
 
 POSITIVITY_DEPTH = 16            # bisection levels before Undecided

@@ -2,13 +2,16 @@
 ternary quadrics: the Poly references that the integer forms of
 `realcubic.forms` (`y_resultant`, `discriminant_sign`) and the curve layer's
 closed-form discriminant are tested against.  Scalar entries get
-`bareiss_det`, polynomial entries a Laplace expansion.  Also the
+`bareiss_det`, polynomial entries a Laplace expansion: over Polys, or over
+dense integer lists in x, memoised on the remaining columns, as the
+Sylvester determinant `y_resultant` has in closed form.  Also the
 recursive descent with a Fraction per atom, and substitution of Polys for
 variables, which the integer parser and the tensor restriction to a plane
 are tested against."""
 
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping, Sequence, Union
 
 from realcubic.algebra import (
@@ -19,6 +22,8 @@ from realcubic.algebra import (
     _tokenize,
     bareiss_det,
     certified_brackets,
+    univ_mul,
+    univ_sub,
 )
 
 
@@ -178,6 +183,39 @@ def _det_poly(m: list, vars: tuple) -> Poly:
                                       for row in m[1:]], vars)
             total = total + term if col % 2 == 0 else total - term
     return total
+
+
+def laplace_y_resultant(P: list, Q: list) -> list:
+    """Res_y(p, q) dense in x, for p and q given by their coefficients of
+    y^0 .. y^m and y^0 .. y^n, each a dense integer list in x: the
+    determinant of their Sylvester matrix in y, by Laplace expansion
+    memoised on the remaining columns."""
+    m, n = len(P) - 1, len(Q) - 1
+    if m == 0 or n == 0:
+        return reduce(univ_mul, [P[0]] * n + [Q[0]] * m, [1])
+    size = m + n
+    rows = [[[]] * i + P[::-1] + [[]] * (size - m - 1 - i) for i in range(n)]
+    rows += [[[]] * j + Q[::-1] + [[]] * (size - n - 1 - j) for j in range(m)]
+    memo: dict = {}
+
+    def minor(row: int, mask: int) -> list:
+        if row == size:
+            return [1]
+        if mask not in memo:
+            total, sign = [], 1
+            for col in range(size):
+                if not mask >> col & 1:
+                    continue    # sign only advances over remaining columns
+                if rows[row][col]:
+                    term = univ_mul(rows[row][col],
+                                    minor(row + 1, mask & ~(1 << col)))
+                    total = univ_sub(total,
+                                     [-t for t in term] if sign > 0 else term)
+                sign = -sign
+            memo[mask] = total
+        return memo[mask]
+
+    return minor(0, (1 << size) - 1)
 
 
 def sylvester_matrix(p: Poly, q: Poly, var: str) -> list:

@@ -16,6 +16,7 @@ from realcubic.algebra import (
     bareiss_det,
     complex_roots,
     int_gcd,
+    real_root_count,
     real_root_floats,
     real_roots,
     refine_root,
@@ -329,12 +330,14 @@ def test_real_roots_multiplicity_cubed_factor():
     assert univ_eval(d3, F(1)) != 0
     assert real_roots(c) is None
     assert real_roots(p, "x") is None
+    assert real_root_count(c) is None
 
 
 def test_real_roots_repeated_complex_root():
     # (x^2 + 1)^2 (x - 3): the only repeated root is non-real
     c = Poly.parse("(x^2 + 1)^2 * (x - 3)").to_univariate("x")
     assert real_roots(c) is None
+    assert real_root_count(c) is None
     (iv,) = real_roots(univ_mul([F(1), F(0), F(1)], [F(-3), F(1)]))
     assert 3 in iv or iv.lo == 3 == iv.hi
 
@@ -351,7 +354,7 @@ def test_real_roots_exact_rational_root():
     # roots 1/2 and 3; dyadic root can surface as a point interval
     p = univ_mul([F(-1), F(2)], [F(-3), F(1)])
     rts = real_roots(p)
-    assert len(rts) == 2
+    assert len(rts) == 2 == real_root_count(p)
     assert F(1, 2) in rts[0] or rts[0].lo == F(1, 2) == rts[0].hi
     assert 3 in rts[1] or rts[1].is_point() and rts[1].lo == 3
 
@@ -359,6 +362,10 @@ def test_real_roots_exact_rational_root():
 def test_real_roots_no_real():
     assert real_roots([F(1), F(0), F(1)]) == []      # x^2 + 1
     assert len(real_roots([F(1), F(1), F(1)])) == 0  # x^2 + x + 1
+    assert real_root_count([F(1), F(0), F(1)]) == 0
+    assert real_roots([F(-7, 3)]) == [] and real_root_count([-7]) == 0
+    with pytest.raises(ValueError):
+        real_root_count([0, 0])
 
 
 def test_real_roots_close_pair_separation():
@@ -379,7 +386,7 @@ def test_interval_ordering_and_disjointness_random():
         for r in roots:
             p = univ_mul(p, [F(-r), F(1)])
         rts = real_roots(p)
-        assert len(rts) == len(roots)
+        assert len(rts) == len(roots) == real_root_count(p)
         for iv, r in zip(rts, roots):
             assert r in iv or (iv.is_point() and iv.lo == r)
         for a, b in zip(rts, rts[1:]):
@@ -401,6 +408,7 @@ def test_integer_squarefree_test_matches_fraction_euclid(f, g, repeat):
     got = int_gcd(c, univ_derivative(c))
     assert [F(t, got[-1]) for t in got] == ref
     assert (real_roots(c) is None) == (len(ref) > 1)
+    assert (real_root_count(c) is None) == (len(ref) > 1)
     if repeat:
         assert len(ref) > 1
 
@@ -534,14 +542,26 @@ def test_real_root_floats_refuses_a_repeated_root():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.integers(min_value=-9, max_value=9), min_size=3, max_size=9))
-def test_real_root_count_never_exceeds_degree(c):
+@given(st.lists(st.integers(min_value=-9, max_value=9), min_size=3,
+                max_size=9),
+       st.lists(st.integers(min_value=-5, max_value=5), min_size=2,
+                max_size=3),
+       st.integers(min_value=0, max_value=2),
+       st.integers(min_value=0, max_value=1))
+def test_real_root_count_never_exceeds_degree(c, g, square, at_zero):
+    # real_root_count, by Sturm's theorem, is the number of intervals,
+    # or None with them; the draws include constants, a factor x (a root
+    # at 0), g or g^2 (with an exact rational root when g is linear)
+    for f in [[0, 1]] * at_zero + [g] * square:
+        c = univ_mul(c, f)
     c = strip_high([F(t) for t in c])
     if len(c) < 2:
+        assert not c or real_root_count(c) == 0
         return
     rts = real_roots(c)
     repeated = univ_degree(univ_gcd(c, univ_derivative(c))) > 0
     assert (rts is None) == repeated
+    assert real_root_count(c) == (None if repeated else len(rts))
     if repeated:
         return
     assert len(rts) <= len(c) - 1

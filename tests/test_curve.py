@@ -17,6 +17,7 @@ from realcubic.algebra import (
     real_roots,
     refine_root,
     sign_at,
+    strip_high,
     univ_degree,
     univ_eval,
     univ_mul,
@@ -46,6 +47,7 @@ from realcubic.errors import (
     DegenerateConfiguration,
     InternalInconsistency,
     MultiplicityAmbiguity,
+    NonConvergence,
     NotOnCurve,
     NotTransversal,
     RealcubicError,
@@ -62,6 +64,7 @@ from realcubic.lines import line_plane_points, solve_lines
 
 from algebra_reference import (
     certified_roots,
+    laplace_y_resultant,
     quadric_triple_resultant,
     resultant,
     substitute,
@@ -549,9 +552,9 @@ def record_real_roots(monkeypatch) -> list:
     collects the polynomial of each call."""
     seen = []
     for module in (algebra_module, curve_module):
-        def counting(c, *args, _fn=module.real_roots):
+        def counting(c, *args, _fn=module.real_roots, **kwargs):
             seen.append(list(c))
-            return _fn(c, *args)
+            return _fn(c, *args, **kwargs)
         monkeypatch.setattr(module, "real_roots", counting)
     return seen
 
@@ -643,6 +646,26 @@ class TestIntegerCharts:
         assert outcomes == {True, False}
 
     def test_y_resultant_is_the_sylvester_resultant(self):
+        # the closed form against the Sylvester determinant: by Laplace
+        # expansion over dense lists on random entries of every y-degree
+        # shape (m, n), m <= 2 and n <= 3, with zero middle coefficients
+        # among the small ones; over Polys on the chart curves of wall
+        # draws and special shapes
+        rng = random.Random(22)
+
+        def dense(d: int, k: int, h: int, lead: bool) -> list:
+            while True:
+                c = strip_high([rng.randint(-h, h) for _ in range(d - k + 1)])
+                if c or not lead:
+                    return c
+
+        for m, n in itertools.product(range(3), range(4)):
+            for h in (1, 9, 10 ** 6) * 10:
+                P = [dense(2, k, h, k == m) for k in range(m + 1)]
+                if m == 2:
+                    P[2] = P[2][:1]
+                Q = [dense(3, k, h, k == n) for k in range(n + 1)]
+                assert y_resultant(P, Q) == laplace_y_resultant(P, Q)
         pairs = wall_draws(12) + [
             (Poly.parse("x*y - z^2", vars=V),                 # no y^2
              Poly.parse("y^2*z - x^3 + 3*x*z^2 - z^3", vars=V)),
@@ -662,6 +685,7 @@ class TestIntegerCharts:
                                               _affine(C, M, ct, Dc), "y"))
                 got = [Fraction(t, scale) for t in y_resultant(P, Q)]
                 assert (got or [Fraction(0)]) == want
+                assert y_resultant(P, Q) == laplace_y_resultant(P, Q)
 
     def test_y_resultant_vanishes_on_a_shared_component(self):
         B = Poly.parse("x^2 + y^2 - 4*z^2", vars=V)
@@ -917,30 +941,41 @@ class TestConicCubicMeet:
     @pytest.mark.parametrize("conic,cubic,charts", [
         # a curve pair symmetric in y: the identity chart's resultant,
         # here (x + 1)^2 (x^2 - 3)^2, has degree 6 but repeated roots, so
-        # a second chart is isolated
+        # a second chart is counted
         ("x^2 + y^2 - 4", "y^2 - x^3 + 3*x - 1", 2),
         ("x^2 + x*y + y^2 - 4", "y^2 - x^3 + 3*x - 1", 1),
-        # a degree-5 identity resultant is skipped without isolation
+        # a degree-5 identity resultant is skipped without a count
         ("2*x*y - 3*x*z + 3*y^2 - y*z - 3*z^2",
          "2*x^2*y - x^2*z + 2*x*y^2 - 3*x*y*z + x*z^2 + 2*y^3 - 2*y^2*z"
          " - 3*y*z^2 + 2*z^3", 1),
     ])
     def test_one_isolation_per_degree_six_chart(self, monkeypatch, conic,
                                                 cubic, charts):
-        seen = record_real_roots(monkeypatch)
+        # the chart search counts the real roots of each degree-6
+        # resultant and isolates none; reading the points isolates the
+        # chosen chart's resultant once
+        counted = []
+        monkeypatch.setattr(curve_module, "real_root_count",
+                            lambda c, _fn=curve_module.real_root_count:
+                            counted.append(list(c)) or _fn(c))
+        isolated = record_real_roots(monkeypatch)
         meet = conic_cubic_meet(plane_form(conic, 2, "conic"),
                                 plane_form(cubic, 3, "cubic"))
-        assert len(seen) == charts
-        assert all(univ_degree(c) == 6 for c in seen)
-        assert [Fraction(t) for t in seen[-1]] == \
-            [Fraction(seen[-1][-1]) / meet.resultant[-1] * t
+        assert len(counted) == charts and isolated == []
+        assert all(univ_degree(c) == 6 for c in counted)
+        assert [Fraction(t) for t in counted[-1]] == \
+            [Fraction(counted[-1][-1]) / meet.resultant[-1] * t
              for t in meet.resultant]
+        assert len(meet.real_points) == meet.real_count
+        assert isolated == [meet.resultant]
+        assert len(meet.intervals) == meet.real_count
+        assert len(isolated) == 1
 
     def test_connected_cubics_count_their_meet(self, monkeypatch):
         # on the one-component cubics among the wall draws, the real roots
         # of the meet's resultant number its real points, which all lie on
-        # the pseudoline; wall_label reads that count and computes no point
-        # and no sweep.  A two-component cubic gets one sweep
+        # the pseudoline; wall_label reads that count and computes no point,
+        # no sweep and no isolation.  A two-component cubic gets one sweep
         pairs, ovals = [], []
         for B, C in wall_draws(60):
             try:
@@ -949,17 +984,19 @@ class TestConicCubicMeet:
             except RealcubicError:
                 continue
             if analysis.components == 1:
-                assert len(meet.intervals) == len(meet.real_points)
+                assert meet.real_count == len(meet.intervals) \
+                    == len(meet.real_points)
                 assert all(locate(analysis, p) == "pseudoline"
                            for p in meet.real_points)
-                pairs.append((B, C, len(meet.intervals)))
+                pairs.append((B, C, meet.real_count))
             else:
                 ovals.append((B, C))
         assert len(pairs) > 20 and any(n for _, _, n in pairs) and ovals
         labels, inner = calls_inside(
             monkeypatch, (classify_module, "wall_label"),
             ((classify_module, "analyze_cubic"), (classify_module, "locate"),
-             (curve_module, "_real_points_over")))
+             (curve_module, "_real_points_over"),
+             (curve_module, "real_roots"), (algebra_module, "real_roots")))
         for B, C, n in pairs:
             assert classify_module.wall_label(B, C).pseudoline_crossings == n
         assert len(labels) == len(pairs) and inner == []
@@ -967,6 +1004,27 @@ class TestConicCubicMeet:
             inner.clear()
             classify_module.wall_label(B, C)
             assert inner.count("analyze_cubic") == 1
+
+    def test_complex_points_settle_at_the_rounding_floor(self, monkeypatch):
+        # in complex floats, the Newton steps of this pair's non-real
+        # points stay between 1.1e-14 and 3.2e-14 relative, above the
+        # 1e-14 settle test, and `realcubic curve` failed on it; they are
+        # accepted at the rounding floor, and still lie on both curves
+        B = plane_form("19*x^2 + 25*x*y - 8*x*z + 8*y^2 - 8*y*z - 8*z^2",
+                       2, "conic")
+        C = plane_form("-66*x^3 - 94*x^2*y + 291*x^2*z - 43*x*y^2"
+                       " + 300*x*y*z - 350*x*z^2 - 6*y^3 + 80*y^2*z"
+                       " - 166*y*z^2 + 167*z^3", 3, "cubic")
+        meet = conic_cubic_meet(B, C)
+        nonreal = meet.complex_points()
+        assert len(nonreal) == 6 - meet.real_count == 4
+        for form in (B, C):
+            scale = sum(abs(c) for c in form.terms.values())
+            assert all(abs(self.value(form, p)) < 1e-13 * scale
+                       for p in nonreal)
+        monkeypatch.setattr(curve_module, "_rounding_step", lambda *a: 0.0)
+        with pytest.raises(NonConvergence):
+            meet.complex_points()
 
     def test_tangent_conic_not_transversal(self):
         C = plane_form("y^2 - x^3 + x", 3, "cubic")
