@@ -139,10 +139,6 @@ def discriminant_sign(T: list) -> int:
     return (det > 0) - (det < 0)
 
 
-def _plus(a: list, b: list) -> list:
-    return univ_sub(a, [-t for t in b])
-
-
 def y_resultant(P: list, Q: list) -> list:
     """Res_y(p, q) dense in x, the determinant of the Sylvester matrix in y
     of p and q, given by their coefficients of y^0 .. y^m and y^0 .. y^n,
@@ -150,17 +146,17 @@ def y_resultant(P: list, Q: list) -> list:
     chart conic, so m <= 2, and its y^2 coefficient a, of degree 0 in x, is
     an integer.
 
-    Res(p, q) = lc(p)^n q(r_1) ... q(r_m) over the roots r_i of p, for q of
+    Res(p, q) = lc(p)^n q(t_1) ... q(t_m) over the roots t_i of p, for q of
     formal degree n (Poisson's formula; Basu, Pollack & Roy, *Algorithms
     in Real Algebraic Geometry*, 2006).  So Res = p0^n for m = 0, q0^m for
     n = 0, and for m = 1 it is p1^n q(-p0/p1) = sum_k q_k (-p0)^k p1^(n-k).
     For m = 2 and n >= 1, n - 1 pseudo-division steps, each
     Q <- a Q - lc(Q) y^(k-2) P for Q of degree k, give
-    a^(n-1) q = s p + r1 y + r0.  Then q(r_i) = (r1 r_i + r0) / a^(n-1),
-    and with r_1 + r_2 = -b/a and r_1 r_2 = c/a, b and c the y^1 and y^0
+    a^(n-1) q = s p + r1 y + r0.  Then q(t_i) = (r1 t_i + r0) / a^(n-1),
+    and with t_1 + t_2 = -b/a and t_1 t_2 = c/a, b and c the y^1 and y^0
     coefficients of p,
 
-        Res = a^n a^(2-2n) (r1 r_1 + r0)(r1 r_2 + r0)
+        Res = a^n a^(2-2n) (r1 t_1 + r0)(r1 t_2 + r0)
             = (a r0^2 - b r0 r1 + c r1^2) / a^(n-1),
 
     a division that is exact in Z[x], Res being an integer polynomial.
@@ -169,9 +165,9 @@ def y_resultant(P: list, Q: list) -> list:
     if m == 0 or n == 0:
         return reduce(univ_mul, [P[0]] * n + [Q[0]] * m, [1])
     if m == 1:
-        acc, power, neg = [], [1], [-t for t in P[0]]
+        acc, power = [], [1]
         for q in reversed(Q):       # homogeneous Horner in (-p0, p1)
-            acc = _plus(univ_mul(acc, neg), univ_mul(q, power))
+            acc = univ_sub(univ_mul(q, power), univ_mul(acc, P[0]))
             power = univ_mul(power, P[1])
         return acc
     if m != 2 or len(P[2]) != 1:
@@ -183,9 +179,9 @@ def y_resultant(P: list, Q: list) -> list:
         R[k - 2] = univ_sub(R[k - 2], univ_mul(top, c))
         R[k - 1] = univ_sub(R[k - 1], univ_mul(top, b))
     r0, r1 = R
-    num = _plus(univ_sub(univ_mul([a * t for t in r0], r0),
-                         univ_mul(b, univ_mul(r0, r1))),
-                univ_mul(c, univ_mul(r1, r1)))
+    num = univ_sub(univ_mul([a * t for t in r0], r0),
+                   univ_sub(univ_mul(b, univ_mul(r0, r1)),
+                            univ_mul(c, univ_mul(r1, r1))))
     den = a ** (n - 1)
     return [t // den for t in num]
 
